@@ -40,6 +40,7 @@ from .model import (
 from .quad import simpson_weights
 from .riccati import (
     OracleError,
+    input_gain_sq,
     modal_gain,
     negative_root_solution,
     oracle_solve_modes,
@@ -48,6 +49,7 @@ from .riccati import (
     solve_family,
 )
 from .sim import (
+    MIN_FD_INTERVALS,
     ModalState,
     SimulationError,
     field_energy,
@@ -119,6 +121,9 @@ def parse_config(doc: dict) -> RunConfig:
     N = int(doc.get("N", 64))
     if N < 0:
         raise ConfigError(f"N must be nonnegative, got {N}")
+    seed = int(doc.get("seed", 0))
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     wdoc = doc["weights"]
     if not isinstance(wdoc, dict):
         raise ConfigError("weights must be an object")
@@ -165,7 +170,7 @@ def parse_config(doc: dict) -> RunConfig:
         family=family,
         N=N,
         grid_points=grid_points,
-        seed=int(doc.get("seed", 0)),
+        seed=seed,
         out_dir=str(doc.get("out_dir", "out")),
         sim=sim,
         converge=conv,
@@ -300,8 +305,6 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
     # closed-loop trace/determinant identities and conjugacy
     id_dev = 0.0
     conj_dev = 0.0
-    from .riccati import input_gain_sq
-
     for s in sols:
         pair = closed_loop_eigs(cfg, s)
         c = float(input_gain_sq(cfg, s.n))
@@ -472,6 +475,10 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     cfg = rc.wave
     if not list(mode_range(cfg.boundary, rc.N)):
         raise ConfigError("simulate needs at least one mode; increase N")
+    if rc.sim.M < MIN_FD_INTERVALS:
+        raise ConfigError(f"sim.M must be >= {MIN_FD_INTERVALS}, got {rc.sim.M}")
+    if not 0 < rc.sim.cfl <= 1:
+        raise ConfigError(f"sim.cfl must lie in (0, 1], got {rc.sim.cfl}")
     sols = solve_family(cfg, rc.family, rc.N)
     gains = [modal_gain(cfg, s) for s in sols]
     state0 = _initial_state(rc)
@@ -607,7 +614,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (OracleError, SimulationError, ArithmeticError, ValueError, np.linalg.LinAlgError) as exc:
+    except (
+        OracleError, SimulationError, ArithmeticError, ValueError, np.linalg.LinAlgError,
+        MemoryError,
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -11,14 +11,14 @@ simulate_fd          integrates the wave equation on a grid with leapfrog
 
 Modal integrators use matrix exponentials of the (block) closed-loop
 matrices, so their only error sources are the mode truncation and the
-time quadrature of the cost.
+time quadrature of the cost.  scipy's expm is imported inside the three
+functions that call it, so importing the package does not load scipy.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kernels import GainProfile, assemble_Q, basis_matrix
 from .model import (
@@ -32,6 +32,10 @@ from .model import (
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
 from .riccati import ModalGain, ModalRiccati, modal_gain
 from .spectrum import closed_loop_eigs, closed_loop_matrix, coupled_loop_parts
+
+
+#: fewest grid intervals simulate_fd accepts
+MIN_FD_INTERVALS = 32
 
 
 class SimulationError(RuntimeError):
@@ -143,6 +147,10 @@ def _family_blocks(family, cfg, modes) -> np.ndarray:
 
 def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) -> SimResult:
     """Open-loop modal evolution: the reference trajectory z is steered to."""
+    # deferred: simulation is the only use of scipy, and importing
+    # scipy.linalg costs about 0.3 s that the other CLI commands need not pay
+    from scipy.linalg import expm
+
     nsteps = _steps_for(T, dt)
     modes = state0.modes
     props = np.array(
@@ -176,6 +184,8 @@ def simulate_decoupled(
     Simpson over the sample times; this is the per-mode LQR frame in which
     the infinite-horizon cost equals a_0' P^n a_0 exactly.
     """
+    from scipy.linalg import expm  # deferred, see target_solution
+
     nsteps = _steps_for(T, dt)
     modes = state0.modes
     by_n = {s.n: s for s in sols}
@@ -221,6 +231,8 @@ def simulate_coupled_modal(
     forced through its true input vector.  The accumulated cost is the
     field-frame criterion: the double space quadrature plus R u^2.
     """
+    from scipy.linalg import expm  # deferred, see target_solution
+
     nsteps = _steps_for(T, dt)
     modes, A, B, Krow = coupled_loop_parts(cfg, gains, N)
     if tuple(state0.modes) != tuple(modes):
@@ -270,8 +282,8 @@ def simulate_fd(
     criterion against the assembled Q kernel (when a weight family is
     given) plus R u^2.
     """
-    if M < 32:
-        raise ValueError(f"need at least 32 grid intervals, got M={M}")
+    if M < MIN_FD_INTERVALS:
+        raise ValueError(f"need at least {MIN_FD_INTERVALS} grid intervals, got M={M}")
     if not 0 < cfl <= 1:
         raise ValueError(f"CFL number must lie in (0, 1], got {cfl}")
     h = 1.0 / M

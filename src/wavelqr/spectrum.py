@@ -5,7 +5,14 @@ from enum import Enum
 
 import numpy as np
 
-from .model import WaveConfig, modal_matrices, validate_mode
+from .model import (
+    WaveConfig,
+    gain_expansion_sign,
+    modal_matrices,
+    mode_range,
+    true_modal_input,
+    validate_mode,
+)
 from .riccati import ModalGain, ModalRiccati, input_gain_sq, modal_gain
 
 
@@ -121,8 +128,6 @@ def coupled_loop_parts(cfg: WaveConfig, gains: list[ModalGain], N: int):
     gain-expansion sign, which is exactly the quadrature of the gain kernel
     against the basis.  Modes missing from gains contribute zero feedback.
     """
-    from .model import gain_expansion_sign, mode_range, true_modal_input
-
     modes = list(mode_range(cfg.boundary, N))
     by_n = {g.n: g for g in gains}
     d = 2 * len(modes)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavelqr
 from wavelqr.cli import (
     COMMANDS,
     ConfigError,
@@ -12,6 +17,7 @@ from wavelqr.cli import (
     main,
     parse_config,
 )
+from wavelqr.riccati import OracleError
 
 
 def base_config(**overrides):
@@ -87,6 +93,12 @@ class TestConfigParsing:
     def test_bad_grid_points(self):
         with pytest.raises(ConfigError, match="grid_points"):
             parse_config(base_config(grid_points=100))
+
+    def test_negative_seed_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config(base_config(seed=-1))
+        path = write_config(tmp_path, base_config(seed=-1))
+        assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
     def test_bad_beta(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -266,8 +278,13 @@ class TestOtherCommands:
         verdicts = {s["name"]: s["verdict"] for s in rep["series"]}
         assert verdicts == {"Q": "convergent", "K": "convergent", "P11": "convergent"}
 
-    def test_simulate_without_modes_is_config_error(self, tmp_path):
-        path = write_config(tmp_path, base_config(N=0))
+    @pytest.mark.parametrize("key,value", [
+        ("N", 0), ("M", 0), ("M", 31), ("cfl", 0.0), ("cfl", 1.5),
+    ])
+    def test_simulate_config_error_is_2(self, tmp_path, key, value):
+        doc = base_config()
+        (doc if key == "N" else doc["sim"])[key] = value
+        path = write_config(tmp_path, doc)
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
     def test_converge_requires_power_family(self, tmp_path):
@@ -294,16 +311,47 @@ class TestOtherCommands:
         assert header == ["boundary", "n", "abs_re_mu"]
         assert len(rows) == 8 + 9  # Dirichlet modes 1..8, Neumann modes 0..8
 
-    def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("error", [OracleError, MemoryError], ids=lambda e: e.__name__)
+    def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch, error):
         from wavelqr import cli
-        from wavelqr.riccati import OracleError
 
         def boom(rc, out):
-            raise OracleError("synthetic failure")
+            raise error("synthetic failure")
 
         monkeypatch.setitem(cli.COMMANDS, "synth", boom)
         path = write_config(tmp_path, base_config())
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+_COLD_START_SCRIPT = """
+import json, sys
+import wavelqr, wavelqr.cli
+config, out = sys.argv[1:]
+codes = {}
+for cmd in ("synth", "verify", "spectrum", "kernels", "converge", "compare-boundary"):
+    codes[cmd] = wavelqr.cli.main([cmd, "--config", config, "--out", out])
+before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+codes["simulate"] = wavelqr.cli.main(["simulate", "--config", config, "--out", out])
+print(json.dumps({"codes": codes, "scipy_before": before,
+                  "linalg_after": "scipy.linalg" in sys.modules}))
+"""
+
+
+class TestColdStart:
+    def test_only_simulate_imports_scipy(self, tmp_path):
+        # a fresh interpreter: this test process may have scipy loaded already
+        path = write_config(tmp_path, base_config())
+        src = str(Path(wavelqr.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _COLD_START_SCRIPT, str(path), str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["codes"] == {cmd: 0 for cmd in COMMANDS}
+        assert result["scipy_before"] == []
+        assert result["linalg_after"] is True
 
 
 class TestFormatting:
