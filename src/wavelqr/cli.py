@@ -27,7 +27,6 @@ from .kernels import (
 )
 from .model import (
     Boundary,
-    ModalWeight,
     PowerLawWeights,
     WaveConfig,
     modal_matrices,
@@ -35,17 +34,13 @@ from .model import (
     projection_weight,
     wave_config_from_dict,
     weight_family_from_dict,
-    weight_of,
 )
 from .quad import simpson_weights
 from .riccati import (
     OracleError,
-    input_gain_sq,
     modal_gain,
-    negative_root_solution,
+    negative_root_matrices,
     oracle_solve_modes,
-    residual_scale,
-    solve_closed_form,
     solve_family,
 )
 from .sim import (
@@ -60,7 +55,7 @@ from .sim import (
     simulate_decoupled,
     simulate_fd,
 )
-from .spectrum import closed_loop_eigs, open_loop_eigs
+from .spectrum import classify, closed_loop_spectrum, closed_loop_trace_det, open_loop_spectrum
 
 
 class ConfigError(ValueError):
@@ -103,6 +98,15 @@ def _check_keys(doc: dict, allowed: set, where: str):
 
 
 def parse_config(doc: dict) -> RunConfig:
+    try:
+        return _run_config(doc)
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:  # a field that does not convert, e.g. "N": null
+        raise ConfigError(f"invalid value: {exc}") from exc
+
+
+def _run_config(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
     _check_keys(
@@ -114,10 +118,7 @@ def parse_config(doc: dict) -> RunConfig:
     for key in ("boundary", "weights"):
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
-    try:
-        wave = wave_config_from_dict(doc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    wave = wave_config_from_dict(doc)
     N = int(doc.get("N", 64))
     if N < 0:
         raise ConfigError(f"N must be nonnegative, got {N}")
@@ -162,6 +163,8 @@ def parse_config(doc: dict) -> RunConfig:
         fit_lo=int(cdoc.get("fit_lo", 50)),
         fit_hi=int(cdoc.get("fit_hi", 500)),
     )
+    if any(n < 0 for n in conv.N_list):
+        raise ConfigError(f"converge.N_list entries must be nonnegative, got {list(conv.N_list)}")
     if conv.fit_lo < 1 or conv.fit_hi <= conv.fit_lo:
         raise ConfigError("converge.fit window must satisfy 1 <= fit_lo < fit_hi")
 
@@ -229,31 +232,23 @@ def write_json(path: Path, obj) -> None:
 
 def cmd_synth(rc: RunConfig, out: Path) -> int:
     """Per-mode table: Riccati entries, gains, leading closed-loop eigenvalue."""
-    rows = []
-    for n in mode_range(rc.wave.boundary, rc.N):
-        w = weight_of(rc.family, n, rc.wave.boundary)
-        sol = solve_closed_form(rc.wave, w)
-        g = modal_gain(rc.wave, sol)
-        pair = closed_loop_eigs(rc.wave, sol)
-        rel = sol.max_residual / residual_scale(w, sol.matrix)
-        rows.append(
-            (n, sol.p11, sol.p12, sol.p22, g.k1, g.k2, pair.mu_plus.real, pair.mu_plus.imag, rel)
-        )
+    t = solve_family(rc.wave, rc.family, rc.N)
+    mu, _ = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
     write_csv(
         out / "modes.csv",
         ["n", "P11", "P12", "P22", "K1", "K2", "ReMu", "ImMu", "residual_max"],
-        rows,
+        zip(t.n, t.p11, t.p12, t.p22, t.k1, t.k2, mu[:, 0].real, mu[:, 0].imag, t.rel_residual),
     )
     return 0
 
 
 def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
     cfg = rc.wave
-    modes = list(mode_range(cfg.boundary, rc.N))
-    weights = [weight_of(rc.family, n, cfg.boundary) for n in modes]
-    sols = [solve_closed_form(cfg, w) for w in weights]
+    t = solve_family(cfg, rc.family, rc.N)
     if corrupt is not None:
-        sols = corrupt(sols)
+        t = corrupt(t)
+    modes = t.n.tolist()
+    P = np.stack([t.p11, t.p12, t.p22])  # (3, k)
 
     checks = []
 
@@ -265,61 +260,38 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
         )
 
     # modal ARE residuals and positive semidefiniteness
-    rel_res = max(
-        (s.max_residual / residual_scale(w, s.matrix) for s, w in zip(sols, weights)),
-        default=0.0,
-    )
-    add("closed_form_residuals", rel_res, 1e-10)
-    min_eig = min((s.min_eigenvalue for s in sols), default=0.0)
+    add("closed_form_residuals", t.rel_residual.max(initial=0.0), 1e-10)
+    min_eig = t.min_eigenvalue.min() if modes else 0.0
     add("psd_min_eigenvalue", min_eig, -1e-12, larger_is_worse=False)
 
-    # gain recomputation K = -R^-1 G' P
-    gain_dev = 0.0
-    for s in sols:
-        _, G = modal_matrices(cfg, s.n)
-        k = modal_gain(cfg, s).row
-        k_ref = -(G / cfg.R) @ s.matrix
-        gain_dev = max(gain_dev, float(np.max(np.abs(k - k_ref)) / (1.0 + np.max(np.abs(k)))))
-    add("gain_consistency", gain_dev, 1e-14)
+    # gain recomputation K = -R^-1 G' P, with G taken from the model
+    G = np.array([modal_matrices(cfg, n)[1] for n in modes]).reshape(-1, 2)
+    k = np.stack([t.k1, t.k2], axis=1)
+    k_ref = np.einsum("ki,kij->kj", -(G / cfg.R), t.matrices)
+    gain_dev = np.abs(k - k_ref).max(axis=1) / (1.0 + np.abs(k).max(axis=1))
+    add("gain_consistency", gain_dev.max(initial=0.0), 1e-14)
 
     # oracle agreement
     if modes:
-        ns = np.array(modes)
-        o11, o12, o22 = oracle_solve_modes(
-            cfg, ns,
-            np.array([w.q11 for w in weights]),
-            np.array([w.q12 for w in weights]),
-            np.array([w.q22 for w in weights]),
-        )
-        dev = 0.0
-        for i, s in enumerate(sols):
-            scale = 1.0 + max(abs(s.p11), abs(s.p12), abs(s.p22))
-            dev = max(
-                dev,
-                abs(s.p11 - o11[i]) / scale,
-                abs(s.p12 - o12[i]) / scale,
-                abs(s.p22 - o22[i]) / scale,
-            )
-        add("oracle_match", dev, 1e-8)
+        oracle = np.stack(oracle_solve_modes(cfg, t.n, t.q11, t.q12, t.q22))
+        scale = 1.0 + np.abs(P).max(axis=0)
+        add("oracle_match", (np.abs(P - oracle) / scale).max(), 1e-8)
 
     # closed-loop trace/determinant identities and conjugacy
-    id_dev = 0.0
-    conj_dev = 0.0
-    for s in sols:
-        pair = closed_loop_eigs(cfg, s)
-        c = float(input_gain_sq(cfg, s.n))
-        tr = -(cfg.alpha + c * s.p22)
-        det = (s.n * np.pi) ** 2 + c * s.p12
-        id_dev = max(
-            id_dev,
-            abs((pair.mu_plus + pair.mu_minus).real - tr) / max(1.0, abs(tr)),
-            abs(pair.mu_plus.imag + pair.mu_minus.imag),
-            abs((pair.mu_plus * pair.mu_minus).real - det) / max(1.0, abs(det)),
-        )
-        if tr * tr - 4.0 * det < 0:
-            conj_dev = max(conj_dev, abs(pair.mu_minus - pair.mu_plus.conjugate()))
-    add("trace_det_identities", id_dev, 1e-10)
-    add("mu_conjugacy", conj_dev, 1e-12)
+    mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+    mu_plus, mu_minus = mu[:, 0], mu[:, 1]
+    tr, det = closed_loop_trace_det(cfg, t.n, t.p12, t.p22)
+    # the real part of mu+ mu- written out: numpy's complex product can
+    # round differently from the scalar one
+    prod = mu_plus.real * mu_minus.real - mu_plus.imag * mu_minus.imag
+    id_dev = np.stack([
+        np.abs(mu_plus.real + mu_minus.real - tr) / np.maximum(1.0, np.abs(tr)),
+        np.abs(mu_plus.imag + mu_minus.imag),
+        np.abs(prod - det) / np.maximum(1.0, np.abs(det)),
+    ])
+    add("trace_det_identities", id_dev.max(initial=0.0), 1e-10)
+    conj = tr * tr - 4.0 * det < 0
+    add("mu_conjugacy", np.abs(mu_minus - mu_plus.conj())[conj].max(initial=0.0), 1e-12)
 
     # kernel Riccati PDE: diagonal basis coefficients of the residual fields
     if modes:
@@ -327,48 +299,40 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
         if npts % 2 == 0:
             npts += 1
         grid = np.linspace(0.0, 1.0, npts)
-        fields = pde_residual(cfg, sols, rc.family, grid)
+        fields = pde_residual(cfg, t, rc.family, grid)
         wq = simpson_weights(npts, grid[1] - grid[0])
         phi = basis_matrix(cfg.boundary, modes, grid)
         pw = np.array([projection_weight(cfg.boundary, n) for n in modes])
         proj = (phi * wq) / pw[:, None]
-        diag_dev = 0.0
-        for f in (fields.r11, fields.r12, fields.r21, fields.r22):
-            coeffs = proj @ f @ proj.T
-            diag_dev = max(diag_dev, float(np.max(np.abs(np.diag(coeffs)))))
+        diag_dev = max(
+            float(np.abs(np.diag(proj @ f @ proj.T)).max())
+            for f in (fields.r11, fields.r12, fields.r21, fields.r22)
+        )
         add("pde_residual_diagonal", diag_dev, 1e-8)
 
     # assembled kernel symmetry at seeded random pairs, and boundary values
     rng = np.random.default_rng(rc.seed)
     pairs = rng.random((100, 2))
-    kf_a = assemble_P(sols, pairs[:, 0], cfg.boundary, grid_x2=pairs[:, 1])
-    kf_b = assemble_P(sols, pairs[:, 1], cfg.boundary, grid_x2=pairs[:, 0])
-    sym_dev = 0.0
-    scale = 1.0 + max((abs(v) for s in sols for v in (s.p11, s.p12, s.p22)), default=0.0)
-    for i in range(len(pairs)):
-        sym_dev = max(
-            sym_dev,
-            float(np.max(np.abs(kf_a.values[i, i] - kf_b.values[i, i].T))) / scale,
-        )
+    kf_a = assemble_P(t, pairs[:, 0], cfg.boundary, grid_x2=pairs[:, 1])
+    kf_b = assemble_P(t, pairs[:, 1], cfg.boundary, grid_x2=pairs[:, 0])
+    scale = 1.0 + np.abs(P).max(initial=0.0)
+    i = np.arange(len(pairs))
+    sym_dev = np.abs(kf_a.values[i, i] - kf_b.values[i, i].swapaxes(1, 2)).max() / scale
     add("kernel_symmetry", sym_dev, 1e-12)
 
     if cfg.boundary == Boundary.DIRICHLET:
-        edge = assemble_P(sols, np.array([0.0, 1.0]), cfg.boundary,
+        edge = assemble_P(t, np.array([0.0, 1.0]), cfg.boundary,
                           grid_x2=np.linspace(0.0, 1.0, rc.grid_points))
         add("kernel_boundary_values", float(np.max(np.abs(edge.values))) / scale, 1e-12)
 
     # the other quadratic branch must not be nonnegative definite
-    neg_ok = True
-    for w in weights:
-        if w.q11 * w.q22 - w.q12**2 > 0:
-            Pm = negative_root_solution(cfg, w)
-            eigs = (
-                np.linalg.eigvalsh(Pm) if np.all(np.isfinite(Pm)) else np.array([-1.0])
-            )
-            neg_ok = neg_ok and (eigs.min() < 0)
+    d = t[t.q11 * t.q22 - np.float_power(t.q12, 2) > 0]
+    Pm = negative_root_matrices(cfg, d.n, d.q11, d.q12, d.q22)
+    finite = np.isfinite(Pm).all(axis=(1, 2))
+    neg_ok = bool((np.linalg.eigvalsh(Pm[finite]).min(axis=1) < 0).all())
     checks.append(
         {"name": "negative_root_not_psd", "measured": 0.0 if neg_ok else 1.0,
-         "tolerance": 0.5, "passed": bool(neg_ok)}
+         "tolerance": 0.5, "passed": neg_ok}
     )
 
     warnings = []
@@ -391,22 +355,16 @@ def cmd_verify(rc: RunConfig, out: Path, corrupt=None) -> int:
 
 
 def cmd_spectrum(rc: RunConfig, out: Path) -> int:
-    rows = []
-    for n in mode_range(rc.wave.boundary, rc.N):
-        w = weight_of(rc.family, n, rc.wave.boundary)
-        sol = solve_closed_form(rc.wave, w)
-        lam_p, lam_m = open_loop_eigs(rc.wave, n)
-        pair = closed_loop_eigs(rc.wave, sol)
-        rows.append(
-            (n, lam_p.real, lam_p.imag, lam_m.real, lam_m.imag,
-             pair.mu_plus.real, pair.mu_plus.imag, pair.mu_minus.real, pair.mu_minus.imag,
-             pair.stability.value)
-        )
+    t = solve_family(rc.wave, rc.family, rc.N)
+    lam = open_loop_spectrum(rc.wave, t.n)
+    mu, _ = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
     write_csv(
         out / "spectrum.csv",
         ["n", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus",
          "re_mu_plus", "im_mu_plus", "re_mu_minus", "im_mu_minus", "class"],
-        rows,
+        zip(t.n, lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag,
+            mu[:, 0].real, mu[:, 0].imag, mu[:, 1].real, mu[:, 1].imag,
+            [classify(m).value for m in mu.real.max(axis=1)]),
     )
     return 0
 
@@ -557,24 +515,18 @@ def cmd_compare_boundary(rc: RunConfig, out: Path) -> int:
             cfg, rc.family, rc.converge.N_list,
             fit_window=(rc.converge.fit_lo, rc.converge.fit_hi),
         )
-        ns = np.arange(rc.converge.fit_lo, rc.converge.fit_hi + 1)
-        comp = {"P12": [], "P22": [], "P11": []}
-        for n in ns:
-            amp = rc.family.q / float(n) ** rc.family.r
-            s = solve_closed_form(cfg, ModalWeight(int(n), amp, 0.0, amp))
-            comp["P12"].append(s.p12)
-            comp["P22"].append(s.p22)
-            comp["P11"].append(s.p11)
-        exps = {k: decay_fit(ns, v) for k, v in comp.items()}
         result[boundary.value] = {
-            "fitted_exponents": exps,
+            "fitted_exponents": {
+                "P11": rep["P11"].fitted_exponent,
+                "P12": decay_fit(rep.fit.n, rep.fit.p12),
+                "P22": decay_fit(rep.fit.n, rep.fit.p22),
+            },
             "thresholds": series_thresholds(boundary),
             "series": rep.as_dict()["series"],
         }
-        for n in mode_range(boundary, rc.N):
-            w = weight_of(rc.family, n, boundary)
-            pair = closed_loop_eigs(cfg, solve_closed_form(cfg, w))
-            damping_rows.append((boundary.value, n, abs(pair.abscissa)))
+        t = solve_family(cfg, rc.family, rc.N)
+        mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+        damping_rows += zip([boundary.value] * len(t), t.n, np.abs(mu.real.max(axis=1)))
     write_json(out / "compare_boundary.json", result)
     write_csv(out / "damping_profiles.csv", ["boundary", "n", "abs_re_mu"], damping_rows)
     return 0

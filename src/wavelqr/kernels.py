@@ -7,21 +7,21 @@ truncated series are evaluated analytically, term by term, never by
 numerical differentiation of sampled kernels.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .model import (
     Boundary,
-    ModalWeight,
     PowerLawWeights,
     WaveConfig,
     WeightFamily,
     gain_expansion_sign,
     mode_range,
+    weight_arrays,
     weight_of,
 )
-from .riccati import ModalRiccati, modal_gain, solve_closed_form
+from .riccati import ModalRiccati, ModalTable, modal_gain, modal_table, solve_family
 
 QUAD_WARNING = "series not absolutely summable"
 
@@ -144,9 +144,7 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], fam
     p11 = np.array([s.p11 for s in sols])
     p12 = np.array([s.p12 for s in sols])
     p22 = np.array([s.p22 for s in sols])
-    q11 = np.array([weight_of(family, int(n), cfg.boundary).q11 for n in modes])
-    q12 = np.array([weight_of(family, int(n), cfg.boundary).q12 for n in modes])
-    q22 = np.array([weight_of(family, int(n), cfg.boundary).q22 for n in modes])
+    q11, q12, q22 = weight_arrays(family, modes)
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq
 
@@ -220,9 +218,12 @@ class SeriesReport:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Series verdicts, and the fit-window solutions the fitted exponents come from."""
+
     boundary: Boundary
     r: float
-    series: tuple[SeriesReport, ...] = field(default_factory=tuple)
+    series: tuple[SeriesReport, ...]
+    fit: ModalTable
 
     def __getitem__(self, name: str) -> SeriesReport:
         for s in self.series:
@@ -264,19 +265,11 @@ def convergence_report(
     thresholds = series_thresholds(cfg.boundary)
     lo, hi = fit_window
     ns = np.arange(max(lo, 1), hi + 1)
-
-    amp = family.q / ns.astype(float) ** family.r
-    p11 = np.empty(len(ns))
-    kmag = np.empty(len(ns))
-    for i, n in enumerate(ns):
-        sol = solve_closed_form(cfg, ModalWeight(int(n), amp[i], 0.0, amp[i]))
-        p11[i] = sol.p11
-        kmag[i] = np.max(np.abs(modal_gain(cfg, sol).row))
-
+    fit = modal_table(cfg, ns, *weight_arrays(replace(family, cutoff=hi), ns))
     fitted = {
-        "Q": decay_fit(ns, amp),
-        "K": decay_fit(ns, kmag),
-        "P11": decay_fit(ns, p11),
+        "Q": decay_fit(ns, fit.q11),
+        "K": decay_fit(ns, np.maximum(np.abs(fit.k1), np.abs(fit.k2))),
+        "P11": decay_fit(ns, fit.p11),
     }
 
     N_list = sorted(int(N) for N in N_list)
@@ -284,8 +277,8 @@ def convergence_report(
     diffs: dict[str, list[float]] = {"Q": [], "K": [], "P11": []}
     prev = None
     for N in N_list:
-        nofcut = PowerLawWeights(q=family.q, r=family.r, cutoff=N)
-        sols = [solve_closed_form(cfg, weight_of(nofcut, n, cfg.boundary)) for n in mode_range(cfg.boundary, N)]
+        nofcut = replace(family, cutoff=N)
+        sols = solve_family(cfg, nofcut, N)
         qf = assemble_Q(nofcut, grid, cfg.boundary, N).component(0, 0)
         kf = np.abs(assemble_K(sols, cfg, grid).values).max(axis=1)
         pf = assemble_P(sols, grid, cfg.boundary).component(0, 0)
@@ -310,4 +303,4 @@ def convergence_report(
                 cauchy_decreasing=decreasing,
             )
         )
-    return ConvergenceReport(cfg.boundary, family.r, tuple(reports))
+    return ConvergenceReport(cfg.boundary, family.r, tuple(reports), fit)

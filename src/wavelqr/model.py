@@ -124,16 +124,39 @@ class ExplicitWeights:
 WeightFamily = Union[PowerLawWeights, ExplicitWeights]
 
 
+def weight_arrays(family: WeightFamily, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q11, Q12, Q22) arrays a family gives the admissible modes n; zero beyond the cutoff.
+
+    Power laws use np.float_power, which rounds as libm pow (and Python's
+    float ``**``) does; np.power does not on every host.
+    """
+    n = np.asarray(n, dtype=int)
+    if isinstance(family, PowerLawWeights):
+        # 1**r == 1 exactly, so the mean mode gets q
+        amp = family.q / np.float_power(np.maximum(n, 1), family.r)
+        amp = np.where(n <= family.cutoff, amp, 0.0)
+        return amp, np.zeros_like(amp), amp
+    rows = [family.entries.get(m) if m <= family.cutoff else None for m in n.tolist()]
+    q = np.array([(0.0, 0.0, 0.0) if w is None else (w.q11, w.q12, w.q22) for w in rows])
+    return tuple(q.reshape(-1, 3).T)
+
+
 def weight_of(family: WeightFamily, n: int, boundary: Boundary) -> ModalWeight:
     """Modal weight generated by a family; zero beyond the cutoff."""
     n = validate_mode(boundary, n)
-    if n > family.cutoff:
-        return ModalWeight(n, 0.0, 0.0, 0.0)
-    if isinstance(family, PowerLawWeights):
-        amp = family.q if n == 0 else family.q / float(n) ** family.r
-        return ModalWeight(n, amp, 0.0, amp)
-    w = family.entries.get(n)
-    return w if w is not None else ModalWeight(n, 0.0, 0.0, 0.0)
+    q11, q12, q22 = weight_arrays(family, [n])
+    return ModalWeight(n, float(q11[0]), float(q12[0]), float(q22[0]))
+
+
+def frequency_sq(n) -> np.ndarray:
+    """n^2 pi^2, vectorized, rounded as the scalar (n * pi) ** 2 (libm pow)."""
+    return np.float_power(np.asarray(n, dtype=float) * np.pi, 2)
+
+
+def input_gain(cfg: WaveConfig, n) -> np.ndarray:
+    """G[1] of the modal input vector, vectorized: n pi beta (Dirichlet) or beta (Neumann)."""
+    n = np.asarray(n, dtype=float)
+    return n * np.pi * cfg.beta if cfg.boundary == Boundary.DIRICHLET else np.full_like(n, cfg.beta)
 
 
 def modal_matrices(cfg: WaveConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -144,10 +167,8 @@ def modal_matrices(cfg: WaveConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
     Neumann actuation.
     """
     n = validate_mode(cfg.boundary, n)
-    w2 = (n * np.pi) ** 2
-    F = np.array([[0.0, 1.0], [-w2, -cfg.alpha]])
-    g = n * np.pi * cfg.beta if cfg.boundary == Boundary.DIRICHLET else cfg.beta
-    return F, np.array([0.0, g])
+    F = np.array([[0.0, 1.0], [-frequency_sq(n), -cfg.alpha]])
+    return F, np.array([0.0, input_gain(cfg, n)])
 
 
 def projection_weight(boundary: Boundary, n: int) -> float:

@@ -29,7 +29,7 @@ invariant subspace of the Hamiltonian matrix, falling back to a
 Newton-Kleinman iteration started from a Bass stabilizing gain.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,12 +38,13 @@ from .model import (
     ModalWeight,
     WaveConfig,
     WeightFamily,
+    frequency_sq,
     gain_expansion_sign,
-    modal_matrices,
+    input_gain,
     mode_range,
-    true_modal_input,
+    projection_weight,
     validate_mode,
-    weight_of,
+    weight_arrays,
 )
 
 #: relative residual bound the closed forms satisfy (scale 1 + |Q| + |P|^2)
@@ -56,6 +57,17 @@ TOL_ORACLE = 1e-8
 
 class OracleError(RuntimeError):
     """The ARE oracle could not produce a stabilizing solution."""
+
+
+def _min_eigenvalue(p11, p12, p22):
+    """Smaller eigenvalue of [[P11, P12], [P12, P22]], vectorized."""
+    rad = np.sqrt(0.25 * np.float_power(p11 - p22, 2) + np.float_power(p12, 2))
+    return 0.5 * (p11 + p22) - rad
+
+
+def _scale(qmax, pmax):
+    """1 + |Q| + |P|^2, the scale of the relative residual bounds."""
+    return 1.0 + qmax + np.float_power(pmax, 2)
 
 
 @dataclass(frozen=True)
@@ -74,9 +86,7 @@ class ModalRiccati:
 
     @property
     def min_eigenvalue(self) -> float:
-        half_tr = 0.5 * (self.p11 + self.p22)
-        rad = np.sqrt(0.25 * (self.p11 - self.p22) ** 2 + self.p12**2)
-        return half_tr - rad
+        return float(_min_eigenvalue(self.p11, self.p12, self.p22))
 
     @property
     def max_residual(self) -> float:
@@ -96,12 +106,57 @@ class ModalGain:
         return np.array([self.k1, self.k2])
 
 
+@dataclass(frozen=True, eq=False)
+class ModalTable:
+    """Closed-form solutions of many modes as columns; ``residuals`` is (k, 4).
+
+    ``len``, integer indexing and so iteration yield ModalRiccati views, so
+    a table stands wherever a sequence of solutions is expected; a slice or
+    a mask selects a sub-table.
+    """
+
+    n: np.ndarray
+    q11: np.ndarray
+    q12: np.ndarray
+    q22: np.ndarray
+    p11: np.ndarray
+    p12: np.ndarray
+    p22: np.ndarray
+    k1: np.ndarray
+    k2: np.ndarray
+    residuals: np.ndarray
+    rel_residual: np.ndarray
+    min_eigenvalue: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return ModalRiccati(
+                int(self.n[i]), float(self.p11[i]), float(self.p12[i]), float(self.p22[i]),
+                tuple(float(r) for r in self.residuals[i]),
+            )
+        return ModalTable(*(getattr(self, f.name)[i] for f in fields(self)))
+
+    @property
+    def matrices(self) -> np.ndarray:
+        """The Riccati matrices stacked as (k, 2, 2)."""
+        return np.stack([[self.p11, self.p12], [self.p12, self.p22]]).transpose(2, 0, 1)
+
+
 def input_gain_sq(cfg: WaveConfig, n) -> np.ndarray:
     """c = G[1]^2 / R, vectorized over the mode index."""
     n = np.asarray(n, dtype=float)
     if cfg.boundary == Boundary.DIRICHLET:
         return (n * np.pi) ** 2 * cfg.gamma_sq
     return np.full_like(n, cfg.gamma_sq)
+
+
+def gain_arrays(cfg: WaveConfig, n, p12, p22) -> tuple[np.ndarray, np.ndarray]:
+    """K = -R^-1 G' P, vectorized: -(G[1] / R) (P21, P22)."""
+    coef = -(input_gain(cfg, n) / cfg.R)
+    return coef * p12, coef * p22
 
 
 def _closed_form_arrays(w2, c, alpha, q11, q22, q12):
@@ -132,8 +187,38 @@ def _residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22, p21=None):
 def residual_scale(weight: ModalWeight, P: np.ndarray) -> float:
     """Scale 1 + |Q| + |P|^2 used for relative residual bounds."""
     qmax = max(abs(weight.q11), abs(weight.q12), abs(weight.q22))
-    pmax = float(np.max(np.abs(P)))
-    return 1.0 + qmax + pmax**2
+    return float(_scale(qmax, np.max(np.abs(P))))
+
+
+def modal_table(cfg: WaveConfig, n, q11, q12, q22) -> ModalTable:
+    """Stabilizing closed-form solutions of the admissible modes n with weights Q.
+
+    Raises ArithmeticError, naming the first such mode, when a solution
+    lost positive semidefiniteness.  Zero weights give the zero matrix with
+    exactly zero residuals.
+    """
+    n = np.asarray(n, dtype=int)
+    q11, q12, q22 = (np.asarray(q, dtype=float) for q in (q11, q12, q22))
+    w2 = frequency_sq(n)
+    c = input_gain_sq(cfg, n)
+    p11, p12, p22 = _closed_form_arrays(w2, c, cfg.alpha, q11, q22, q12)
+    res = np.stack(_residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22), axis=1)
+    k1, k2 = gain_arrays(cfg, n, p12, p22)
+    qmax = np.maximum.reduce([np.abs(q11), np.abs(q12), np.abs(q22)])
+    pmax = np.maximum.reduce([np.abs(p11), np.abs(p12), np.abs(p22)])
+    scale = _scale(qmax, pmax)
+    min_eig = _min_eigenvalue(p11, p12, p22)
+    lost = min_eig < -TOL_PSD * scale
+    if lost.any():
+        i = np.argmax(lost)
+        raise ArithmeticError(
+            f"closed-form solution for mode {n[i]} lost positive semidefiniteness "
+            f"(min eigenvalue {min_eig[i]:.3e})"
+        )
+    return ModalTable(
+        n, q11, q12, q22, p11, p12, p22, k1, k2, res,
+        np.max(np.abs(res), axis=1, initial=0.0) / scale, min_eig,
+    )
 
 
 def solve_closed_form(cfg: WaveConfig, weight: ModalWeight) -> ModalRiccati:
@@ -144,25 +229,13 @@ def solve_closed_form(cfg: WaveConfig, weight: ModalWeight) -> ModalRiccati:
     returns the zero matrix with exactly zero residuals.
     """
     n = validate_mode(cfg.boundary, weight.n)
-    w2 = (n * np.pi) ** 2
-    c = float(input_gain_sq(cfg, n))
-    p11, p12, p22 = _closed_form_arrays(w2, c, cfg.alpha, weight.q11, weight.q22, weight.q12)
-    res = _residual_arrays(w2, c, cfg.alpha, weight.q11, weight.q22, weight.q12, p11, p12, p22)
-    sol = ModalRiccati(n, float(p11), float(p12), float(p22), tuple(float(r) for r in res))
-    if sol.min_eigenvalue < -TOL_PSD * residual_scale(weight, sol.matrix):
-        raise ArithmeticError(
-            f"closed-form solution for mode {n} lost positive semidefiniteness "
-            f"(min eigenvalue {sol.min_eigenvalue:.3e})"
-        )
-    return sol
+    return modal_table(cfg, [n], [weight.q11], [weight.q12], [weight.q22])[0]
 
 
-def solve_family(cfg: WaveConfig, family: WeightFamily, N: int) -> list[ModalRiccati]:
+def solve_family(cfg: WaveConfig, family: WeightFamily, N: int) -> ModalTable:
     """Closed-form solutions for every mode up to the cutoff N."""
-    return [
-        solve_closed_form(cfg, weight_of(family, n, cfg.boundary))
-        for n in mode_range(cfg.boundary, N)
-    ]
+    n = np.array(mode_range(cfg.boundary, N))
+    return modal_table(cfg, n, *weight_arrays(family, n))
 
 
 def residuals(cfg: WaveConfig, weight: ModalWeight, P: np.ndarray):
@@ -174,37 +247,39 @@ def residuals(cfg: WaveConfig, weight: ModalWeight, P: np.ndarray):
     """
     n = validate_mode(cfg.boundary, weight.n)
     P = np.asarray(P, dtype=float)
-    w2 = (n * np.pi) ** 2
-    c = float(input_gain_sq(cfg, n))
     r = _residual_arrays(
-        w2, c, cfg.alpha, weight.q11, weight.q22, weight.q12,
+        frequency_sq(n), input_gain_sq(cfg, n), cfg.alpha, weight.q11, weight.q22, weight.q12,
         P[0, 0], P[0, 1], P[1, 1], p21=P[1, 0],
     )
     return tuple(float(v) for v in r)
 
 
-def negative_root_solution(cfg: WaveConfig, weight: ModalWeight) -> np.ndarray:
-    """Propagate the negative P12 root through the closed forms.
+def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
+    """Propagate the negative P12 root through the closed forms, stacked (k, 2, 2).
 
     Exists to exhibit that the other quadratic branch never yields a
     nonnegative definite solution; entries are NaN when the P22 radicand
     goes negative.
     """
+    w2 = frequency_sq(n)
+    c = input_gain_sq(cfg, n)
+    p12 = (-w2 - np.sqrt(w2 * w2 + c * np.asarray(q11, dtype=float))) / c
+    disc = cfg.alpha**2 + c * (q22 + 2.0 * p12)
+    p22 = (-cfg.alpha + np.sqrt(np.where(disc >= 0, disc, np.nan))) / c
+    p11 = cfg.alpha * p12 + (w2 + c * p12) * p22 - q12
+    return np.stack([[p11, p12], [p12, p22]]).transpose(2, 0, 1)
+
+
+def negative_root_solution(cfg: WaveConfig, weight: ModalWeight) -> np.ndarray:
+    """negative_root_matrices for one mode: a 2x2 matrix."""
     n = validate_mode(cfg.boundary, weight.n)
-    w2 = (n * np.pi) ** 2
-    c = float(input_gain_sq(cfg, n))
-    p12 = (-w2 - np.sqrt(w2 * w2 + c * weight.q11)) / c
-    disc = cfg.alpha**2 + c * (weight.q22 + 2.0 * p12)
-    p22 = (-cfg.alpha + np.sqrt(disc)) / c if disc >= 0 else np.nan
-    p11 = cfg.alpha * p12 + (w2 + c * p12) * p22 - weight.q12
-    return np.array([[p11, p12], [p12, p22]])
+    return negative_root_matrices(cfg, [n], [weight.q11], [weight.q12], [weight.q22])[0]
 
 
 def modal_gain(cfg: WaveConfig, sol: ModalRiccati) -> ModalGain:
     """K = -R^-1 G' P: -R^-1 beta n pi [P21, P22] (Dirichlet), -R^-1 beta [P21, P22] (Neumann)."""
-    _, G = modal_matrices(cfg, sol.n)
-    k = -(G[1] / cfg.R) * np.array([sol.p12, sol.p22])
-    return ModalGain(sol.n, float(k[0]), float(k[1]))
+    k1, k2 = gain_arrays(cfg, sol.n, sol.p12, sol.p22)
+    return ModalGain(sol.n, float(k1), float(k2))
 
 
 # ---------------------------------------------------------------------------
@@ -485,24 +560,6 @@ class CoupledAre:
     dev_K_fro: float
 
 
-def coupled_system_matrices(cfg: WaveConfig, N: int):
-    """(A, B) of the truncated coupled plant in pairing-weighted coordinates.
-
-    A = blockdiag(F_n); the column B stacks proj_weight_n * G_true_n, which
-    equals the modal G up to the gain-expansion sign.
-    """
-    modes = list(mode_range(cfg.boundary, N))
-    d = 2 * len(modes)
-    A = np.zeros((d, d))
-    B = np.zeros((d, 1))
-    for i, n in enumerate(modes):
-        F, _ = modal_matrices(cfg, n)
-        A[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = F
-        g_true, w = true_modal_input(cfg, n)
-        B[2 * i : 2 * i + 2, 0] = w * g_true
-    return modes, A, B
-
-
 def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> CoupledAre:
     """Solve the ARE of the truncated coupled plant and measure the gap.
 
@@ -511,23 +568,23 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
     solution is generally not block diagonal.  Deviations quantify what the
     decoupling ansatz omits.
     """
-    modes, A, B = coupled_system_matrices(cfg, N)
-    d = A.shape[0]
-    Qb = np.zeros((d, d))
-    P_diag = np.zeros((d, d))
-    K_diag = np.zeros((1, d))
-    for i, n in enumerate(modes):
-        w = weight_of(family, n, cfg.boundary)
-        Qb[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = w.matrix
-        sol = solve_closed_form(cfg, w)
-        P_diag[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = sol.matrix
-        sign = gain_expansion_sign(cfg.boundary, n)
-        K_diag[0, 2 * i : 2 * i + 2] = sign * modal_gain(cfg, sol).row
+    # spectrum imports this module, so its plant builder is imported here
+    from .spectrum import coupled_loop_parts
+
+    modes, A, B, _ = coupled_loop_parts(cfg, [], N)
+    # pairing-weighted coordinates: B stacks proj_weight_n * G_true_n, which
+    # equals the modal G up to the gain-expansion sign
+    B = B * np.repeat([projection_weight(cfg.boundary, n) for n in modes], 2)[:, None]
+    t = solve_family(cfg, family, N)
+    Qb = _block_diag(np.stack([[t.q11, t.q12], [t.q12, t.q22]]).transpose(2, 0, 1))
+    P_diag = _block_diag(t.matrices)
+    sign = np.array([gain_expansion_sign(cfg.boundary, n) for n in modes])
+    K_diag = np.stack([sign * t.k1, sign * t.k2], axis=1).reshape(1, -1)
 
     if not Qb.any():
         if cfg.alpha == 0:
             raise OracleError("undamped plant with zero weights is only marginally stable")
-        P_big = np.zeros((d, d))
+        P_big = np.zeros_like(A)
     else:
         P_big = are_oracle(A, B, Qb, np.array([[cfg.R]]))
     K_big = -(B.T @ P_big) / cfg.R
@@ -542,3 +599,11 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
         dev_P_max=float(np.max(np.abs(dev_P))),
         dev_K_fro=float(np.linalg.norm(K_big - K_diag)),
     )
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """Block-diagonal matrix of a (k, 2, 2) stack."""
+    k = len(blocks)
+    out = np.zeros((k, 2, k, 2))
+    out[np.arange(k), :, np.arange(k), :] = blocks
+    return out.reshape(2 * k, 2 * k)

@@ -30,8 +30,8 @@ from .model import (
     weight_of,
 )
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
-from .riccati import ModalGain, ModalRiccati, modal_gain
-from .spectrum import closed_loop_eigs, closed_loop_matrix, coupled_loop_parts
+from .riccati import ModalGain, ModalRiccati, gain_arrays, modal_gain
+from .spectrum import closed_loop_matrix, closed_loop_spectrum, coupled_loop_parts
 
 
 #: fewest grid intervals simulate_fd accepts
@@ -425,7 +425,10 @@ def predicted_cost(state0: ModalState, sols: list[ModalRiccati]) -> CostPredicti
 
 def decay_horizon(cfg: WaveConfig, sols: list[ModalRiccati], rel_tol: float = 1e-8) -> float:
     """Horizon after which the closed-loop cost tail is below rel_tol."""
-    absc = max(closed_loop_eigs(cfg, s).abscissa for s in sols)
+    n = [s.n for s in sols]
+    k1, k2 = gain_arrays(cfg, n, [s.p12 for s in sols], [s.p22 for s in sols])
+    ev, _ = closed_loop_spectrum(cfg, n, k1, k2)
+    absc = ev.real.max()
     if absc >= 0:
         raise ValueError("closed loop is not exponentially stable: no finite horizon")
     return float(np.log(1.0 / rel_tol) / (2.0 * abs(absc)))

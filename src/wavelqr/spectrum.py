@@ -7,7 +7,9 @@ import numpy as np
 
 from .model import (
     WaveConfig,
+    frequency_sq,
     gain_expansion_sign,
+    input_gain,
     modal_matrices,
     mode_range,
     true_modal_input,
@@ -50,39 +52,65 @@ def classify(max_real: float) -> Stability:
     return Stability.STABLE if max_real < 0 else Stability.UNSTABLE
 
 
-def open_loop_eigs(cfg: WaveConfig, n: int) -> tuple[complex, complex]:
-    """Roots of lambda^2 + alpha lambda + n^2 pi^2 = 0.
+def open_loop_spectrum(cfg: WaveConfig, n) -> np.ndarray:
+    """Roots (lambda_plus, lambda_minus) of lambda^2 + alpha lambda + n^2 pi^2 = 0, as (k, 2).
 
-    Conjugate pair once 4 n^2 pi^2 exceeds alpha^2; {0, -alpha} for the
+    Conjugate pairs once 4 n^2 pi^2 exceeds alpha^2; {0, -alpha} for the
     Neumann mean mode.
     """
-    n = validate_mode(cfg.boundary, n)
-    disc = complex(cfg.alpha**2 - 4.0 * (n * np.pi) ** 2)
-    root = np.sqrt(disc)
-    lam_plus = (-cfg.alpha + root) / 2.0
-    lam_minus = (-cfg.alpha - root) / 2.0
-    return complex(lam_plus), complex(lam_minus)
+    root = np.sqrt((cfg.alpha**2 - 4.0 * frequency_sq(n)).astype(complex))
+    return np.stack([(-cfg.alpha + root) / 2.0, (-cfg.alpha - root) / 2.0], axis=-1)
+
+
+def open_loop_eigs(cfg: WaveConfig, n: int) -> tuple[complex, complex]:
+    """open_loop_spectrum of one mode."""
+    return tuple(complex(lam) for lam in open_loop_spectrum(cfg, [validate_mode(cfg.boundary, n)])[0])
+
+
+def closed_loop_matrices(cfg: WaveConfig, n, k1, k2) -> np.ndarray:
+    """F + G K of the modes n under the gains (K1, K2), stacked (k, 2, 2)."""
+    g = input_gain(cfg, n)
+    A = np.zeros((len(g), 2, 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = -frequency_sq(n) + g * k1
+    A[:, 1, 1] = -cfg.alpha + g * k2
+    return A
 
 
 def closed_loop_matrix(cfg: WaveConfig, sol: ModalRiccati) -> np.ndarray:
     """F + G K for one mode; the source of truth for closed-loop eigenvalues."""
-    F, G = modal_matrices(cfg, sol.n)
-    K = modal_gain(cfg, sol).row
-    return F + np.outer(G, K)
+    g = modal_gain(cfg, sol)
+    return closed_loop_matrices(cfg, [sol.n], [g.k1], [g.k2])[0]
+
+
+def closed_loop_spectrum(cfg: WaveConfig, n, k1, k2) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (k, 2) and eigenvectors (k, 2, 2) of every F + G K, one stacked eig.
+
+    Each mode's pair is ordered (+imag first) when either eigenvalue is
+    complex and by descending real part otherwise, so column 0 is mu_plus.
+    """
+    ev, V = np.linalg.eig(closed_loop_matrices(cfg, n, k1, k2))
+    key = np.where((ev.imag != 0).any(axis=1, keepdims=True), ev.imag, ev.real)
+    swap = (key[:, 1] > key[:, 0]).astype(int)
+    order = np.stack([swap, 1 - swap], axis=1)
+    return np.take_along_axis(ev, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+
+
+def closed_loop_trace_det(cfg: WaveConfig, n, p12, p22) -> tuple[np.ndarray, np.ndarray]:
+    """Trace -(alpha + c P22) and determinant n^2 pi^2 + c P21 of F + G K, vectorized."""
+    c = input_gain_sq(cfg, n)
+    return -(cfg.alpha + c * p22), frequency_sq(n) + c * p12
 
 
 def closed_loop_formula(cfg: WaveConfig, sol: ModalRiccati) -> tuple[complex, complex]:
     """Analytic cross-check for the closed-loop eigenvalues.
 
-    Uses the trace -(alpha + c P22) and determinant n^2 pi^2 + c P21 of
-    F + G K, with c = G[1]^2 / R; everything under the radical therefore
-    carries the same c as the term outside it.
+    Uses the trace and determinant of F + G K from closed_loop_trace_det,
+    with c = G[1]^2 / R; everything under the radical therefore carries
+    the same c as the term outside it.
     """
-    c = float(input_gain_sq(cfg, sol.n))
-    tr = -(cfg.alpha + c * sol.p22)
-    det = (sol.n * np.pi) ** 2 + c * sol.p12
-    disc = complex(tr * tr - 4.0 * det)
-    root = np.sqrt(disc)
+    tr, det = (float(v[0]) for v in closed_loop_trace_det(cfg, [sol.n], sol.p12, sol.p22))
+    root = np.sqrt(complex(tr * tr - 4.0 * det))
     return complex((tr + root) / 2.0), complex((tr - root) / 2.0)
 
 
@@ -93,25 +121,13 @@ def closed_loop_eigs(cfg: WaveConfig, sol: ModalRiccati) -> ModePair:
     a zero eigenvalue falls back to the raw computed eigenvector.
     """
     lam_plus, lam_minus = open_loop_eigs(cfg, sol.n)
-    A = closed_loop_matrix(cfg, sol)
-    ev, V = np.linalg.eig(A)
-    # order as (+imag first) for conjugate pairs, descending real otherwise
-    if abs(ev[0].imag) > 0 or abs(ev[1].imag) > 0:
-        order = np.argsort(-ev.imag)
-    else:
-        order = np.argsort(-ev.real)
-    ev = ev[order]
-    V = V[:, order]
-    vecs = []
-    for mu, raw in zip(ev, V.T):
-        if mu != 0:
-            vecs.append(np.array([1.0 / mu, 1.0]))
-        else:
-            vecs.append(raw)
+    g = modal_gain(cfg, sol)
+    ev, V = (x[0] for x in closed_loop_spectrum(cfg, [sol.n], [g.k1], [g.k2]))
+    vecs = [np.array([1.0 / mu, 1.0]) if mu != 0 else raw for mu, raw in zip(ev, V.T)]
     return ModePair(
         n=sol.n,
-        lambda_plus=complex(lam_plus),
-        lambda_minus=complex(lam_minus),
+        lambda_plus=lam_plus,
+        lambda_minus=lam_minus,
         mu_plus=complex(ev[0]),
         mu_minus=complex(ev[1]),
         stability=classify(float(ev.real.max())),

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -100,6 +101,25 @@ class TestConfigParsing:
         path = write_config(tmp_path, base_config(seed=-1))
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("path,value", [
+        (("N",), "abc"),
+        (("N",), None),
+        (("sim", "initial_modes"), [["a", 1.0]]),
+        (("sim", "initial_modes"), [[1.0, 2.0], 3.0]),
+        (("converge", "N_list"), [8, -1]),
+    ], ids=["N-abc", "N-null", "initial_modes-str", "initial_modes-scalar", "N_list-negative"])
+    def test_bad_field_value_is_config_error(self, tmp_path, path, value):
+        doc = base_config()
+        *parents, key = path
+        target = doc
+        for p in parents:
+            target = target[p]
+        target[key] = value
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
     def test_bad_beta(self):
         with pytest.raises(ConfigError, match="beta"):
             parse_config(base_config(beta=0.0))
@@ -179,12 +199,10 @@ class TestVerify:
         rc = load_config(write_config(tmp_path, base_config()))
         (tmp_path / "o").mkdir()
 
-        def corrupt(sols):
-            bad = sols[0]
-            from wavelqr.riccati import ModalRiccati
-
-            sols[0] = ModalRiccati(bad.n, bad.p11 + 0.5, bad.p12, bad.p22, bad.residuals)
-            return sols
+        def corrupt(table):
+            p11 = table.p11.copy()
+            p11[0] += 0.5
+            return dataclasses.replace(table, p11=p11)
 
         code = cmd_verify(rc, tmp_path / "o", corrupt=corrupt)
         assert code == 1
@@ -310,6 +328,20 @@ class TestOtherCommands:
         header, rows = read_csv(tmp_path / "o" / "damping_profiles.csv")
         assert header == ["boundary", "n", "abs_re_mu"]
         assert len(rows) == 8 + 9  # Dirichlet modes 1..8, Neumann modes 0..8
+
+    def test_p11_exponent_reported_once(self, tmp_path):
+        # compare-boundary reports the P11 decay exponent twice; both must
+        # come from the same fit, and converge must report the same number
+        doc = base_config(boundary="neumann", N=8)
+        doc["converge"] = {"N_list": [4, 8], "fit_lo": 50, "fit_hi": 2000}
+        path = write_config(tmp_path, doc)
+        for cmd in ("converge", "compare-boundary"):
+            assert main([cmd, "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        rep = json.loads((tmp_path / "o" / "compare_boundary.json").read_text())
+        conv = json.loads((tmp_path / "o" / "converge.json").read_text())
+        series = {s["name"]: s["fitted_exponent"] for s in rep["neumann"]["series"]}
+        assert rep["neumann"]["fitted_exponents"]["P11"] == series["P11"]
+        assert {s["name"]: s["fitted_exponent"] for s in conv["series"]}["P11"] == series["P11"]
 
     @pytest.mark.parametrize("error", [OracleError, MemoryError], ids=lambda e: e.__name__)
     def test_numerical_failure_maps_to_3(self, tmp_path, monkeypatch, error):

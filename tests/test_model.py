@@ -15,6 +15,7 @@ from wavelqr.model import (
     true_modal_input,
     validate_mode,
     wave_config_from_dict,
+    weight_arrays,
     weight_family_from_dict,
     weight_of,
 )
@@ -118,6 +119,21 @@ class TestWeights:
         for n in mode_range(Boundary.NEUMANN, 100):
             w = weight_of(fam, n, Boundary.NEUMANN)
             assert w.q11 >= 0 and w.q22 >= 0 and w.q11 * w.q22 - w.q12**2 >= 0
+
+    @pytest.mark.parametrize("q,r", [(1.0, 5.0), (0.3, 2.5), (2.0, 6.5)])
+    def test_weight_arrays_match_scalar_power_bitwise(self, q, r):
+        # the scalar form is Python's float **, which calls libm pow;
+        # np.power rounds differently in a few percent of these modes
+        ns = np.arange(0, 10**5 + 1)
+        q11, q12, q22 = weight_arrays(PowerLawWeights(q=q, r=r, cutoff=10**5), ns)
+        expect = np.array([q] + [q / float(n) ** r for n in range(1, 10**5 + 1)])
+        assert np.array_equal(q11, expect) and np.array_equal(q22, expect)
+        assert not q12.any()
+
+    def test_weight_arrays_explicit_and_cutoff(self):
+        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.5, 2.0), 5: ModalWeight(5, 3.0, 0.0, 1.0)}, cutoff=4)
+        q11, q12, q22 = weight_arrays(fam, [0, 1, 2, 5])
+        np.testing.assert_array_equal(np.stack([q11, q12, q22]), [[0, 1, 0, 0], [0, 0.5, 0, 0], [0, 2, 0, 0]])
 
     def test_explicit_entries_keyed_consistently(self):
         with pytest.raises(ValueError, match="carries mode index"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import sweep_configs
 from wavelqr.model import (
@@ -11,6 +13,7 @@ from wavelqr.model import (
     WaveConfig,
     modal_matrices,
     mode_range,
+    projection_weight,
     weight_of,
 )
 from wavelqr.riccati import (
@@ -20,6 +23,7 @@ from wavelqr.riccati import (
     coupled_truncated_are,
     input_gain_sq,
     modal_gain,
+    modal_table,
     negative_root_solution,
     oracle_solve_modes,
     residual_scale,
@@ -112,6 +116,51 @@ class TestClosedForm:
     def test_solve_family_modes(self, neumann_cfg):
         sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
         assert [s.n for s in sols] == [0, 1, 2, 3, 4, 5]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def modal_problems(draw):
+    """A configuration and 1-8 modes with PSD weights spanning 15 decades."""
+    boundary = draw(st.sampled_from([Boundary.DIRICHLET, Boundary.NEUMANN]))
+    cfg = WaveConfig(
+        boundary,
+        alpha=draw(st.just(0.0) | _log_uniform(-3, 1)),
+        beta=draw(_log_uniform(-1, 1)),
+        R=draw(_log_uniform(-1, 1)),
+    )
+    lo = 1 if boundary == Boundary.DIRICHLET else 0
+    rows = draw(st.lists(
+        st.tuples(st.integers(lo, 10**6), _log_uniform(-12, 3), _log_uniform(-12, 3),
+                  st.floats(-0.9, 0.9)),
+        min_size=1, max_size=8,
+    ))
+    n, q11, q22, rho = (np.array(v) for v in zip(*rows))
+    return cfg, n, q11, rho * np.sqrt(q11 * q22), q22
+
+
+class TestModalTable:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(modal_problems())
+    def test_matches_oracle(self, problem):
+        cfg, n, q11, q12, q22 = problem
+        t = modal_table(cfg, n, q11, q12, q22)
+        P = np.stack([t.p11, t.p12, t.p22])
+        oracle = np.stack(oracle_solve_modes(cfg, n, q11, q12, q22))
+        rel = np.abs(P - oracle).max(axis=0) / np.abs(P).max(axis=0)
+        assert rel.max() <= 1e-8
+
+    def test_views_and_slices(self, neumann_cfg):
+        t = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
+        assert len(t) == 6 and len(t[:3]) == 3 and list(t[1:].n) == [1, 2, 3, 4, 5]
+        assert t[-1] == list(t)[-1]
+        sol = solve_closed_form(neumann_cfg, ModalWeight(2, t.q11[2], t.q12[2], t.q22[2]))
+        assert t[2] == sol
+        np.testing.assert_array_equal(t.matrices[2], sol.matrix)
+        assert t.k1[2] == modal_gain(neumann_cfg, sol).k1
 
 
 class TestResiduals:
@@ -297,11 +346,13 @@ class TestCoupledTruncatedAre:
         np.testing.assert_allclose(ca.dev_K_fro, 0.7486282861520073, rtol=1e-6)
 
     def test_big_solution_is_exact_are_solution(self, dirichlet_cfg):
-        from wavelqr.riccati import coupled_system_matrices
+        from wavelqr.spectrum import coupled_loop_parts
 
         fam = PowerLawWeights(1.0, 5.0, cutoff=4)
         ca = coupled_truncated_are(dirichlet_cfg, fam, 4)
-        _, A, B = coupled_system_matrices(dirichlet_cfg, 4)
+        _, A, B, _ = coupled_loop_parts(dirichlet_cfg, [], 4)
+        # pairing-weighted coordinates
+        B = B * np.repeat([projection_weight(dirichlet_cfg.boundary, n) for n in ca.modes], 2)[:, None]
         Qb = np.zeros_like(ca.P_big)
         for i, n in enumerate(ca.modes):
             Qb[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = weight_of(
