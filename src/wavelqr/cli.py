@@ -29,6 +29,7 @@ from .model import (
     Boundary,
     PowerLawWeights,
     WaveConfig,
+    integer_value,
     modal_matrices,
     mode_range,
     projection_weight,
@@ -38,7 +39,6 @@ from .model import (
 from .quad import simpson_weights
 from .riccati import (
     OracleError,
-    modal_gain,
     negative_root_matrices,
     oracle_solve_modes,
     solve_family,
@@ -102,7 +102,7 @@ def parse_config(doc: dict) -> RunConfig:
         return _run_config(doc)
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:  # a field that does not convert, e.g. "N": null
+    except (ValueError, TypeError) as exc:  # a field that does not convert, e.g. "N": null or 2.7
         raise ConfigError(f"invalid value: {exc}") from exc
 
 
@@ -119,10 +119,10 @@ def _run_config(doc: dict) -> RunConfig:
         if key not in doc:
             raise ConfigError(f"missing required key {key!r}")
     wave = wave_config_from_dict(doc)
-    N = int(doc.get("N", 64))
+    N = integer_value(doc.get("N", 64), "N")
     if N < 0:
         raise ConfigError(f"N must be nonnegative, got {N}")
-    seed = int(doc.get("seed", 0))
+    seed = integer_value(doc.get("seed", 0), "seed")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     wdoc = doc["weights"]
@@ -134,7 +134,7 @@ def _run_config(doc: dict) -> RunConfig:
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid weights: {exc}") from exc
 
-    grid_points = int(doc.get("grid_points", 201))
+    grid_points = integer_value(doc.get("grid_points", 201), "grid_points")
     if grid_points < 3 or grid_points % 2 == 0:
         raise ConfigError(f"grid_points must be odd and >= 3, got {grid_points}")
 
@@ -148,9 +148,9 @@ def _run_config(doc: dict) -> RunConfig:
     sim = SimParams(
         T=float(sdoc.get("T", 5.0)),
         dt=float(sdoc.get("dt", 0.002)),
-        M=int(sdoc.get("M", 400)),
+        M=integer_value(sdoc.get("M", 400), "sim.M"),
         cfl=float(sdoc.get("cfl", 0.9)),
-        csv_stride=int(sdoc.get("csv_stride", 10)),
+        csv_stride=integer_value(sdoc.get("csv_stride", 10), "sim.csv_stride"),
         initial_modes=init,
     )
     if sim.T <= 0 or sim.dt <= 0 or sim.csv_stride < 1:
@@ -159,9 +159,11 @@ def _run_config(doc: dict) -> RunConfig:
     cdoc = doc.get("converge", {})
     _check_keys(cdoc, {"N_list", "fit_lo", "fit_hi"}, "converge")
     conv = ConvergeParams(
-        N_list=tuple(int(v) for v in cdoc.get("N_list", (16, 32, 64, 128))),
-        fit_lo=int(cdoc.get("fit_lo", 50)),
-        fit_hi=int(cdoc.get("fit_hi", 500)),
+        N_list=tuple(
+            integer_value(v, "converge.N_list entry") for v in cdoc.get("N_list", (16, 32, 64, 128))
+        ),
+        fit_lo=integer_value(cdoc.get("fit_lo", 50), "converge.fit_lo"),
+        fit_hi=integer_value(cdoc.get("fit_hi", 500), "converge.fit_hi"),
     )
     if any(n < 0 for n in conv.N_list):
         raise ConfigError(f"converge.N_list entries must be nonnegative, got {list(conv.N_list)}")
@@ -200,10 +202,19 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Write equal-length columns as CSV rows.
+
+    A str or object column is written as its values are; any other column
+    is converted to float and written with fmt's "%.17g", one precomputed
+    row format per file.
+    """
+    columns = [np.asarray(c) for c in columns]
+    text = [c.dtype.kind in "OSU" for c in columns]
+    row_format = ",".join("%s" if t else "%.17g" for t in text)
+    values = [c.tolist() if t else c.astype(float).tolist() for c, t in zip(columns, text)]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+    lines += [row_format % row for row in zip(*values)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -237,7 +248,7 @@ def cmd_synth(rc: RunConfig, out: Path) -> int:
     write_csv(
         out / "modes.csv",
         ["n", "P11", "P12", "P22", "K1", "K2", "ReMu", "ImMu", "residual_max"],
-        zip(t.n, t.p11, t.p12, t.p22, t.k1, t.k2, mu[:, 0].real, mu[:, 0].imag, t.rel_residual),
+        [t.n, t.p11, t.p12, t.p22, t.k1, t.k2, mu[:, 0].real, mu[:, 0].imag, t.rel_residual],
     )
     return 0
 
@@ -362,20 +373,21 @@ def cmd_spectrum(rc: RunConfig, out: Path) -> int:
         out / "spectrum.csv",
         ["n", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus",
          "re_mu_plus", "im_mu_plus", "re_mu_minus", "im_mu_minus", "class"],
-        zip(t.n, lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag,
-            mu[:, 0].real, mu[:, 0].imag, mu[:, 1].real, mu[:, 1].imag,
-            [classify(m).value for m in mu.real.max(axis=1)]),
+        [t.n, lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag,
+         mu[:, 0].real, mu[:, 0].imag, mu[:, 1].real, mu[:, 1].imag,
+         [classify(m).value for m in mu.real.max(axis=1)]],
     )
     return 0
 
 
-def _kernel_rows(field):
-    rows = []
-    for i, x1 in enumerate(field.grid_x1):
-        for j, x2 in enumerate(field.grid_x2):
-            v = field.values[i, j]
-            rows.append((x1, x2, v[0, 0], v[0, 1], v[1, 0], v[1, 1]))
-    return rows
+def _grid_columns(x1, x2, *planes):
+    """CSV columns of (len(x1), len(x2)) value planes, x2 varying fastest."""
+    return [np.repeat(x1, len(x2)), np.tile(x2, len(x1)), *(p.ravel() for p in planes)]
+
+
+def _kernel_columns(field):
+    planes = (field.values[..., a, b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    return _grid_columns(field.grid_x1, field.grid_x2, *planes)
 
 
 def cmd_kernels(rc: RunConfig, out: Path) -> int:
@@ -387,18 +399,13 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     kg = assemble_K(sols, cfg, grid)
     fields = pde_residual(cfg, sols, rc.family, grid)
 
-    write_csv(out / "kernel_P.csv", ["x1", "x2", "P11", "P12", "P21", "P22"], _kernel_rows(kp))
-    write_csv(out / "kernel_Q.csv", ["x1", "x2", "Q11", "Q12", "Q21", "Q22"], _kernel_rows(kq))
-    write_csv(out / "gain.csv", ["x", "K1", "K2"],
-              [(x, kg.values[i, 0], kg.values[i, 1]) for i, x in enumerate(grid)])
+    write_csv(out / "kernel_P.csv", ["x1", "x2", "P11", "P12", "P21", "P22"], _kernel_columns(kp))
+    write_csv(out / "kernel_Q.csv", ["x1", "x2", "Q11", "Q12", "Q21", "Q22"], _kernel_columns(kq))
+    write_csv(out / "gain.csv", ["x", "K1", "K2"], [grid, kg.values[:, 0], kg.values[:, 1]])
     write_csv(
         out / "pde_residual.csv",
         ["x1", "x2", "r11", "r12", "r21", "r22"],
-        [
-            (x1, x2, fields.r11[i, j], fields.r12[i, j], fields.r21[i, j], fields.r22[i, j])
-            for i, x1 in enumerate(grid)
-            for j, x2 in enumerate(grid)
-        ],
+        _grid_columns(grid, grid, fields.r11, fields.r12, fields.r21, fields.r22),
     )
     write_json(
         out / "kernels_summary.json",
@@ -438,11 +445,10 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     if not 0 < rc.sim.cfl <= 1:
         raise ConfigError(f"sim.cfl must lie in (0, 1], got {rc.sim.cfl}")
     sols = solve_family(cfg, rc.family, rc.N)
-    gains = [modal_gain(cfg, s) for s in sols]
     state0 = _initial_state(rc)
 
     dec = simulate_decoupled(cfg, rc.family, sols, state0, rc.sim.T, rc.sim.dt)
-    cou = simulate_coupled_modal(cfg, rc.family, gains, state0, rc.N, rc.sim.T, rc.sim.dt)
+    cou = simulate_coupled_modal(cfg, rc.family, sols.gains, state0, rc.N, rc.sim.T, rc.sim.dt)
 
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)
@@ -454,24 +460,22 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
 
     stride = rc.sim.csv_stride
     for name, res in (("decoupled", dec), ("coupled", cou)):
-        rows = []
-        for k in range(0, len(res.times), stride):
-            u = res.u_record[k]
-            uval = float(np.sum(u)) if np.ndim(u) else float(u)
-            rows.append((res.times[k], uval, *res.states[k].reshape(-1), res.cost[k]))
+        u = res.u_record[::stride]
+        if u.ndim > 1:  # one control per mode: the row records their sum
+            u = u.sum(axis=1)
+        states = res.states[::stride].reshape(len(u), -1)
         header = ["t", "u"]
         for n in state0.modes:
             header += [f"a{n}_1", f"a{n}_2"]
         header += ["cost"]
-        write_csv(out / f"sim_{name}.csv", header, rows)
+        write_csv(out / f"sim_{name}.csv", header,
+                  [res.times[::stride], u, *states.T, res.cost[::stride]])
 
-    rows = []
-    for k in range(0, len(fd.times), stride):
-        rows.append((fd.times[k], fd.u_record[k], *fd.states[k, :, 0], fd.cost[k]))
     write_csv(
         out / "sim_fd.csv",
         ["t", "u"] + [f"z1_{i}" for i in range(rc.sim.M + 1)] + ["cost"],
-        rows,
+        [fd.times[::stride], fd.u_record[::stride], *fd.states[::stride, :, 0].T,
+         fd.cost[::stride]],
     )
 
     pred = predicted_cost(state0, sols)
@@ -508,7 +512,7 @@ def cmd_compare_boundary(rc: RunConfig, out: Path) -> int:
     if not isinstance(rc.family, PowerLawWeights):
         raise ConfigError("compare-boundary requires a power-law weight family")
     result = {}
-    damping_rows = []
+    names, modes, abs_re_mu = [], [], []
     for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
         cfg = WaveConfig(boundary, alpha=rc.wave.alpha, beta=rc.wave.beta, R=rc.wave.R)
         rep = convergence_report(
@@ -526,9 +530,12 @@ def cmd_compare_boundary(rc: RunConfig, out: Path) -> int:
         }
         t = solve_family(cfg, rc.family, rc.N)
         mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
-        damping_rows += zip([boundary.value] * len(t), t.n, np.abs(mu.real.max(axis=1)))
+        names += [boundary.value] * len(t)
+        modes.append(t.n)
+        abs_re_mu.append(np.abs(mu.real.max(axis=1)))
     write_json(out / "compare_boundary.json", result)
-    write_csv(out / "damping_profiles.csv", ["boundary", "n", "abs_re_mu"], damping_rows)
+    write_csv(out / "damping_profiles.csv", ["boundary", "n", "abs_re_mu"],
+              [names, np.concatenate(modes), np.concatenate(abs_re_mu)])
     return 0
 
 

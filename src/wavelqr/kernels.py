@@ -16,12 +16,17 @@ from .model import (
     PowerLawWeights,
     WaveConfig,
     WeightFamily,
-    gain_expansion_sign,
     mode_range,
     weight_arrays,
-    weight_of,
 )
-from .riccati import ModalRiccati, ModalTable, modal_gain, modal_table, solve_family
+from .riccati import (
+    ModalRiccati,
+    ModalTable,
+    gain_arrays,
+    modal_table,
+    solution_columns,
+    solve_family,
+)
 
 QUAD_WARNING = "series not absolutely summable"
 
@@ -77,20 +82,35 @@ def basis_matrix(boundary: Boundary, modes, grid) -> np.ndarray:
     return np.sin(arg) if Boundary(boundary) == Boundary.DIRICHLET else np.cos(arg)
 
 
+def _series_values(phi1, phi2, c11, c12, c22) -> np.ndarray:
+    """sum_k C^k phi_k(x1) phi_k(x2) for symmetric 2x2 coefficients C^k.
+
+    Each entry is one matrix product (phi1' * c) @ phi2 over the modes,
+    written into its own contiguous (len(x1), len(x2)) plane; the (2, 1)
+    plane is a copy of the (1, 2) plane.  The result is a (len(x1),
+    len(x2), 2, 2) view of those planes.
+    """
+    planes = np.empty((2, 2, phi1.shape[1], phi2.shape[1]))
+    np.matmul(phi1.T * c11, phi2, out=planes[0, 0])
+    np.matmul(phi1.T * c12, phi2, out=planes[0, 1])
+    planes[1, 0] = planes[0, 1]
+    np.matmul(phi1.T * c22, phi2, out=planes[1, 1])
+    return planes.transpose(2, 3, 0, 1)
+
+
 def assemble_P(sols: list[ModalRiccati], grid, boundary: Boundary, grid_x2=None) -> KernelField:
-    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2)."""
+    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2).
+
+    sols is a ModalTable or a sequence of ModalRiccati.
+    """
     boundary = Boundary(boundary)
     grid_x1 = np.asarray(grid, dtype=float)
     grid_x2 = grid_x1 if grid_x2 is None else np.asarray(grid_x2, dtype=float)
-    if not sols:
-        values = np.zeros((len(grid_x1), len(grid_x2), 2, 2))
-        return KernelField(grid_x1, grid_x2, values, boundary, 0)
-    modes = [s.n for s in sols]
-    coeff = np.array([s.matrix for s in sols])  # (k, 2, 2)
+    modes, p11, p12, p22 = solution_columns(sols)
     phi1 = basis_matrix(boundary, modes, grid_x1)
     phi2 = basis_matrix(boundary, modes, grid_x2)
-    values = np.einsum("kab,ki,kj->ijab", coeff, phi1, phi2, optimize=True)
-    return KernelField(grid_x1, grid_x2, values, boundary, max(modes))
+    values = _series_values(phi1, phi2, p11, p12, p22)
+    return KernelField(grid_x1, grid_x2, values, boundary, int(modes.max(initial=0)))
 
 
 def assemble_K(sols: list[ModalRiccati], cfg: WaveConfig, grid) -> GainProfile:
@@ -101,15 +121,12 @@ def assemble_K(sols: list[ModalRiccati], cfg: WaveConfig, grid) -> GainProfile:
     the (-1)^n being cos(n pi) from evaluating the kernel at x1 = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    if not sols:
-        return GainProfile(grid, np.zeros((len(grid), 2)), cfg.boundary, 0)
-    modes = [s.n for s in sols]
-    coeff = np.array(
-        [gain_expansion_sign(cfg.boundary, s.n) * modal_gain(cfg, s).row for s in sols]
-    )  # (k, 2)
+    modes, _, p12, p22 = solution_columns(sols)
+    sign = np.where((cfg.boundary == Boundary.NEUMANN) & (modes % 2 == 1), -1.0, 1.0)
+    coeff = sign[:, None] * np.stack(gain_arrays(cfg, modes, p12, p22), axis=1)  # (k, 2)
     phi = basis_matrix(cfg.boundary, modes, grid)
     values = phi.T @ coeff
-    return GainProfile(grid, values, cfg.boundary, max(modes))
+    return GainProfile(grid, values, cfg.boundary, int(modes.max(initial=0)))
 
 
 def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> KernelField:
@@ -120,13 +137,9 @@ def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> Kernel
     warnings = ()
     if isinstance(family, PowerLawWeights) and family.r <= 1.0:
         warnings = (QUAD_WARNING,)
-    if not modes:
-        values = np.zeros((len(grid), len(grid), 2, 2))
-        return KernelField(grid, grid, values, boundary, 0, warnings)
-    coeff = np.array([weight_of(family, n, boundary).matrix for n in modes])
     phi = basis_matrix(boundary, modes, grid)
-    values = np.einsum("kab,ki,kj->ijab", coeff, phi, phi, optimize=True)
-    return KernelField(grid, grid, values, boundary, max(modes), warnings)
+    values = _series_values(phi, phi, *weight_arrays(family, modes))
+    return KernelField(grid, grid, values, boundary, max(modes, default=0), warnings)
 
 
 def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], family: WeightFamily):
@@ -138,12 +151,9 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], fam
     -gamma^2 m n pi^2 P12^m P21^n for the first equation under Dirichlet
     actuation.
     """
-    modes = np.array([s.n for s in sols])
+    modes, p11, p12, p22 = solution_columns(sols)
     if len(set(modes.tolist())) != len(modes):
         raise ValueError("solutions list indexes some mode more than once")
-    p11 = np.array([s.p11 for s in sols])
-    p12 = np.array([s.p12 for s in sols])
-    p22 = np.array([s.p22 for s in sols])
     q11, q12, q22 = weight_arrays(family, modes)
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq

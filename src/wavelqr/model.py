@@ -218,6 +218,13 @@ def true_modal_input(cfg: WaveConfig, n: int) -> tuple[np.ndarray, float]:
     return np.array([0.0, 2.0 * (sign * cfg.beta)]), 0.5
 
 
+def integer_value(value, name: str) -> int:
+    """int(value) for a config field; a float must be integral (64.0 gives 64, 2.7 is refused)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def wave_config_from_dict(doc: Mapping) -> WaveConfig:
     """Build a WaveConfig from the JSON document fields."""
     try:
@@ -243,7 +250,7 @@ def weight_family_from_dict(doc: Mapping, cutoff: int) -> WeightFamily:
             unknown = set(item) - {"n", "Q11", "Q12", "Q22"}
             if unknown:
                 raise ValueError(f"unknown keys in weights entry: {sorted(unknown)}")
-            n = int(item["n"])
+            n = integer_value(item["n"], "weights entry n")
             entries[n] = ModalWeight(
                 n,
                 float(item["Q11"]),

@@ -140,9 +140,24 @@ class ModalTable:
         return ModalTable(*(getattr(self, f.name)[i] for f in fields(self)))
 
     @property
+    def gains(self) -> list[ModalGain]:
+        """The K1, K2 columns as ModalGain rows."""
+        columns = zip(self.n.tolist(), self.k1.tolist(), self.k2.tolist())
+        return [ModalGain(n, k1, k2) for n, k1, k2 in columns]
+
+    @property
     def matrices(self) -> np.ndarray:
         """The Riccati matrices stacked as (k, 2, 2)."""
         return np.stack([[self.p11, self.p12], [self.p12, self.p22]]).transpose(2, 0, 1)
+
+
+def solution_columns(sols) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n, P11, P12, P22) arrays of a ModalTable or of a sequence of ModalRiccati."""
+    if isinstance(sols, ModalTable):
+        return sols.n, sols.p11, sols.p12, sols.p22
+    n = np.array([s.n for s in sols], dtype=int)
+    p = np.array([(s.p11, s.p12, s.p22) for s in sols], dtype=float).reshape(-1, 3)
+    return n, p[:, 0], p[:, 1], p[:, 2]
 
 
 def input_gain_sq(cfg: WaveConfig, n) -> np.ndarray:

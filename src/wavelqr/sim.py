@@ -20,18 +20,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import GainProfile, assemble_Q, basis_matrix
+from .kernels import GainProfile, basis_matrix
 from .model import (
     Boundary,
     WaveConfig,
     WeightFamily,
     mode_range,
     projection_weight,
-    weight_of,
+    weight_arrays,
 )
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
-from .riccati import ModalGain, ModalRiccati, gain_arrays, modal_gain
-from .spectrum import closed_loop_matrix, closed_loop_spectrum, coupled_loop_parts
+from .riccati import ModalGain, ModalRiccati, gain_arrays, solution_columns
+from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
 #: fewest grid intervals simulate_fd accepts
@@ -141,8 +141,19 @@ def _steps_for(T: float, dt: float) -> int:
     return n + (n % 2)  # even step count for composite Simpson prefixes
 
 
-def _family_blocks(family, cfg, modes) -> np.ndarray:
-    return np.array([weight_of(family, n, cfg.boundary).matrix for n in modes])
+def _blocks(c11, c12, c22) -> np.ndarray:
+    """Symmetric 2x2 blocks as a C-contiguous (k, 2, 2) array: einsum sums a
+    strided view in another order, which moves the cost in its last bits."""
+    return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
+
+
+def _solution_at(sols, modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P11, P12, P22) of a ModalTable or a ModalRiccati sequence at the given
+    modes; zero where sols has no such mode."""
+    n, *columns = solution_columns(sols)
+    row = {m: i for i, m in enumerate(n.tolist())}
+    idx = np.array([row.get(m, -1) for m in modes], dtype=int)
+    return tuple(np.append(c, 0.0)[idx] for c in columns)  # index -1: the appended zero
 
 
 def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) -> SimResult:
@@ -188,16 +199,11 @@ def simulate_decoupled(
 
     nsteps = _steps_for(T, dt)
     modes = state0.modes
-    by_n = {s.n: s for s in sols}
-    props = []
-    gains = []
-    for n in modes:
-        sol = by_n.get(n, ModalRiccati(n, 0.0, 0.0, 0.0, (0.0, 0.0, 0.0, 0.0)))
-        props.append(expm(closed_loop_matrix(cfg, sol) * dt))
-        gains.append(modal_gain(cfg, sol).row)
-    props = np.array(props)
-    gains = np.array(gains)  # (k, 2)
-    qblocks = _family_blocks(family, cfg, modes)
+    _, p12, p22 = _solution_at(sols, modes)
+    k1, k2 = gain_arrays(cfg, modes, p12, p22)
+    props = expm(closed_loop_matrices(cfg, modes, k1, k2) * dt)
+    gains = np.stack([k1, k2], axis=1)  # (k, 2)
+    qblocks = _blocks(*weight_arrays(family, modes))
 
     a = np.empty((nsteps + 1, len(modes), 2))
     a[0] = state0.a
@@ -246,7 +252,7 @@ def simulate_coupled_modal(
     a = s.reshape(nsteps + 1, len(modes), 2)
     u = s @ Krow[0]
     pw2 = np.array([projection_weight(cfg.boundary, n) ** 2 for n in modes])
-    qblocks = _family_blocks(family, cfg, modes) * pw2[:, None, None]
+    qblocks = _blocks(*weight_arrays(family, modes)) * pw2[:, None, None]
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * u**2
     cost = running_quadrature(integrand, dt)
     return SimResult(
@@ -278,9 +284,11 @@ def simulate_fd(
     trapezoid quadrature of K(x) z(x, t); the recorded velocity field is the
     centered difference (w_{k+1} - w_{k-1}) / (2 dt).
 
-    The accumulated cost uses the full double trapezoid quadrature of the
-    criterion against the assembled Q kernel (when a weight family is
-    given) plus R u^2.
+    The accumulated cost is the double trapezoid quadrature of z' Q z
+    against the truncated Q kernel (when a weight family is given) plus
+    R u^2.  That kernel is a sum over at most N + 1 modes, so the quadrature
+    is evaluated through the trapezoid projections c_n = sum_i w_i phi_n(x_i)
+    z(x_i) as sum_n c_n' Q^n c_n, which is the same sum regrouped.
     """
     if M < MIN_FD_INTERVALS:
         raise ValueError(f"need at least {MIN_FD_INTERVALS} grid intervals, got M={M}")
@@ -379,15 +387,12 @@ def simulate_fd(
 
     if family is not None:
         n_q = N if N is not None else (gain_profile.n_used if gain_profile is not None else 0)
-        qk = assemble_Q(family, x, cfg.boundary, n_q)
-        a11 = (wq[:, None] * qk.component(0, 0)) * wq[None, :]
-        a12 = (wq[:, None] * qk.component(0, 1)) * wq[None, :]
-        a22 = (wq[:, None] * qk.component(1, 1)) * wq[None, :]
-        state_cost = (
-            np.einsum("ti,ti->t", z1_traj @ a11, z1_traj)
-            + 2.0 * np.einsum("ti,ti->t", z1_traj @ a12, z2_traj)
-            + np.einsum("ti,ti->t", z2_traj @ a22, z2_traj)
-        )
+        modes = mode_range(cfg.boundary, n_q)
+        q11, q12, q22 = weight_arrays(family, modes)
+        proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
+        c1 = z1_traj @ proj
+        c2 = z2_traj @ proj
+        state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
     else:
         state_cost = np.zeros(nsteps + 1)
     integrand = state_cost + cfg.R * u_rec**2
@@ -410,23 +415,22 @@ def predicted_cost(state0: ModalState, sols: list[ModalRiccati]) -> CostPredicti
     cosine mode, 1 for the Neumann mean mode) and equals the double
     integral of z0' P(x1, x2) z0.
     """
-    by_n = {s.n: s for s in sols}
-    per_mode = 0.0
-    fieldv = 0.0
-    for i, n in enumerate(state0.modes):
-        sol = by_n.get(n)
-        if sol is None:
-            continue
-        quad_form = float(state0.a[i] @ sol.matrix @ state0.a[i])
-        per_mode += quad_form
-        fieldv += projection_weight(state0.boundary, n) ** 2 * quad_form
-    return CostPrediction(per_mode=per_mode, field=fieldv)
+    p11, p12, p22 = _solution_at(sols, state0.modes)
+    P = _blocks(p11, p12, p22)
+    a = state0.a
+    quad_form = (a[:, None, :] @ P @ a[:, :, None])[:, 0, 0]
+    pw2 = np.array([projection_weight(state0.boundary, n) ** 2 for n in state0.modes])
+    # running sums in mode order from 0.0, so the result does not depend
+    # on how numpy groups a sum
+    per_mode = np.cumsum(np.append(0.0, quad_form))[-1]
+    fieldv = np.cumsum(np.append(0.0, pw2 * quad_form))[-1]
+    return CostPrediction(per_mode=float(per_mode), field=float(fieldv))
 
 
 def decay_horizon(cfg: WaveConfig, sols: list[ModalRiccati], rel_tol: float = 1e-8) -> float:
     """Horizon after which the closed-loop cost tail is below rel_tol."""
-    n = [s.n for s in sols]
-    k1, k2 = gain_arrays(cfg, n, [s.p12 for s in sols], [s.p22 for s in sols])
+    n, _, p12, p22 = solution_columns(sols)
+    k1, k2 = gain_arrays(cfg, n, p12, p22)
     ev, _ = closed_loop_spectrum(cfg, n, k1, k2)
     absc = ev.real.max()
     if absc >= 0:

@@ -17,6 +17,7 @@ from wavelqr.cli import (
     load_config,
     main,
     parse_config,
+    write_csv,
 )
 from wavelqr.riccati import OracleError
 
@@ -107,7 +108,20 @@ class TestConfigParsing:
         (("sim", "initial_modes"), [["a", 1.0]]),
         (("sim", "initial_modes"), [[1.0, 2.0], 3.0]),
         (("converge", "N_list"), [8, -1]),
-    ], ids=["N-abc", "N-null", "initial_modes-str", "initial_modes-scalar", "N_list-negative"])
+        (("N",), 2.7),
+        (("N",), float("inf")),
+        (("grid_points",), 21.9),
+        (("seed",), 1.5),
+        (("sim", "M"), 400.5),
+        (("sim", "csv_stride"), 2.5),
+        (("converge", "N_list"), [8, 16.5]),
+        (("converge", "fit_lo"), 50.5),
+        (("converge", "fit_hi"), 120.25),
+        (("weights",), {"type": "list", "entries": [{"n": 1.5, "Q11": 1.0, "Q22": 1.0}]}),
+    ], ids=["N-abc", "N-null", "initial_modes-str", "initial_modes-scalar", "N_list-negative",
+            "N-fractional", "N-inf", "grid_points-fractional", "seed-fractional", "M-fractional",
+            "csv_stride-fractional", "N_list-fractional", "fit_lo-fractional",
+            "fit_hi-fractional", "entry_n-fractional"])
     def test_bad_field_value_is_config_error(self, tmp_path, path, value):
         doc = base_config()
         *parents, key = path
@@ -119,6 +133,21 @@ class TestConfigParsing:
             parse_config(doc)
         cfg = write_config(tmp_path, doc)
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_integral_floats_accepted(self):
+        doc = base_config(
+            N=12.0, grid_points=101.0, seed=3.0,
+            sim={"T": 1.0, "dt": 0.005, "M": 100.0, "cfl": 0.9, "csv_stride": 25.0},
+            converge={"N_list": [8.0, 16, 32], "fit_lo": 50.0, "fit_hi": 120.0},
+        )
+        rc = parse_config(doc)
+        assert rc == parse_config(base_config())
+        ints = (rc.N, rc.grid_points, rc.seed, rc.sim.M, rc.sim.csv_stride, *rc.converge.N_list)
+        assert all(type(v) is int for v in ints)
+        listed = parse_config(base_config(
+            weights={"type": "list", "entries": [{"n": 2.0, "Q11": 1.0, "Q22": 1.0}]}
+        ))
+        assert list(listed.family.entries) == [2]
 
     def test_bad_beta(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -225,19 +254,26 @@ class TestVerify:
 
 class TestDeterminism:
     def test_all_commands_byte_identical(self, tmp_path):
-        doc = base_config(
-            N=6, grid_points=21,
+        sizes = dict(
             sim={"T": 0.5, "dt": 0.01, "M": 50, "cfl": 0.9, "csv_stride": 10},
             converge={"N_list": [8, 16], "fit_lo": 50, "fit_hi": 80},
         )
-        path = write_config(tmp_path, doc)
-        for cmd in COMMANDS:
-            assert main([cmd, "--config", str(path), "--out", str(tmp_path / "a")]) == 0
-            assert main([cmd, "--config", str(path), "--out", str(tmp_path / "b")]) == 0
-        names = [p.name for p in sorted((tmp_path / "a").iterdir())]
-        assert len(names) >= 10
-        for name in names:
-            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+        docs = {
+            "dirichlet": base_config(N=6, grid_points=21, **sizes),
+            # more modes than grid points, and the str columns of spectrum.csv
+            # and damping_profiles.csv
+            "neumann": base_config(boundary="neumann", alpha=0.2, N=24, grid_points=21, **sizes),
+        }
+        for label, doc in docs.items():
+            path = write_config(tmp_path, doc, name=f"{label}.json")
+            a, b = tmp_path / label / "a", tmp_path / label / "b"
+            for cmd in COMMANDS:
+                assert main([cmd, "--config", str(path), "--out", str(a)]) == 0
+                assert main([cmd, "--config", str(path), "--out", str(b)]) == 0
+            names = [p.name for p in sorted(a.iterdir())]
+            assert len(names) >= 10
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (label, name)
 
 
 class TestOtherCommands:
@@ -387,6 +423,38 @@ class TestColdStart:
 
 
 class TestFormatting:
+    @staticmethod
+    def per_float_join(header, columns):
+        """The writer the column writer replaced: one fmt call per number."""
+        lines = [",".join(header)]
+        for row in zip(*columns):
+            lines.append(",".join(v if isinstance(v, str) else fmt(v) for v in row))
+        return "\n".join(lines) + "\n"
+
+    def test_column_writer_matches_per_float_join(self, tmp_path, rng):
+        special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 0.1, 1.0 / 3.0, 1e16, 1e-5,
+                            np.inf, -np.inf, np.nan, 2.0**53 + 2.0, -7.0])
+        random = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        for floats in (special, random):
+            k = len(floats)
+            columns = [
+                floats,
+                np.arange(k, dtype=np.int64) - 3,
+                np.array(["stable", "marginal", "unstable"] * k)[:k],
+                np.array(["dirichlet", "neumann"] * k, dtype=object)[:k],
+                floats[::-1].copy(),
+            ]
+            header = ["x", "n", "class", "boundary", "y"]
+            path = tmp_path / "t.csv"
+            write_csv(path, header, columns)
+            assert path.read_text() == self.per_float_join(header, columns)
+
+    def test_column_writer_zero_rows(self, tmp_path):
+        columns = [np.array([]), np.array([], dtype=np.int64), np.array([], dtype=object)]
+        write_csv(tmp_path / "t.csv", ["x", "n", "boundary"], columns)
+        assert (tmp_path / "t.csv").read_text() == "x,n,boundary\n"
+        assert self.per_float_join(["x", "n", "boundary"], columns) == "x,n,boundary\n"
+
     def test_seventeen_significant_digits(self):
         x = 1.0 / 3.0
         assert fmt(x) == "0.33333333333333331"

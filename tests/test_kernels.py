@@ -97,6 +97,59 @@ class TestAssembleP:
         assert d2 < d1
 
 
+def einsum_series(coeff, phi1, phi2):
+    """The assembly the matrix products replace: one einsum over (k, 2, 2) coefficients."""
+    return np.einsum("kab,ki,kj->ijab", coeff, phi1, phi2, optimize=True)
+
+
+def assert_matches_reference(values, reference):
+    assert values.shape == reference.shape
+    scale = np.abs(reference).max()
+    assert np.abs(values - reference).max() <= 1e-13 * scale
+    # the (2, 1) entry is a copy of the (1, 2) entry, not a separate product
+    assert np.array_equal(values[..., 1, 0], values[..., 0, 1])
+
+
+class TestSeriesAssemblyAgainstEinsum:
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("N,points", [(8, 21), (40, 21)], ids=["N<G", "N>G"])
+    def test_assemble_P(self, boundary, N, points):
+        cfg = WaveConfig(boundary, alpha=0.2, beta=1.5, R=0.7)
+        sols = solve_family(cfg, PowerLawWeights(2.0, 3.5, cutoff=N), N)
+        grid = np.linspace(0.0, 1.0, points)
+        kf = assemble_P(sols, grid, boundary)
+        phi = basis_matrix(boundary, sols.n, grid)
+        assert_matches_reference(kf.values, einsum_series(sols.matrices, phi, phi))
+        # a sequence of ModalRiccati rows assembles the same numbers as the table
+        assert np.array_equal(assemble_P(list(sols), grid, boundary).values, kf.values)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_assemble_P_rectangular(self, rng, boundary):
+        cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0, cutoff=40), 40)
+        x1 = rng.random(17)
+        x2 = rng.random(9)
+        kf = assemble_P(sols, x1, boundary, grid_x2=x2)
+        ref = einsum_series(sols.matrices, basis_matrix(boundary, sols.n, x1),
+                            basis_matrix(boundary, sols.n, x2))
+        assert_matches_reference(kf.values, ref)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("family", [
+        PowerLawWeights(1.0, 2.5, cutoff=40),
+        ExplicitWeights({1: ModalWeight(1, 2.0, 0.5, 1.0), 3: ModalWeight(3, 1.0, -0.8, 1.0),
+                         30: ModalWeight(30, 0.3, 0.1, 0.2)}, cutoff=40),
+    ], ids=["power", "explicit-Q12"])
+    @pytest.mark.parametrize("N,points", [(8, 21), (40, 21)], ids=["N<G", "N>G"])
+    def test_assemble_Q(self, boundary, family, N, points):
+        grid = np.linspace(0.0, 1.0, points)
+        kq = assemble_Q(family, grid, boundary, N)
+        modes = list(mode_range(boundary, N))
+        coeff = np.array([weight_of(family, n, boundary).matrix for n in modes])
+        phi = basis_matrix(boundary, modes, grid)
+        assert_matches_reference(kq.values, einsum_series(coeff, phi, phi))
+
+
 class TestAssembleK:
     def test_zero_solutions_zero_profile(self, dirichlet_cfg):
         sols = [ModalRiccati(n, 0.0, 0.0, 0.0, (0.0,) * 4) for n in range(1, 5)]

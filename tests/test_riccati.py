@@ -161,6 +161,7 @@ class TestModalTable:
         assert t[2] == sol
         np.testing.assert_array_equal(t.matrices[2], sol.matrix)
         assert t.k1[2] == modal_gain(neumann_cfg, sol).k1
+        assert t.gains == [modal_gain(neumann_cfg, s) for s in t]
 
 
 class TestResiduals:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from wavelqr.kernels import assemble_K, assemble_P, basis_matrix
+from wavelqr.kernels import assemble_K, assemble_P, assemble_Q, basis_matrix
 from wavelqr.model import (
     Boundary,
     ExplicitWeights,
@@ -12,7 +12,7 @@ from wavelqr.model import (
     mode_range,
     projection_weight,
 )
-from wavelqr.quad import simpson_weights
+from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
 from wavelqr.riccati import modal_gain, solve_closed_form, solve_family
 from wavelqr.sim import (
     ModalState,
@@ -359,6 +359,29 @@ class TestSimulateFd:
                                     rf.times[-1], rf.times[-1] / 2500)
         np.testing.assert_allclose(rf.total_cost, rm.total_cost, rtol=1e-3)
 
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("family", [
+        PowerLawWeights(1.0, 5.0, cutoff=8),
+        PowerLawWeights(2.0, 3.0, cutoff=3),
+        ExplicitWeights({1: ModalWeight(1, 2.0, 0.5, 1.0), 2: ModalWeight(2, 1.0, -0.8, 1.0),
+                         6: ModalWeight(6, 0.3, 0.1, 0.2)}, cutoff=8),
+    ], ids=["power", "cutoff<N", "explicit-Q12"])
+    def test_modal_cost_matches_dense_double_quadrature(self, boundary, family):
+        """The state cost summed over the N modes equals the double trapezoid
+        quadrature of z' Q z against the assembled (M+1)^2 Q kernel."""
+        cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=0.8)
+        N, M = 8, 64
+        z1, z2 = band_limited(boundary)
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = assemble_K(solve_family(cfg, family, N), cfg, x)
+        res = simulate_fd(cfg, prof, z1, z2, M, 0.5, cfl=0.9, family=family, N=N)
+        q = assemble_Q(family, x, boundary, N).values
+        zw = res.states * trapezoid_weights(M + 1, 1.0 / M)[None, :, None]
+        state_cost = np.einsum("tia,ijab,tjb->t", zw, q, zw)
+        ref = running_quadrature(state_cost + cfg.R * res.u_record**2, res.metadata["dt"])
+        assert ref[-1] > 0
+        np.testing.assert_allclose(res.cost, ref, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("boundary,alpha", [
         (Boundary.DIRICHLET, 0.0), (Boundary.DIRICHLET, 0.8), (Boundary.NEUMANN, 0.4),
     ])
@@ -434,6 +457,26 @@ class TestPredictedCost:
         q1 = float(a[1] @ sols[1].matrix @ a[1])
         np.testing.assert_allclose(pred.per_mode, q0 + q1)
         np.testing.assert_allclose(pred.field, 1.0 * q0 + 0.25 * q1)
+
+
+class TestTableInputs:
+    def test_table_and_rows_give_identical_results(self):
+        """The columns of a ModalTable and a list of its ModalRiccati rows,
+        with a mode missing from the list, give the same numbers bit for bit."""
+        cfg = WaveConfig(Boundary.NEUMANN, alpha=0.4, beta=1.3, R=0.6)
+        fam = PowerLawWeights(1.0, 3.0, cutoff=6)
+        table = solve_family(cfg, fam, 6)
+        st = project_initial(*band_limited(Boundary.NEUMANN), 6, Boundary.NEUMANN)
+        x = np.linspace(0.0, 1.0, 41)
+        cases = ((table, list(table)), (table[table.n != 3], [s for s in table if s.n != 3]))
+        for sols, rows in cases:
+            assert np.array_equal(assemble_K(sols, cfg, x).values, assemble_K(rows, cfg, x).values)
+            assert predicted_cost(st, sols) == predicted_cost(st, rows)
+            a = simulate_decoupled(cfg, fam, sols, st, 0.5, 0.01)
+            b = simulate_decoupled(cfg, fam, rows, st, 0.5, 0.01)
+            assert np.array_equal(a.states, b.states) and np.array_equal(a.cost, b.cost)
+        # the missing mode evolves open loop: no gain, no control
+        assert np.all(a.u_record[:, 3] == 0.0)
 
 
 class TestEnergies:
