@@ -13,14 +13,13 @@ from wavelqr import (
     PowerLawWeights,
     WaveConfig,
     assemble_K,
-    modal_gain,
+    modal_table,
     predicted_cost,
     project_initial,
     reconstruct_field,
     simulate_coupled_modal,
     simulate_decoupled,
     simulate_fd,
-    solve_closed_form,
     solve_family,
 )
 from wavelqr.model import Boundary, ExplicitWeights
@@ -31,12 +30,12 @@ cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
 # --- the cost identity: simulated infinite-horizon cost = a0' P a0
 n = 2
 w = ModalWeight(n, 1.0, 0.0, 1.0)
-sol = solve_closed_form(cfg, w)
+sol = modal_table(cfg, [n], [w.q11], [w.q12], [w.q22])
 fam1 = ExplicitWeights({n: w}, cutoff=n)
 state1 = ModalState(cfg.boundary, (n,), np.array([[1.0, 0.5]]))
-T = decay_horizon(cfg, [sol])
-res = simulate_decoupled(cfg, fam1, [sol], state1, T, 0.002)
-pred = predicted_cost(state1, [sol]).per_mode
+T = decay_horizon(cfg, sol)
+res = simulate_decoupled(cfg, fam1, sol, state1, T, 0.002)
+pred = predicted_cost(state1, sol).per_mode
 print(f"mode {n}: simulated cost over T={T:.2f}: {res.total_cost:.8f}")
 print(f"         Riccati prediction a0' P a0:  {pred:.8f}")
 print(f"         relative deviation:           {abs(res.total_cost-pred)/pred:.2e}\n")
@@ -45,7 +44,6 @@ print(f"         relative deviation:           {abs(res.total_cost-pred)/pred:.2
 N, M = 8, 400
 family = PowerLawWeights(q=1.0, r=5.0, cutoff=N)
 sols = solve_family(cfg, family, N)
-gains = [modal_gain(cfg, s) for s in sols]
 
 z1 = lambda x: np.sin(np.pi * x) + 0.4 * np.sin(2 * np.pi * x) - 0.2 * np.sin(5 * np.pi * x)
 z2 = lambda x: 0.3 * np.sin(3 * np.pi * x) + 0.1 * np.sin(8 * np.pi * x)
@@ -55,7 +53,7 @@ profile = assemble_K(sols, cfg, x)
 fd = simulate_fd(cfg, profile, z1, z2, M, 5.0, cfl=0.9, family=family, N=N)
 t_end = fd.times[-1]
 state0 = project_initial(z1, z2, N, cfg.boundary)
-coupled = simulate_coupled_modal(cfg, family, gains, state0, N, t_end, t_end / 2500)
+coupled = simulate_coupled_modal(cfg, family, sols, state0, N, t_end, t_end / 2500)
 
 print(f"accumulated criterion over [0, {t_end:.3f}]:")
 print(f"  coupled modal:      {coupled.total_cost:.6f}")

@@ -8,9 +8,9 @@
 
 import numpy as np
 
-from wavelqr import ModalWeight, PowerLawWeights, WaveConfig, closed_loop_eigs, solve_closed_form
+from wavelqr import PowerLawWeights, WaveConfig, closed_loop_spectrum, modal_table, solve_family
 from wavelqr.kernels import decay_fit, series_thresholds
-from wavelqr.model import Boundary, mode_range, weight_of
+from wavelqr.model import Boundary
 
 q, r = 1.0, 5.0
 print(f"power-law family q = {q}, r = {r}\n")
@@ -18,13 +18,10 @@ print(f"power-law family q = {q}, r = {r}\n")
 ns_fit = np.arange(50, 301)
 for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
-    comp = {"P12": [], "P22": [], "P11": []}
-    for n in ns_fit:
-        s = solve_closed_form(cfg, ModalWeight(int(n), q / n**r, 0.0, q / n**r))
-        comp["P12"].append(s.p12)
-        comp["P22"].append(s.p22)
-        comp["P11"].append(s.p11)
-    exps = {k: decay_fit(ns_fit, v) for k, v in comp.items()}
+    amp = q / ns_fit**r
+    t = modal_table(cfg, ns_fit, amp, np.zeros_like(amp), amp)
+    exps = {"P12": decay_fit(ns_fit, t.p12), "P22": decay_fit(ns_fit, t.p22),
+            "P11": decay_fit(ns_fit, t.p11)}
     th = series_thresholds(boundary)
     verdict = "convergent" if r > th["P11"] else "divergent"
     print(f"{boundary.value:>9}: decay exponents "
@@ -33,14 +30,15 @@ for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
 
 print("\nclosed-loop damping |Re mu_n| per mode:")
 print(f"{'n':>3} {'dirichlet':>12} {'neumann':>12}")
-for n in range(1, 13):
-    row = []
-    for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
-        cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
-        fam = PowerLawWeights(q=q, r=r, cutoff=16)
-        sol = solve_closed_form(cfg, weight_of(fam, n, boundary))
-        row.append(abs(closed_loop_eigs(cfg, sol).abscissa))
-    print(f"{n:>3} {row[0]:>12.6f} {row[1]:>12.6f}")
+damping = []
+for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
+    cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
+    t = solve_family(cfg, PowerLawWeights(q=q, r=r, cutoff=16), 12)
+    t = t[t.n >= 1]
+    mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+    damping.append(np.abs(mu.real.max(axis=1)))
+for n, d, nm in zip(range(1, 13), *damping):
+    print(f"{n:>3} {d:>12.6f} {nm:>12.6f}")
 
 print("\nsame weights, same control penalty: the Dirichlet loop both damps")
 print("low modes harder and keeps its cost kernel summable at smaller r.")

@@ -13,20 +13,23 @@ from .model import (
     ExplicitWeights,
     modal_matrices,
     true_modal_input,
-    weight_of,
+    weight_arrays,
     mode_range,
 )
 from .riccati import (
-    ModalRiccati,
-    ModalGain,
-    solve_closed_form,
+    ModalTable,
+    modal_table,
     solve_family,
-    residuals,
-    modal_gain,
+    residual_arrays,
     are_oracle,
     coupled_truncated_are,
 )
-from .spectrum import ModePair, open_loop_eigs, closed_loop_eigs, coupled_spectrum
+from .spectrum import (
+    open_loop_spectrum,
+    closed_loop_spectrum,
+    closed_loop_trace_det,
+    coupled_spectrum,
+)
 from .kernels import (
     KernelField,
     GainProfile,
@@ -58,19 +61,17 @@ __all__ = [
     "ExplicitWeights",
     "modal_matrices",
     "true_modal_input",
-    "weight_of",
+    "weight_arrays",
     "mode_range",
-    "ModalRiccati",
-    "ModalGain",
-    "solve_closed_form",
+    "ModalTable",
+    "modal_table",
     "solve_family",
-    "residuals",
-    "modal_gain",
+    "residual_arrays",
     "are_oracle",
     "coupled_truncated_are",
-    "ModePair",
-    "open_loop_eigs",
-    "closed_loop_eigs",
+    "open_loop_spectrum",
+    "closed_loop_spectrum",
+    "closed_loop_trace_det",
     "coupled_spectrum",
     "KernelField",
     "GainProfile",

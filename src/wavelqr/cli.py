@@ -29,6 +29,7 @@ from .model import (
     Boundary,
     PowerLawWeights,
     WaveConfig,
+    finite_value,
     integer_value,
     modal_matrices,
     mode_range,
@@ -130,7 +131,7 @@ def _run_config(doc: dict) -> RunConfig:
         raise ConfigError("weights must be an object")
     _check_keys(wdoc, {"type", "q", "r", "entries"}, "weights")
     try:
-        family = weight_family_from_dict(wdoc, cutoff=N)
+        family = weight_family_from_dict(wdoc, cutoff=N, boundary=wave.boundary)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid weights: {exc}") from exc
 
@@ -142,14 +143,14 @@ def _run_config(doc: dict) -> RunConfig:
     _check_keys(sdoc, {"T", "dt", "M", "cfl", "csv_stride", "initial_modes"}, "sim")
     init = sdoc.get("initial_modes")
     if init is not None:
-        init = tuple(tuple(float(v) for v in row) for row in init)
+        init = tuple(tuple(finite_value(v, "sim.initial_modes entry") for v in row) for row in init)
         if any(len(row) != 2 for row in init):
             raise ConfigError("sim.initial_modes must be a list of [a1, a2] pairs")
     sim = SimParams(
-        T=float(sdoc.get("T", 5.0)),
-        dt=float(sdoc.get("dt", 0.002)),
+        T=finite_value(sdoc.get("T", 5.0), "sim.T"),
+        dt=finite_value(sdoc.get("dt", 0.002), "sim.dt"),
         M=integer_value(sdoc.get("M", 400), "sim.M"),
-        cfl=float(sdoc.get("cfl", 0.9)),
+        cfl=finite_value(sdoc.get("cfl", 0.9), "sim.cfl"),
         csv_stride=integer_value(sdoc.get("csv_stride", 10), "sim.csv_stride"),
         initial_modes=init,
     )
@@ -276,7 +277,7 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
     add("psd_min_eigenvalue", min_eig, -1e-12, larger_is_worse=False)
 
     # gain recomputation K = -R^-1 G' P, with G taken from the model
-    G = np.array([modal_matrices(cfg, n)[1] for n in modes]).reshape(-1, 2)
+    _, G = modal_matrices(cfg, t.n)
     k = np.stack([t.k1, t.k2], axis=1)
     k_ref = np.einsum("ki,kij->kj", -(G / cfg.R), t.matrices)
     gain_dev = np.abs(k - k_ref).max(axis=1) / (1.0 + np.abs(k).max(axis=1))
@@ -313,8 +314,7 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
         fields = pde_residual(cfg, t, rc.family, grid)
         wq = simpson_weights(npts, grid[1] - grid[0])
         phi = basis_matrix(cfg.boundary, modes, grid)
-        pw = np.array([projection_weight(cfg.boundary, n) for n in modes])
-        proj = (phi * wq) / pw[:, None]
+        proj = (phi * wq) / projection_weight(cfg.boundary, t.n)[:, None]
         diag_dev = max(
             float(np.abs(np.diag(proj @ f @ proj.T)).max())
             for f in (fields.r11, fields.r12, fields.r21, fields.r22)
@@ -424,15 +424,13 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
 def _initial_state(rc: RunConfig) -> ModalState:
     modes = tuple(mode_range(rc.wave.boundary, rc.N))
     if rc.sim.initial_modes is not None:
+        given = np.reshape(rc.sim.initial_modes[: len(modes)], (-1, 2))
         a = np.zeros((len(modes), 2))
-        for i, row in enumerate(rc.sim.initial_modes[: len(modes)]):
-            a[i] = row
+        a[: len(given)] = given
     else:
         # deterministic default: amplitude falling off quadratically in n
-        a = np.zeros((len(modes), 2))
-        for i, n in enumerate(modes):
-            a[i, 0] = 1.0 / (i + 1) ** 2
-            a[i, 1] = 0.5 / (i + 1) ** 2
+        inv_sq = 1.0 / np.arange(1, len(modes) + 1) ** 2
+        a = np.stack([inv_sq, 0.5 * inv_sq], axis=1)
     return ModalState(rc.wave.boundary, modes, a)
 
 
@@ -448,7 +446,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     state0 = _initial_state(rc)
 
     dec = simulate_decoupled(cfg, rc.family, sols, state0, rc.sim.T, rc.sim.dt)
-    cou = simulate_coupled_modal(cfg, rc.family, sols.gains, state0, rc.N, rc.sim.T, rc.sim.dt)
+    cou = simulate_coupled_modal(cfg, rc.family, sols, state0, rc.N, rc.sim.T, rc.sim.dt)
 
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)

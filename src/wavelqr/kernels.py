@@ -16,17 +16,11 @@ from .model import (
     PowerLawWeights,
     WaveConfig,
     WeightFamily,
+    gain_expansion_sign,
     mode_range,
     weight_arrays,
 )
-from .riccati import (
-    ModalRiccati,
-    ModalTable,
-    gain_arrays,
-    modal_table,
-    solution_columns,
-    solve_family,
-)
+from .riccati import ModalTable, modal_table, solve_family
 
 QUAD_WARNING = "series not absolutely summable"
 
@@ -98,35 +92,32 @@ def _series_values(phi1, phi2, c11, c12, c22) -> np.ndarray:
     return planes.transpose(2, 3, 0, 1)
 
 
-def assemble_P(sols: list[ModalRiccati], grid, boundary: Boundary, grid_x2=None) -> KernelField:
-    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2).
-
-    sols is a ModalTable or a sequence of ModalRiccati.
-    """
+def assemble_P(sols: ModalTable, grid, boundary: Boundary, grid_x2=None) -> KernelField:
+    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2)."""
     boundary = Boundary(boundary)
     grid_x1 = np.asarray(grid, dtype=float)
     grid_x2 = grid_x1 if grid_x2 is None else np.asarray(grid_x2, dtype=float)
-    modes, p11, p12, p22 = solution_columns(sols)
-    phi1 = basis_matrix(boundary, modes, grid_x1)
-    phi2 = basis_matrix(boundary, modes, grid_x2)
-    values = _series_values(phi1, phi2, p11, p12, p22)
-    return KernelField(grid_x1, grid_x2, values, boundary, int(modes.max(initial=0)))
+    phi1 = basis_matrix(boundary, sols.n, grid_x1)
+    phi2 = basis_matrix(boundary, sols.n, grid_x2)
+    values = _series_values(phi1, phi2, sols.p11, sols.p12, sols.p22)
+    return KernelField(grid_x1, grid_x2, values, boundary, int(sols.n.max(initial=0)))
 
 
-def assemble_K(sols: list[ModalRiccati], cfg: WaveConfig, grid) -> GainProfile:
-    """Gain kernel from the boundary trace of the cost kernel.
+def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
+    """Gain kernel sum_n sign_n [K1^n, K2^n] phi_n(x) of the table's gain columns.
+
+    With K^n = -R^-1 G[1] [P21^n, P22^n] it is the boundary trace of the
+    cost kernel:
 
     Dirichlet: K(x) = -R^-1 beta sum_n n pi [P21^n, P22^n] sin(n pi x).
     Neumann:   K(x) = -R^-1 beta sum_n (-1)^n [P21^n, P22^n] cos(n pi x),
     the (-1)^n being cos(n pi) from evaluating the kernel at x1 = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    modes, _, p12, p22 = solution_columns(sols)
-    sign = np.where((cfg.boundary == Boundary.NEUMANN) & (modes % 2 == 1), -1.0, 1.0)
-    coeff = sign[:, None] * np.stack(gain_arrays(cfg, modes, p12, p22), axis=1)  # (k, 2)
-    phi = basis_matrix(cfg.boundary, modes, grid)
-    values = phi.T @ coeff
-    return GainProfile(grid, values, cfg.boundary, int(modes.max(initial=0)))
+    sign = gain_expansion_sign(cfg.boundary, sols.n)
+    coeff = sign[:, None] * np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
+    values = basis_matrix(cfg.boundary, sols.n, grid).T @ coeff
+    return GainProfile(grid, values, cfg.boundary, int(sols.n.max(initial=0)))
 
 
 def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> KernelField:
@@ -142,7 +133,7 @@ def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> Kernel
     return KernelField(grid, grid, values, boundary, max(modes, default=0), warnings)
 
 
-def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], family: WeightFamily):
+def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable, family: WeightFamily):
     """Double-basis coefficients of the four PDE residual fields.
 
     Entry (i, j) multiplies phi_{m_i}(x1) phi_{n_j}(x2).  Diagonals carry the
@@ -151,9 +142,9 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], fam
     -gamma^2 m n pi^2 P12^m P21^n for the first equation under Dirichlet
     actuation.
     """
-    modes, p11, p12, p22 = solution_columns(sols)
-    if len(set(modes.tolist())) != len(modes):
-        raise ValueError("solutions list indexes some mode more than once")
+    modes, p11, p12, p22 = sols.n, sols.p11, sols.p12, sols.p22
+    if len(np.unique(modes)) != len(modes):
+        raise ValueError("solution table holds some mode more than once")
     q11, q12, q22 = weight_arrays(family, modes)
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq
@@ -163,7 +154,7 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], fam
         t21 = t12
         t22 = modes * np.pi * p22
     else:
-        sign = np.where(modes % 2 == 1, -1.0, 1.0)
+        sign = gain_expansion_sign(cfg.boundary, modes)
         t12 = sign * p12
         t21 = t12
         t22 = sign * p22
@@ -180,7 +171,7 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: list[ModalRiccati], fam
     return modes, (m11, m12, m21, m22)
 
 
-def pde_residual(cfg: WaveConfig, sols: list[ModalRiccati], family: WeightFamily, grid) -> ResidualFields:
+def pde_residual(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid) -> ResidualFields:
     """Defect fields of the kernel Riccati PDE for the truncated diagonal solution.
 
     With a single active mode every field vanishes; with several, the

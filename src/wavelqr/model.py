@@ -51,12 +51,12 @@ class WaveConfig:
         return self.beta**2 / self.R
 
 
-def validate_mode(boundary: Boundary, n: int) -> int:
-    """Check a mode index: n >= 1 for Dirichlet, n >= 0 for Neumann."""
-    n = int(n)
-    if n < 0:
-        raise InvalidModeError(f"mode index must be nonnegative, got {n}")
-    if boundary == Boundary.DIRICHLET and n == 0:
+def validate_mode(boundary: Boundary, n) -> np.ndarray:
+    """Check mode indices, scalar or array: n >= 1 for Dirichlet, n >= 0 for Neumann."""
+    n = np.asarray(n, dtype=int)
+    if (n < 0).any():
+        raise InvalidModeError(f"mode index must be nonnegative, got {n[n < 0].flat[0]}")
+    if Boundary(boundary) == Boundary.DIRICHLET and (n == 0).any():
         raise InvalidModeError("mode 0 does not exist under Dirichlet boundary conditions")
     return n
 
@@ -141,13 +141,6 @@ def weight_arrays(family: WeightFamily, n) -> tuple[np.ndarray, np.ndarray, np.n
     return tuple(q.reshape(-1, 3).T)
 
 
-def weight_of(family: WeightFamily, n: int, boundary: Boundary) -> ModalWeight:
-    """Modal weight generated by a family; zero beyond the cutoff."""
-    n = validate_mode(boundary, n)
-    q11, q12, q22 = weight_arrays(family, [n])
-    return ModalWeight(n, float(q11[0]), float(q12[0]), float(q22[0]))
-
-
 def frequency_sq(n) -> np.ndarray:
     """n^2 pi^2, vectorized, rounded as the scalar (n * pi) ** 2 (libm pow)."""
     return np.float_power(np.asarray(n, dtype=float) * np.pi, 2)
@@ -159,29 +152,34 @@ def input_gain(cfg: WaveConfig, n) -> np.ndarray:
     return n * np.pi * cfg.beta if cfg.boundary == Boundary.DIRICHLET else np.full_like(n, cfg.beta)
 
 
-def modal_matrices(cfg: WaveConfig, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode LQR pair (F, G).
+def modal_matrices(cfg: WaveConfig, n) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode LQR pairs (F, G), stacked over the shape of n.
 
     F = [[0, 1], [-n^2 pi^2, -alpha]] for both boundary types; the input
     vector is G = [0, n pi beta] under Dirichlet and G = [0, beta] under
     Neumann actuation.
     """
     n = validate_mode(cfg.boundary, n)
-    F = np.array([[0.0, 1.0], [-frequency_sq(n), -cfg.alpha]])
-    return F, np.array([0.0, input_gain(cfg, n)])
+    F = np.zeros(n.shape + (2, 2))
+    F[..., 0, 1] = 1.0
+    F[..., 1, 0] = -frequency_sq(n)
+    F[..., 1, 1] = -cfg.alpha
+    G = np.zeros(n.shape + (2,))
+    G[..., 1] = input_gain(cfg, n)
+    return F, G
 
 
-def projection_weight(boundary: Boundary, n: int) -> float:
+def projection_weight(boundary: Boundary, n) -> np.ndarray:
     """Basis pairing weight: the integral of the squared eigenfunction.
 
     1/2 for every sine mode and for cosine modes n >= 1; 1 for the Neumann
     mean mode n = 0.
     """
     n = validate_mode(boundary, n)
-    return 1.0 if (Boundary(boundary) == Boundary.NEUMANN and n == 0) else 0.5
+    return np.where((Boundary(boundary) == Boundary.NEUMANN) & (n == 0), 1.0, 0.5)
 
 
-def gain_expansion_sign(boundary: Boundary, n: int) -> float:
+def gain_expansion_sign(boundary: Boundary, n) -> np.ndarray:
     """Sign relating the modal LQR gain to the gain-kernel expansion coefficient.
 
     The Neumann gain kernel is the trace of the cost kernel at x1 = 1, so its
@@ -189,12 +187,10 @@ def gain_expansion_sign(boundary: Boundary, n: int) -> float:
     carry no sign.
     """
     n = validate_mode(boundary, n)
-    if Boundary(boundary) == Boundary.NEUMANN and n % 2 == 1:
-        return -1.0
-    return 1.0
+    return np.where((Boundary(boundary) == Boundary.NEUMANN) & (n % 2 == 1), -1.0, 1.0)
 
 
-def true_modal_input(cfg: WaveConfig, n: int) -> tuple[np.ndarray, float]:
+def true_modal_input(cfg: WaveConfig, n) -> tuple[np.ndarray, np.ndarray]:
     """Forcing of the plain-basis coefficients by the boundary control.
 
     With coefficients a_n = (1/w_n) * integral(z * phi_n), integrating the
@@ -207,15 +203,14 @@ def true_modal_input(cfg: WaveConfig, n: int) -> tuple[np.ndarray, float]:
 
     The product w_n * sign_n * G_true equals the G of modal_matrices exactly
     (sign_n from gain_expansion_sign), which is what collapses the coupled
-    closed loop's diagonal blocks to F + G K per mode.
+    closed loop's diagonal blocks to F + G K per mode.  Returns (G_true, w_n)
+    stacked over the shape of n.
     """
-    n = validate_mode(cfg.boundary, n)
-    if cfg.boundary == Boundary.DIRICHLET:
-        return np.array([0.0, 2.0 * (n * np.pi * cfg.beta)]), 0.5
-    if n == 0:
-        return np.array([0.0, cfg.beta]), 1.0
-    sign = -1.0 if n % 2 == 1 else 1.0
-    return np.array([0.0, 2.0 * (sign * cfg.beta)]), 0.5
+    w = projection_weight(cfg.boundary, n)
+    G_true = np.zeros(w.shape + (2,))
+    # sign and weight are +-1 and 1/2 or 1, so every factor is exact
+    G_true[..., 1] = gain_expansion_sign(cfg.boundary, n) * input_gain(cfg, n) / w
+    return G_true, w
 
 
 def integer_value(value, name: str) -> int:
@@ -223,6 +218,18 @@ def integer_value(value, name: str) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def finite_value(value, name: str) -> float:
+    """float(value) for a config field; NaN and the infinities are refused.
+
+    JSON parsing lets them through: NaN, Infinity, -Infinity and an
+    overflowing literal such as 1e999 all reach here as floats.
+    """
+    x = float(value)
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
 
 
 def wave_config_from_dict(doc: Mapping) -> WaveConfig:
@@ -233,29 +240,38 @@ def wave_config_from_dict(doc: Mapping) -> WaveConfig:
         raise ValueError(f"boundary must be 'dirichlet' or 'neumann': {exc}") from exc
     return WaveConfig(
         boundary=boundary,
-        alpha=float(doc.get("alpha", 0.0)),
-        beta=float(doc.get("beta", 1.0)),
-        R=float(doc.get("R", 1.0)),
+        alpha=finite_value(doc.get("alpha", 0.0), "alpha"),
+        beta=finite_value(doc.get("beta", 1.0), "beta"),
+        R=finite_value(doc.get("R", 1.0), "R"),
     )
 
 
-def weight_family_from_dict(doc: Mapping, cutoff: int) -> WeightFamily:
-    """Build a weight family from the JSON 'weights' object."""
+def weight_family_from_dict(doc: Mapping, cutoff: int, boundary: Boundary) -> WeightFamily:
+    """Build a weight family from the JSON 'weights' object.
+
+    A list entry must name an admissible mode of the boundary, at most once;
+    entries above the cutoff are kept and weigh nothing.
+    """
     kind = doc.get("type")
     if kind == "power":
-        return PowerLawWeights(q=float(doc["q"]), r=float(doc["r"]), cutoff=cutoff)
+        return PowerLawWeights(
+            q=finite_value(doc["q"], "weights.q"), r=finite_value(doc["r"], "weights.r"),
+            cutoff=cutoff,
+        )
     if kind == "list":
         entries = {}
         for item in doc["entries"]:
             unknown = set(item) - {"n", "Q11", "Q12", "Q22"}
             if unknown:
                 raise ValueError(f"unknown keys in weights entry: {sorted(unknown)}")
-            n = integer_value(item["n"], "weights entry n")
+            n = int(validate_mode(boundary, integer_value(item["n"], "weights entry n")))
+            if n in entries:
+                raise ValueError(f"weights entry n={n} appears more than once")
             entries[n] = ModalWeight(
                 n,
-                float(item["Q11"]),
-                float(item.get("Q12", 0.0)),
-                float(item["Q22"]),
+                finite_value(item["Q11"], f"weights entry n={n} Q11"),
+                finite_value(item.get("Q12", 0.0), f"weights entry n={n} Q12"),
+                finite_value(item["Q22"], f"weights entry n={n} Q22"),
             )
         return ExplicitWeights(entries=entries, cutoff=cutoff)
     raise ValueError(f"weights.type must be 'power' or 'list', got {kind!r}")

@@ -35,7 +35,6 @@ import numpy as np
 
 from .model import (
     Boundary,
-    ModalWeight,
     WaveConfig,
     WeightFamily,
     frequency_sq,
@@ -70,49 +69,12 @@ def _scale(qmax, pmax):
     return 1.0 + qmax + np.float_power(pmax, 2)
 
 
-@dataclass(frozen=True)
-class ModalRiccati:
-    """Stabilizing 2x2 Riccati solution for one mode, with ARE residuals."""
-
-    n: int
-    p11: float
-    p12: float
-    p22: float
-    residuals: tuple[float, float, float, float]
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.p11, self.p12], [self.p12, self.p22]])
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(_min_eigenvalue(self.p11, self.p12, self.p22))
-
-    @property
-    def max_residual(self) -> float:
-        return max(abs(r) for r in self.residuals)
-
-
-@dataclass(frozen=True)
-class ModalGain:
-    """Row feedback gain K = -R^-1 G' P for one mode."""
-
-    n: int
-    k1: float
-    k2: float
-
-    @property
-    def row(self) -> np.ndarray:
-        return np.array([self.k1, self.k2])
-
-
 @dataclass(frozen=True, eq=False)
 class ModalTable:
     """Closed-form solutions of many modes as columns; ``residuals`` is (k, 4).
 
-    ``len``, integer indexing and so iteration yield ModalRiccati views, so
-    a table stands wherever a sequence of solutions is expected; a slice or
-    a mask selects a sub-table.
+    A slice, a mask or an index array selects a sub-table; a single row is
+    read from the columns.
     """
 
     n: np.ndarray
@@ -131,33 +93,15 @@ class ModalTable:
     def __len__(self) -> int:
         return len(self.n)
 
-    def __getitem__(self, i):
-        if isinstance(i, (int, np.integer)):
-            return ModalRiccati(
-                int(self.n[i]), float(self.p11[i]), float(self.p12[i]), float(self.p22[i]),
-                tuple(float(r) for r in self.residuals[i]),
-            )
-        return ModalTable(*(getattr(self, f.name)[i] for f in fields(self)))
-
-    @property
-    def gains(self) -> list[ModalGain]:
-        """The K1, K2 columns as ModalGain rows."""
-        columns = zip(self.n.tolist(), self.k1.tolist(), self.k2.tolist())
-        return [ModalGain(n, k1, k2) for n, k1, k2 in columns]
+    def __getitem__(self, rows):
+        if isinstance(rows, (int, np.integer)):
+            raise TypeError("a ModalTable selects sub-tables; read a single row from its columns")
+        return ModalTable(*(getattr(self, f.name)[rows] for f in fields(self)))
 
     @property
     def matrices(self) -> np.ndarray:
         """The Riccati matrices stacked as (k, 2, 2)."""
         return np.stack([[self.p11, self.p12], [self.p12, self.p22]]).transpose(2, 0, 1)
-
-
-def solution_columns(sols) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(n, P11, P12, P22) arrays of a ModalTable or of a sequence of ModalRiccati."""
-    if isinstance(sols, ModalTable):
-        return sols.n, sols.p11, sols.p12, sols.p22
-    n = np.array([s.n for s in sols], dtype=int)
-    p = np.array([(s.p11, s.p12, s.p22) for s in sols], dtype=float).reshape(-1, 3)
-    return n, p[:, 0], p[:, 1], p[:, 2]
 
 
 def input_gain_sq(cfg: WaveConfig, n) -> np.ndarray:
@@ -188,8 +132,12 @@ def _closed_form_arrays(w2, c, alpha, q11, q22, q12):
     return p11, p12, p22
 
 
-def _residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22, p21=None):
-    """The four modal ARE components, vectorized; zero at a solution."""
+def residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22, p21=None):
+    """The four modal ARE components, vectorized; zero at a solution.
+
+    w2 = n^2 pi^2 and c = G[1]^2 / R (frequency_sq, input_gain_sq).  P21
+    defaults to P12; a distinct P21 makes the middle two components differ.
+    """
     if p21 is None:
         p21 = p12
     r11 = -2.0 * w2 * p12 + q11 - c * p12 * p12
@@ -199,25 +147,20 @@ def _residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22, p21=None):
     return r11, r12, r21, r22
 
 
-def residual_scale(weight: ModalWeight, P: np.ndarray) -> float:
-    """Scale 1 + |Q| + |P|^2 used for relative residual bounds."""
-    qmax = max(abs(weight.q11), abs(weight.q12), abs(weight.q22))
-    return float(_scale(qmax, np.max(np.abs(P))))
-
-
 def modal_table(cfg: WaveConfig, n, q11, q12, q22) -> ModalTable:
-    """Stabilizing closed-form solutions of the admissible modes n with weights Q.
+    """Stabilizing closed-form solutions of the modes n with weights Q.
 
-    Raises ArithmeticError, naming the first such mode, when a solution
-    lost positive semidefiniteness.  Zero weights give the zero matrix with
+    Raises InvalidModeError for a mode not admissible under cfg.boundary,
+    and ArithmeticError, naming the first such mode, when a solution lost
+    positive semidefiniteness.  Zero weights give the zero matrix with
     exactly zero residuals.
     """
-    n = np.asarray(n, dtype=int)
+    n = validate_mode(cfg.boundary, n)
     q11, q12, q22 = (np.asarray(q, dtype=float) for q in (q11, q12, q22))
     w2 = frequency_sq(n)
     c = input_gain_sq(cfg, n)
     p11, p12, p22 = _closed_form_arrays(w2, c, cfg.alpha, q11, q22, q12)
-    res = np.stack(_residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22), axis=1)
+    res = np.stack(residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22), axis=1)
     k1, k2 = gain_arrays(cfg, n, p12, p22)
     qmax = np.maximum.reduce([np.abs(q11), np.abs(q12), np.abs(q22)])
     pmax = np.maximum.reduce([np.abs(p11), np.abs(p12), np.abs(p22)])
@@ -236,37 +179,10 @@ def modal_table(cfg: WaveConfig, n, q11, q12, q22) -> ModalTable:
     )
 
 
-def solve_closed_form(cfg: WaveConfig, weight: ModalWeight) -> ModalRiccati:
-    """Stabilizing modal Riccati solution in closed form.
-
-    Raises InvalidModeError for a mode not admissible under cfg.boundary.
-    The returned solution carries the four ARE residuals; the zero weight
-    returns the zero matrix with exactly zero residuals.
-    """
-    n = validate_mode(cfg.boundary, weight.n)
-    return modal_table(cfg, [n], [weight.q11], [weight.q12], [weight.q22])[0]
-
-
 def solve_family(cfg: WaveConfig, family: WeightFamily, N: int) -> ModalTable:
     """Closed-form solutions for every mode up to the cutoff N."""
     n = np.array(mode_range(cfg.boundary, N))
     return modal_table(cfg, n, *weight_arrays(family, n))
-
-
-def residuals(cfg: WaveConfig, weight: ModalWeight, P: np.ndarray):
-    """Left-hand sides of the four modal ARE components at an arbitrary P.
-
-    P is a 2x2 array; its (0,1) and (1,0) entries are used where the
-    equations name P12 and P21, so the middle two residuals coincide
-    exactly when P is symmetric.
-    """
-    n = validate_mode(cfg.boundary, weight.n)
-    P = np.asarray(P, dtype=float)
-    r = _residual_arrays(
-        frequency_sq(n), input_gain_sq(cfg, n), cfg.alpha, weight.q11, weight.q22, weight.q12,
-        P[0, 0], P[0, 1], P[1, 1], p21=P[1, 0],
-    )
-    return tuple(float(v) for v in r)
 
 
 def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
@@ -274,8 +190,10 @@ def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
 
     Exists to exhibit that the other quadratic branch never yields a
     nonnegative definite solution; entries are NaN when the P22 radicand
-    goes negative.
+    goes negative.  Raises InvalidModeError for a mode not admissible under
+    cfg.boundary.
     """
+    n = validate_mode(cfg.boundary, n)
     w2 = frequency_sq(n)
     c = input_gain_sq(cfg, n)
     p12 = (-w2 - np.sqrt(w2 * w2 + c * np.asarray(q11, dtype=float))) / c
@@ -283,18 +201,6 @@ def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
     p22 = (-cfg.alpha + np.sqrt(np.where(disc >= 0, disc, np.nan))) / c
     p11 = cfg.alpha * p12 + (w2 + c * p12) * p22 - q12
     return np.stack([[p11, p12], [p12, p22]]).transpose(2, 0, 1)
-
-
-def negative_root_solution(cfg: WaveConfig, weight: ModalWeight) -> np.ndarray:
-    """negative_root_matrices for one mode: a 2x2 matrix."""
-    n = validate_mode(cfg.boundary, weight.n)
-    return negative_root_matrices(cfg, [n], [weight.q11], [weight.q12], [weight.q22])[0]
-
-
-def modal_gain(cfg: WaveConfig, sol: ModalRiccati) -> ModalGain:
-    """K = -R^-1 G' P: -R^-1 beta n pi [P21, P22] (Dirichlet), -R^-1 beta [P21, P22] (Neumann)."""
-    k1, k2 = gain_arrays(cfg, sol.n, sol.p12, sol.p22)
-    return ModalGain(sol.n, float(k1), float(k2))
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +428,7 @@ def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
     hnorm = np.maximum.reduce([w2, np.abs(q11), np.abs(q22), c, np.ones_like(w2)])
     separated = np.finfo(float).eps * hnorm <= 1e-10 * np.maximum(gap, 1e-300)
 
-    r = _residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22)
+    r = residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22)
     res = np.max(np.abs(np.stack(r)), axis=0)
     pmax = np.maximum.reduce([np.abs(p11), np.abs(p12), np.abs(p22)])
     res_scale = 1.0 + np.maximum.reduce([np.abs(q11), np.abs(q12), np.abs(q22)]) + pmax**2
@@ -586,14 +492,14 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
     # spectrum imports this module, so its plant builder is imported here
     from .spectrum import coupled_loop_parts
 
-    modes, A, B, _ = coupled_loop_parts(cfg, [], N)
+    t = solve_family(cfg, family, N)
+    modes, A, B, _ = coupled_loop_parts(cfg, t, N)
     # pairing-weighted coordinates: B stacks proj_weight_n * G_true_n, which
     # equals the modal G up to the gain-expansion sign
-    B = B * np.repeat([projection_weight(cfg.boundary, n) for n in modes], 2)[:, None]
-    t = solve_family(cfg, family, N)
+    B = B * np.repeat(projection_weight(cfg.boundary, modes), 2)[:, None]
     Qb = _block_diag(np.stack([[t.q11, t.q12], [t.q12, t.q22]]).transpose(2, 0, 1))
     P_diag = _block_diag(t.matrices)
-    sign = np.array([gain_expansion_sign(cfg.boundary, n) for n in modes])
+    sign = gain_expansion_sign(cfg.boundary, modes)
     K_diag = np.stack([sign * t.k1, sign * t.k2], axis=1).reshape(1, -1)
 
     if not Qb.any():
@@ -605,7 +511,7 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
     K_big = -(B.T @ P_big) / cfg.R
     dev_P = P_big - P_diag
     return CoupledAre(
-        modes=tuple(modes),
+        modes=tuple(modes.tolist()),
         P_big=P_big,
         K_big=K_big,
         P_diag=P_diag,

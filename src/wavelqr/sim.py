@@ -11,7 +11,7 @@ simulate_fd          integrates the wave equation on a grid with leapfrog
 
 Modal integrators use matrix exponentials of the (block) closed-loop
 matrices, so their only error sources are the mode truncation and the
-time quadrature of the cost.  scipy's expm is imported inside the three
+time quadrature of the cost.  scipy's expm is imported inside the two
 functions that call it, so importing the package does not load scipy.
 """
 
@@ -30,7 +30,7 @@ from .model import (
     weight_arrays,
 )
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
-from .riccati import ModalGain, ModalRiccati, gain_arrays, solution_columns
+from .riccati import ModalTable, gain_arrays
 from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
@@ -101,7 +101,7 @@ def project_initial(z1_fn, z2_fn, N: int, boundary: Boundary, n_quad: int = 4097
     phi = basis_matrix(boundary, modes, x)
     z1 = np.asarray(z1_fn(x), dtype=float) * np.ones_like(x)
     z2 = np.asarray(z2_fn(x), dtype=float) * np.ones_like(x)
-    pw = np.array([projection_weight(boundary, n) for n in modes])
+    pw = projection_weight(boundary, modes)
     a = np.stack([(phi @ (wq * z1)) / pw, (phi @ (wq * z2)) / pw], axis=1)
     return ModalState(boundary, modes, a, t=0.0)
 
@@ -118,7 +118,7 @@ def reconstruct_field(state: ModalState, x_grid) -> FieldState:
 def modal_energy(state: ModalState) -> float:
     """Field energy 0.5 * integral(z2^2 + (dz1/dx)^2) from coefficients."""
     modes = np.asarray(state.modes, dtype=float)
-    pw = np.array([projection_weight(state.boundary, n) for n in state.modes])
+    pw = projection_weight(state.boundary, state.modes)
     kin = pw * state.a[:, 1] ** 2
     pot = 0.5 * (modes * np.pi) ** 2 * state.a[:, 0] ** 2  # x-derivative pairs with weight 1/2
     return float(0.5 * (kin.sum() + pot.sum()))
@@ -147,30 +147,36 @@ def _blocks(c11, c12, c22) -> np.ndarray:
     return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
 
 
-def _solution_at(sols, modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P11, P12, P22) of a ModalTable or a ModalRiccati sequence at the given
-    modes; zero where sols has no such mode."""
-    n, *columns = solution_columns(sols)
-    row = {m: i for i, m in enumerate(n.tolist())}
+def _solution_at(sols: ModalTable, modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(P11, P12, P22) of a table at the given modes; zero where it has no such mode."""
+    row = {m: i for i, m in enumerate(sols.n.tolist())}
     idx = np.array([row.get(m, -1) for m in modes], dtype=int)
-    return tuple(np.append(c, 0.0)[idx] for c in columns)  # index -1: the appended zero
+    # index -1 reads the appended zero
+    return tuple(np.append(c, 0.0)[idx] for c in (sols.p11, sols.p12, sols.p22))
 
 
-def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) -> SimResult:
-    """Open-loop modal evolution: the reference trajectory z is steered to."""
+def _propagate(cfg: WaveConfig, state0: ModalState, k1, k2, nsteps: int, dt: float):
+    """Modal states (nsteps + 1, k, 2) under each mode's own loop F + G K.
+
+    One step is the exact propagator expm((F + G K) dt) of every mode.
+    """
     # deferred: simulation is the only use of scipy, and importing
     # scipy.linalg costs about 0.3 s that the other CLI commands need not pay
     from scipy.linalg import expm
 
-    nsteps = _steps_for(T, dt)
-    modes = state0.modes
-    props = np.array(
-        [expm(np.array([[0.0, 1.0], [-(n * np.pi) ** 2, -cfg.alpha]]) * dt) for n in modes]
-    )
-    a = np.empty((nsteps + 1, len(modes), 2))
+    props = expm(closed_loop_matrices(cfg, state0.modes, k1, k2) * dt)
+    a = np.empty((nsteps + 1, len(state0.modes), 2))
     a[0] = state0.a
     for k in range(nsteps):
         a[k + 1] = np.einsum("nij,nj->ni", props, a[k])
+    return a
+
+
+def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) -> SimResult:
+    """Open-loop modal evolution: the reference trajectory z is steered to."""
+    nsteps = _steps_for(T, dt)
+    modes = state0.modes
+    a = _propagate(cfg, state0, 0.0, 0.0, nsteps, dt)
     times = dt * np.arange(nsteps + 1)
     return SimResult(
         times=times,
@@ -184,31 +190,25 @@ def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) ->
 def simulate_decoupled(
     cfg: WaveConfig,
     family: WeightFamily,
-    sols: list[ModalRiccati],
+    sols: ModalTable,
     state0: ModalState,
     T: float,
     dt: float,
 ) -> SimResult:
     """Every mode under its own closed loop, each with its own control u_n.
 
-    The running cost integrates sum_n (a_n' Q^n a_n + R u_n^2) by composite
-    Simpson over the sample times; this is the per-mode LQR frame in which
-    the infinite-horizon cost equals a_0' P^n a_0 exactly.
+    A mode missing from sols runs open loop.  The running cost integrates
+    sum_n (a_n' Q^n a_n + R u_n^2) by composite Simpson over the sample
+    times; this is the per-mode LQR frame in which the infinite-horizon cost
+    equals a_0' P^n a_0 exactly.
     """
-    from scipy.linalg import expm  # deferred, see target_solution
-
     nsteps = _steps_for(T, dt)
     modes = state0.modes
     _, p12, p22 = _solution_at(sols, modes)
     k1, k2 = gain_arrays(cfg, modes, p12, p22)
-    props = expm(closed_loop_matrices(cfg, modes, k1, k2) * dt)
     gains = np.stack([k1, k2], axis=1)  # (k, 2)
     qblocks = _blocks(*weight_arrays(family, modes))
-
-    a = np.empty((nsteps + 1, len(modes), 2))
-    a[0] = state0.a
-    for k in range(nsteps):
-        a[k + 1] = np.einsum("nij,nj->ni", props, a[k])
+    a = _propagate(cfg, state0, k1, k2, nsteps, dt)
     u = np.einsum("nj,tnj->tn", gains, a)  # per-mode controls
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * np.sum(u**2, axis=1)
     cost = running_quadrature(integrand, dt)
@@ -224,7 +224,7 @@ def simulate_decoupled(
 def simulate_coupled_modal(
     cfg: WaveConfig,
     family: WeightFamily,
-    gains: list[ModalGain],
+    sols: ModalTable,
     state0: ModalState,
     N: int,
     T: float,
@@ -233,14 +233,15 @@ def simulate_coupled_modal(
     """Truncated coupled system under the single shared control.
 
     u(t) is the pairing-weighted, expansion-signed combination of the modal
-    gains (the quadrature of the gain kernel against z); every mode is
-    forced through its true input vector.  The accumulated cost is the
-    field-frame criterion: the double space quadrature plus R u^2.
+    gains of sols (the quadrature of the gain kernel against z); a mode
+    missing from sols adds no feedback, and every mode is forced through its
+    true input vector.  The accumulated cost is the field-frame criterion:
+    the double space quadrature plus R u^2.
     """
-    from scipy.linalg import expm  # deferred, see target_solution
+    from scipy.linalg import expm  # deferred, see _propagate
 
     nsteps = _steps_for(T, dt)
-    modes, A, B, Krow = coupled_loop_parts(cfg, gains, N)
+    modes, A, B, Krow = coupled_loop_parts(cfg, sols, N)
     if tuple(state0.modes) != tuple(modes):
         raise ValueError("initial state modes must match the truncation 1..N (0..N for Neumann)")
     d = 2 * len(modes)
@@ -251,7 +252,7 @@ def simulate_coupled_modal(
         s[k + 1] = prop @ s[k]
     a = s.reshape(nsteps + 1, len(modes), 2)
     u = s @ Krow[0]
-    pw2 = np.array([projection_weight(cfg.boundary, n) ** 2 for n in modes])
+    pw2 = projection_weight(cfg.boundary, modes) ** 2
     qblocks = _blocks(*weight_arrays(family, modes)) * pw2[:, None, None]
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * u**2
     cost = running_quadrature(integrand, dt)
@@ -407,7 +408,7 @@ def simulate_fd(
     )
 
 
-def predicted_cost(state0: ModalState, sols: list[ModalRiccati]) -> CostPrediction:
+def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:
     """Optimal cost predicted by the Riccati solution, in both frames.
 
     per_mode sums a_n' P^n a_n directly (the frame in which the modal AREs
@@ -419,7 +420,7 @@ def predicted_cost(state0: ModalState, sols: list[ModalRiccati]) -> CostPredicti
     P = _blocks(p11, p12, p22)
     a = state0.a
     quad_form = (a[:, None, :] @ P @ a[:, :, None])[:, 0, 0]
-    pw2 = np.array([projection_weight(state0.boundary, n) ** 2 for n in state0.modes])
+    pw2 = projection_weight(state0.boundary, state0.modes) ** 2
     # running sums in mode order from 0.0, so the result does not depend
     # on how numpy groups a sum
     per_mode = np.cumsum(np.append(0.0, quad_form))[-1]
@@ -427,11 +428,9 @@ def predicted_cost(state0: ModalState, sols: list[ModalRiccati]) -> CostPredicti
     return CostPrediction(per_mode=float(per_mode), field=float(fieldv))
 
 
-def decay_horizon(cfg: WaveConfig, sols: list[ModalRiccati], rel_tol: float = 1e-8) -> float:
+def decay_horizon(cfg: WaveConfig, sols: ModalTable, rel_tol: float = 1e-8) -> float:
     """Horizon after which the closed-loop cost tail is below rel_tol."""
-    n, _, p12, p22 = solution_columns(sols)
-    k1, k2 = gain_arrays(cfg, n, p12, p22)
-    ev, _ = closed_loop_spectrum(cfg, n, k1, k2)
+    ev, _ = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
     absc = ev.real.max()
     if absc >= 0:
         raise ValueError("closed loop is not exponentially stable: no finite horizon")

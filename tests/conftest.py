@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wavelqr.model import Boundary, WaveConfig
+from wavelqr.model import Boundary, ModalWeight, WaveConfig
+from wavelqr.riccati import ModalTable, modal_table
 
 
 @pytest.fixture
@@ -29,3 +30,8 @@ def sweep_configs():
                     for r in (2.5, 4.5, 6.5):
                         out.append((alpha, beta, R, q, r))
     return out
+
+
+def one_mode(cfg: WaveConfig, w: ModalWeight) -> ModalTable:
+    """The one-row table of a single modal weight."""
+    return modal_table(cfg, [w.n], [w.q11], [w.q12], [w.q22])

@@ -30,11 +30,10 @@ from wavelqr.model import (
 from wavelqr.quad import simpson_weights
 from wavelqr.riccati import (
     _closed_form_arrays,
-    _residual_arrays,
     input_gain_sq,
-    modal_gain,
+    modal_table,
     oracle_solve_modes,
-    solve_closed_form,
+    residual_arrays,
     solve_family,
 )
 from wavelqr.sim import (
@@ -48,7 +47,13 @@ from wavelqr.sim import (
     simulate_decoupled,
     simulate_fd,
 )
-from wavelqr.spectrum import Stability, closed_loop_eigs, coupled_spectrum, open_loop_eigs
+from wavelqr.spectrum import (
+    Stability,
+    classify,
+    closed_loop_spectrum,
+    coupled_spectrum,
+    open_loop_spectrum,
+)
 
 
 def report(num, ok, detail):
@@ -77,7 +82,7 @@ def test_criterion_1_closed_form_residuals_and_psd():
             amp = power_amplitudes(ns, q, r)
             c = input_gain_sq(cfg, ns)
             p11, p12, p22 = _closed_form_arrays(w2, c, alpha, amp, amp, 0.0)
-            res = _residual_arrays(w2, c, alpha, amp, amp, 0.0, p11, p12, p22)
+            res = residual_arrays(w2, c, alpha, amp, amp, 0.0, p11, p12, p22)
             scale = 1.0 + amp + np.maximum.reduce([np.abs(p11), np.abs(p12), np.abs(p22)]) ** 2
             worst_res = max(worst_res, float(np.max(np.abs(np.stack(res)) / scale)))
             min_eig = 0.5 * (p11 + p22) - np.sqrt(0.25 * (p11 - p22) ** 2 + p12**2)
@@ -120,35 +125,34 @@ def test_criterion_3_closed_loop_consistency():
     stable_ok = True
     for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
         lo = 1 if boundary == Boundary.DIRICHLET else 0
+        n = np.array(sorted({lo, 1, 2, 7, 50, 200}))
         for alpha, beta, R, q, r in sweep_configs()[::3]:
             cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
-            for n in {lo, 1, 2, 7, 50, 200}:
-                amp = q if n == 0 else q / float(n) ** r
-                sol = solve_closed_form(cfg, ModalWeight(n, amp, 0.0, amp))
-                pair = closed_loop_eigs(cfg, sol)
-                c = float(input_gain_sq(cfg, n))
-                tr = -(alpha + c * sol.p22)
-                det = (n * np.pi) ** 2 + c * sol.p12
-                s = pair.mu_plus + pair.mu_minus
-                p = pair.mu_plus * pair.mu_minus
-                worst_id = max(
-                    worst_id,
-                    abs(s.real - tr) / max(1.0, abs(tr)),
-                    abs(s.imag) / max(1.0, abs(tr)),
-                    abs(p.real - det) / max(1.0, abs(det)),
-                    abs(p.imag) / max(1.0, abs(det)),
-                )
-                # Q positive definite or damped plant implies strict stability
-                if amp > 0 or alpha > 0:
-                    stable_ok = stable_ok and max(pair.mu_plus.real, pair.mu_minus.real) < 0
-                if tr * tr - 4 * det < 0:
-                    worst_conj = max(worst_conj, abs(pair.mu_minus - pair.mu_plus.conjugate()))
-    marginal = closed_loop_eigs(
-        WaveConfig(Boundary.DIRICHLET, alpha=0.0),
-        solve_closed_form(WaveConfig(Boundary.DIRICHLET, alpha=0.0),
-                          ModalWeight(3, 0.0, 0.0, 0.0)),
-    )
-    marginal_ok = marginal.stability is Stability.MARGINAL
+            amp = np.array([q if m == 0 else q / float(m) ** r for m in n])
+            t = modal_table(cfg, n, amp, np.zeros(len(n)), amp)
+            mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+            mu_plus, mu_minus = mu[:, 0], mu[:, 1]
+            c = input_gain_sq(cfg, n)
+            tr = -(alpha + c * t.p22)
+            det = (n * np.pi) ** 2 + c * t.p12
+            s = mu_plus + mu_minus
+            p = mu_plus * mu_minus
+            worst_id = max(
+                worst_id,
+                *(np.abs(s.real - tr) / np.maximum(1.0, np.abs(tr))),
+                *(np.abs(s.imag) / np.maximum(1.0, np.abs(tr))),
+                *(np.abs(p.real - det) / np.maximum(1.0, np.abs(det))),
+                *(np.abs(p.imag) / np.maximum(1.0, np.abs(det))),
+            )
+            # Q positive definite or damped plant implies strict stability
+            driven = (amp > 0) | (alpha > 0)
+            stable_ok = stable_ok and bool(np.all(mu.real.max(axis=1)[driven] < 0))
+            conj = tr * tr - 4 * det < 0
+            worst_conj = max(worst_conj, *np.abs(mu_minus - mu_plus.conjugate())[conj], 0.0)
+    cfg0 = WaveConfig(Boundary.DIRICHLET, alpha=0.0)
+    t0 = modal_table(cfg0, [3], [0.0], [0.0], [0.0])
+    marginal, _ = closed_loop_spectrum(cfg0, t0.n, t0.k1, t0.k2)
+    marginal_ok = classify(marginal[0].real.max()) is Stability.MARGINAL
     ok = worst_id <= 1e-10 and stable_ok and marginal_ok and worst_conj <= 1e-12
     report(3, ok, f"identity dev {worst_id:.2e}, conjugacy dev {worst_conj:.2e}, "
                   f"strict stability {stable_ok}, marginal classified {marginal_ok}")
@@ -161,14 +165,9 @@ def test_criterion_3_closed_loop_consistency():
 def component_sequences(boundary, q, r_exp):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
     ns = np.arange(50, 501)
-    p12, p22, p11 = [], [], []
-    for n in ns:
-        amp = q / float(n) ** r_exp
-        s = solve_closed_form(cfg, ModalWeight(int(n), amp, 0.0, amp))
-        p12.append(s.p12)
-        p22.append(s.p22)
-        p11.append(s.p11)
-    return ns, np.array(p12), np.array(p22), np.array(p11)
+    amp = np.array([q / float(n) ** r_exp for n in ns])
+    t = modal_table(cfg, ns, amp, np.zeros(len(ns)), amp)
+    return ns, t.p12, t.p22, t.p11
 
 
 def test_criterion_4_decay_exponents_and_thresholds():
@@ -242,14 +241,15 @@ def test_criterion_5_lqr_value_identity():
             cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
             for n in (1, 2, 5, 20):
                 w = ModalWeight(n, 1.0, 0.0, 1.0)
-                sol = solve_closed_form(cfg, w)
+                sol = modal_table(cfg, [n], [1.0], [0.0], [1.0])
                 fam = ExplicitWeights({n: w}, cutoff=n)
                 st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
-                T = decay_horizon(cfg, [sol], 1e-8)
-                mu_mag = max(abs(closed_loop_eigs(cfg, sol).mu_plus), 1.0)
+                T = decay_horizon(cfg, sol, 1e-8)
+                mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+                mu_mag = max(abs(mu[0, 0]), 1.0)
                 dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-                res = simulate_decoupled(cfg, fam, [sol], st, T, dt)
-                pred = predicted_cost(st, [sol]).per_mode
+                res = simulate_decoupled(cfg, fam, sol, st, T, dt)
+                pred = predicted_cost(st, sol).per_mode
                 worst = max(worst, abs(res.total_cost - pred) / pred)
     ok = worst <= 1e-3
     report(5, ok, f"max cost deviation {worst:.2e} (tolerance 1e-3)")
@@ -272,14 +272,14 @@ def test_criterion_6_pde_residual_structure():
         {1: ModalWeight(1, 1.0, 0.0, 1.0), 3: ModalWeight(3, 0.5, 0.0, 0.5)}, cutoff=3
     )
     sols = solve_family(cfg, fam, 3)
-    by_n = {s.n: s for s in sols}
+    p12 = dict(zip(sols.n.tolist(), sols.p12))
     fields = pde_residual(cfg, sols, fam, grid)
     expect = np.zeros((201, 201))
     for m in (1, 3):
         for n in (1, 3):
             if m != n:
                 expect -= (
-                    cfg.gamma_sq * m * n * np.pi**2 * by_n[m].p12 * by_n[n].p12
+                    cfg.gamma_sq * m * n * np.pi**2 * p12[m] * p12[n]
                     * np.outer(np.sin(m * np.pi * grid), np.sin(n * np.pi * grid))
                 )
     cross_dev = float(np.max(np.abs(fields.r11 - expect)))
@@ -304,18 +304,17 @@ def test_criterion_7_cross_simulator_agreement():
 
     fam = PowerLawWeights(1.0, 5.0, cutoff=N)
     sols = solve_family(cfg, fam, N)
-    gains = [modal_gain(cfg, s) for s in sols]
     prof = assemble_K(sols, cfg, x)
     rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
     t_end = rf.times[-1]
     st0 = project_initial(z1, z2, N, cfg.boundary)
-    rm = simulate_coupled_modal(cfg, fam, gains, st0, N, t_end, t_end / 2500)
+    rm = simulate_coupled_modal(cfg, fam, sols, st0, N, t_end, t_end / 2500)
 
     # the gain kernel is band limited, so the first N mode coefficients of
     # the PDE close exactly onto the coupled truncation; compare there
     wq = simpson_weights(M + 1, 1.0 / M)
     phi = basis_matrix(cfg.boundary, st0.modes, x)
-    pw = np.array([projection_weight(cfg.boundary, n) for n in st0.modes])
+    pw = projection_weight(cfg.boundary, st0.modes)
     a_fd = np.stack(
         [(phi @ (wq * rf.states[-1][:, 0])) / pw, (phi @ (wq * rf.states[-1][:, 1])) / pw],
         axis=1,
@@ -350,14 +349,11 @@ def test_criterion_8_block_triangular_coupled_spectrum():
     for boundary, k in ((Boundary.DIRICHLET, 3), (Boundary.NEUMANN, 2)):
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N = 8
-        sol = solve_closed_form(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
-        ev, _ = coupled_spectrum(cfg, [modal_gain(cfg, sol)], N)
-        pair = closed_loop_eigs(cfg, sol)
-        expect = [pair.mu_plus, pair.mu_minus]
-        for n in mode_range(cfg.boundary, N):
-            if n != k:
-                expect.extend(open_loop_eigs(cfg, n))
-        expect = np.asarray(expect, dtype=complex)
+        sol = modal_table(cfg, [k], [1.0], [0.0], [1.0])
+        ev, _ = coupled_spectrum(cfg, sol, N)
+        mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+        others = [n for n in mode_range(cfg.boundary, N) if n != k]
+        expect = np.concatenate([mu[0], open_loop_spectrum(cfg, others).ravel()])
         cost = np.abs(np.asarray(ev)[:, None] - expect[None, :])
         rows, cols = linear_sum_assignment(cost)
         worst = max(worst, float(cost[rows, cols].max()))

@@ -134,6 +134,48 @@ class TestConfigParsing:
         cfg = write_config(tmp_path, doc)
         assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("path", [
+        ("alpha",), ("beta",), ("R",), ("weights", "q"), ("weights", "r"),
+        ("weights", "entries", 0, "Q11"), ("sim", "T"), ("sim", "dt"),
+    ], ids=["alpha", "beta", "R", "weights.q", "weights.r", "entry_Q11", "sim.T", "sim.dt"])
+    def test_non_finite_number_is_config_error(self, tmp_path, capsys, path, literal):
+        """json accepts NaN, Infinity and -Infinity, and reads 1e999 as inf."""
+        doc = base_config()
+        if "entries" in path:
+            doc["weights"] = {"type": "list", "entries": [{"n": 1, "Q11": 1.0, "Q22": 1.0}]}
+        *parents, key = path
+        target = doc
+        for p in parents:
+            target = target[p]
+        target[key] = "VALUE"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc).replace('"VALUE"', literal))
+        for command in ("synth", "verify", "kernels"):
+            assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+            assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("boundary,entries", [
+        ("dirichlet", [{"n": 0, "Q11": 1.0, "Q22": 1.0}]),
+        ("neumann", [{"n": -2, "Q11": 1.0, "Q22": 1.0}]),
+        ("neumann", [{"n": 2, "Q11": 1.0, "Q22": 1.0}, {"n": 2, "Q11": 3.0, "Q22": 1.0}]),
+    ], ids=["dirichlet-n0", "negative-n", "duplicate-n"])
+    def test_inapplicable_weight_entry_is_config_error(self, tmp_path, capsys, boundary, entries):
+        doc = base_config(boundary=boundary, weights={"type": "list", "entries": entries})
+        with pytest.raises(ConfigError):
+            parse_config(doc)
+        cfg = write_config(tmp_path, doc)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_weight_entry_above_cutoff_is_kept(self, tmp_path):
+        # README documents entries above N as legal: they weigh nothing
+        entries = [{"n": 1, "Q11": 1.0, "Q22": 1.0}, {"n": 40, "Q11": 1.0, "Q22": 1.0}]
+        doc = base_config(weights={"type": "list", "entries": entries})
+        assert sorted(parse_config(doc).family.entries) == [1, 40]
+        cfg = write_config(tmp_path, doc)
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
     def test_integral_floats_accepted(self):
         doc = base_config(
             N=12.0, grid_points=101.0, seed=3.0,
@@ -159,10 +201,10 @@ class TestConfigParsing:
                      "entries": [{"n": 1, "Q11": 1.0, "Q12": 0.1, "Q22": 2.0}]}
         )
         rc = parse_config(doc)
-        from wavelqr.model import weight_of
+        from wavelqr.model import weight_arrays
 
-        w = weight_of(rc.family, 1, rc.wave.boundary)
-        assert (w.q11, w.q12, w.q22) == (1.0, 0.1, 2.0)
+        q11, q12, q22 = weight_arrays(rc.family, [1])
+        assert (q11[0], q12[0], q22[0]) == (1.0, 0.1, 2.0)
 
     def test_malformed_json_file(self, tmp_path):
         path = tmp_path / "bad.json"

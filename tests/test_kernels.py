@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import one_mode
 from wavelqr.kernels import (
     QUAD_WARNING,
     assemble_K,
@@ -20,19 +23,29 @@ from wavelqr.model import (
     PowerLawWeights,
     WaveConfig,
     mode_range,
-    weight_of,
+    projection_weight,
+    weight_arrays,
 )
 from wavelqr.quad import simpson_weights
-from wavelqr.riccati import ModalRiccati, modal_gain, solve_closed_form, solve_family
+from wavelqr.riccati import modal_table, solve_family
 
 
-def unit_solution(n):
-    return ModalRiccati(n, 1.0, 1.0, 1.0, (0.0, 0.0, 0.0, 0.0))
+def zero_table(cfg, n):
+    """The solutions of zero weights at the modes n: P and K all zero."""
+    k = len(n)
+    return modal_table(cfg, n, np.zeros(k), np.zeros(k), np.zeros(k))
+
+
+def family_table(cfg, family, n):
+    """Closed-form table of the modes n under a weight family."""
+    return modal_table(cfg, n, *weight_arrays(family, n))
 
 
 class TestAssembleP:
     def test_single_mode_midpoint_identity(self, dirichlet_cfg):
-        kf = assemble_P([unit_solution(1)], np.array([0.5]), Boundary.DIRICHLET)
+        ones = np.ones(1)
+        unit = replace(zero_table(dirichlet_cfg, [1]), p11=ones, p12=ones, p22=ones)
+        kf = assemble_P(unit, np.array([0.5]), Boundary.DIRICHLET)
         np.testing.assert_allclose(kf.values[0, 0], np.ones((2, 2)), rtol=1e-15)
 
     def test_symmetry_at_random_pairs(self, rng, dirichlet_cfg):
@@ -61,16 +74,14 @@ class TestAssembleP:
         grid = np.array([0.0, h, 2 * h, 1.0 - 2 * h, 1.0 - h, 1.0])
         kf = assemble_P(sols, grid, Boundary.NEUMANN)
         # curvature bound of the truncated series scales the O(h^2) slope
-        curv = sum(
-            np.abs(s.matrix).max() * (s.n * np.pi) ** 2 for s in sols
-        )
+        curv = np.sum(np.abs(sols.matrices).max(axis=(1, 2)) * (sols.n * np.pi) ** 2)
         left = np.abs(kf.values[1] - kf.values[0]).max() / h
         right = np.abs(kf.values[-1] - kf.values[-2]).max() / h
         assert left <= 0.6 * curv * h
         assert right <= 0.6 * curv * h
 
     def test_empty_solutions(self, dirichlet_cfg):
-        kf = assemble_P([], np.linspace(0, 1, 5), Boundary.DIRICHLET)
+        kf = assemble_P(zero_table(dirichlet_cfg, []), np.linspace(0, 1, 5), Boundary.DIRICHLET)
         assert kf.values.shape == (5, 5, 2, 2) and np.all(kf.values == 0.0)
 
     def test_cauchy_tail_regression_p11(self, dirichlet_cfg):
@@ -84,10 +95,7 @@ class TestAssembleP:
 
         def tail_sup(n1, n2):
             fam = PowerLawWeights(1.0, 5.0, cutoff=n2)
-            sols = [
-                solve_closed_form(dirichlet_cfg, weight_of(fam, n, Boundary.DIRICHLET))
-                for n in range(n1 + 1, n2 + 1)
-            ]
+            sols = family_table(dirichlet_cfg, fam, np.arange(n1 + 1, n2 + 1))
             return float(np.abs(assemble_P(sols, grid, Boundary.DIRICHLET).component(0, 0)).max())
 
         d1 = tail_sup(128, 256)
@@ -120,8 +128,6 @@ class TestSeriesAssemblyAgainstEinsum:
         kf = assemble_P(sols, grid, boundary)
         phi = basis_matrix(boundary, sols.n, grid)
         assert_matches_reference(kf.values, einsum_series(sols.matrices, phi, phi))
-        # a sequence of ModalRiccati rows assembles the same numbers as the table
-        assert np.array_equal(assemble_P(list(sols), grid, boundary).values, kf.values)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_assemble_P_rectangular(self, rng, boundary):
@@ -145,23 +151,25 @@ class TestSeriesAssemblyAgainstEinsum:
         grid = np.linspace(0.0, 1.0, points)
         kq = assemble_Q(family, grid, boundary, N)
         modes = list(mode_range(boundary, N))
-        coeff = np.array([weight_of(family, n, boundary).matrix for n in modes])
+        q11, q12, q22 = weight_arrays(family, modes)
+        coeff = np.stack([[q11, q12], [q12, q22]]).transpose(2, 0, 1)
         phi = basis_matrix(boundary, modes, grid)
         assert_matches_reference(kq.values, einsum_series(coeff, phi, phi))
 
 
 class TestAssembleK:
     def test_zero_solutions_zero_profile(self, dirichlet_cfg):
-        sols = [ModalRiccati(n, 0.0, 0.0, 0.0, (0.0,) * 4) for n in range(1, 5)]
+        sols = zero_table(dirichlet_cfg, range(1, 5))
         prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 11))
         assert np.all(prof.values == 0.0)
 
     def test_single_dirichlet_mode_shape(self, dirichlet_cfg):
         n = 3
-        sol = solve_closed_form(dirichlet_cfg, ModalWeight(n, 1.0, 0.0, 1.0))
+        sol = one_mode(dirichlet_cfg, ModalWeight(n, 1.0, 0.0, 1.0))
         grid = np.linspace(0.0, 1.0, 41)
-        prof = assemble_K([sol], dirichlet_cfg, grid)
-        coef = -(dirichlet_cfg.beta / dirichlet_cfg.R) * n * np.pi * np.array([sol.p12, sol.p22])
+        prof = assemble_K(sol, dirichlet_cfg, grid)
+        scale = -(dirichlet_cfg.beta / dirichlet_cfg.R) * n * np.pi
+        coef = scale * np.array([sol.p12[0], sol.p22[0]])
         expect = np.outer(np.sin(n * np.pi * grid), coef)
         np.testing.assert_allclose(prof.values, expect, atol=1e-14)
 
@@ -198,9 +206,9 @@ class TestAssembleK:
         np.testing.assert_allclose(prof.values, expect, rtol=0, atol=1e-13)
 
     def test_neumann_single_mode_sign_flip_at_origin(self, neumann_cfg):
-        sol = solve_closed_form(neumann_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        prof = assemble_K([sol], neumann_cfg, np.array([0.0]))
-        expect = +(neumann_cfg.beta / neumann_cfg.R) * np.array([sol.p12, sol.p22])
+        sol = one_mode(neumann_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
+        prof = assemble_K(sol, neumann_cfg, np.array([0.0]))
+        expect = +(neumann_cfg.beta / neumann_cfg.R) * np.array([sol.p12[0], sol.p22[0]])
         np.testing.assert_allclose(prof.values[0], expect, rtol=1e-14)
 
 
@@ -251,7 +259,7 @@ class TestPdeResidual:
             cutoff=3,
         )
         sols = solve_family(dirichlet_cfg, fam, 3)
-        by_n = {s.n: s for s in sols}
+        p12 = dict(zip(sols.n.tolist(), sols.p12))
         grid = np.linspace(0.0, 1.0, 201)
         fields = pde_residual(dirichlet_cfg, sols, fam, grid)
         g2 = dirichlet_cfg.gamma_sq
@@ -261,7 +269,7 @@ class TestPdeResidual:
                 if m == n:
                     continue
                 expect -= (
-                    g2 * m * n * np.pi**2 * by_n[m].p12 * by_n[n].p12
+                    g2 * m * n * np.pi**2 * p12[m] * p12[n]
                     * np.outer(np.sin(m * np.pi * grid), np.sin(n * np.pi * grid))
                 )
         np.testing.assert_allclose(fields.r11, expect, atol=1e-10)
@@ -272,21 +280,18 @@ class TestPdeResidual:
         modes, mats = residual_coefficient_matrices(neumann_cfg, sols, fam)
         for m, key in zip(mats, range(4)):
             np.testing.assert_allclose(
-                np.diag(m), [s.residuals[key] for s in sols], atol=1e-14
+                np.diag(m), sols.residuals[:, key], atol=1e-14
             )
 
     def test_diagonal_extraction_by_quadrature(self, dirichlet_cfg):
-        from wavelqr.model import projection_weight
-
         fam = PowerLawWeights(1.0, 5.0, cutoff=12)
         sols = solve_family(dirichlet_cfg, fam, 12)
         npts = 1001
         grid = np.linspace(0.0, 1.0, npts)
         fields = pde_residual(dirichlet_cfg, sols, fam, grid)
         wq = simpson_weights(npts, grid[1] - grid[0])
-        modes = [s.n for s in sols]
-        phi = basis_matrix(Boundary.DIRICHLET, modes, grid)
-        pw = np.array([projection_weight(Boundary.DIRICHLET, n) for n in modes])
+        phi = basis_matrix(Boundary.DIRICHLET, sols.n, grid)
+        pw = projection_weight(Boundary.DIRICHLET, sols.n)
         proj = (phi * wq) / pw[:, None]
         for f in (fields.r11, fields.r12, fields.r21, fields.r22):
             coeffs = proj @ f @ proj.T
@@ -294,9 +299,9 @@ class TestPdeResidual:
 
     def test_duplicate_modes_rejected(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0, cutoff=2)
-        sol = solve_closed_form(dirichlet_cfg, weight_of(fam, 1, Boundary.DIRICHLET))
+        sol = family_table(dirichlet_cfg, fam, [1])
         with pytest.raises(ValueError, match="more than once"):
-            pde_residual(dirichlet_cfg, [sol, sol], fam, np.linspace(0, 1, 11))
+            pde_residual(dirichlet_cfg, sol[[0, 0]], fam, np.linspace(0, 1, 11))
 
 
 class TestDecayFit:
@@ -317,13 +322,8 @@ class TestDecayFit:
     def test_dirichlet_r5_component_exponents(self, dirichlet_cfg):
         r = 5
         ns = np.arange(50, 501)
-        p12, p22, p11 = [], [], []
-        for n in ns:
-            amp = 1.0 / float(n) ** r
-            s = solve_closed_form(dirichlet_cfg, ModalWeight(int(n), amp, 0.0, amp))
-            p12.append(s.p12)
-            p22.append(s.p22)
-            p11.append(s.p11)
+        t = family_table(dirichlet_cfg, PowerLawWeights(1.0, r, cutoff=500), ns)
+        p12, p22, p11 = t.p12, t.p22, t.p11
         # P12 ~ q / (2 pi^2 n^(r+2)): derivation in test_criterion_4 (test_acceptance.py)
         assert abs(decay_fit(ns, p12) - (-(r + 2))) < 0.1
         assert abs(decay_fit(ns, p22) - (-3.5)) < 0.1
@@ -333,13 +333,8 @@ class TestDecayFit:
         # P22 and P11 follow the -r/2 and 2-r/2 rates
         r = 7
         ns = np.arange(50, 501)
-        p12, p22, p11 = [], [], []
-        for n in ns:
-            amp = 1.0 / float(n) ** r
-            s = solve_closed_form(neumann_cfg, ModalWeight(int(n), amp, 0.0, amp))
-            p12.append(s.p12)
-            p22.append(s.p22)
-            p11.append(s.p11)
+        t = family_table(neumann_cfg, PowerLawWeights(1.0, r, cutoff=500), ns)
+        p12, p22, p11 = t.p12, t.p22, t.p11
         assert abs(decay_fit(ns, p22) - (-3.5)) < 0.1
         assert abs(decay_fit(ns, p11) - (-1.5)) < 0.1
         # P12 ~ q / (2 pi^2 n^(r+2)): derivation in test_criterion_4 (test_acceptance.py)

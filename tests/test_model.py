@@ -17,7 +17,6 @@ from wavelqr.model import (
     wave_config_from_dict,
     weight_arrays,
     weight_family_from_dict,
-    weight_of,
 )
 
 
@@ -56,6 +55,22 @@ class TestModeValidation:
     def test_neumann_accepts_zero(self):
         assert validate_mode(Boundary.NEUMANN, 0) == 0
 
+    @pytest.mark.parametrize("boundary,bad", [
+        (Boundary.DIRICHLET, [3, 0, 5]), (Boundary.NEUMANN, [0, 2, -1]),
+    ])
+    def test_arrays_checked_whole(self, boundary, bad):
+        np.testing.assert_array_equal(validate_mode(boundary, [1, 2, 7]), [1, 2, 7])
+        with pytest.raises(InvalidModeError):
+            validate_mode(boundary, bad)
+        with pytest.raises(InvalidModeError):
+            projection_weight(boundary, bad)
+        with pytest.raises(InvalidModeError):
+            gain_expansion_sign(boundary, bad)
+        with pytest.raises(InvalidModeError):
+            modal_matrices(WaveConfig(boundary), bad)
+        with pytest.raises(InvalidModeError):
+            true_modal_input(WaveConfig(boundary), bad)
+
     def test_mode_ranges(self):
         assert list(mode_range(Boundary.DIRICHLET, 3)) == [1, 2, 3]
         assert list(mode_range(Boundary.NEUMANN, 3)) == [0, 1, 2, 3]
@@ -89,6 +104,16 @@ class TestModalMatrices:
         F2, G2 = modal_matrices(dirichlet_cfg, 7)
         assert np.array_equal(F1, F2) and np.array_equal(G1, G2)
 
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_stacked_equals_one_mode_at_a_time(self, boundary):
+        cfg = WaveConfig(boundary, alpha=0.3, beta=1.7)
+        n = np.array(mode_range(boundary, 9))
+        F, G = modal_matrices(cfg, n)
+        assert F.shape == (len(n), 2, 2) and G.shape == (len(n), 2)
+        for i, m in enumerate(n):
+            Fm, Gm = modal_matrices(cfg, m)
+            assert np.array_equal(F[i], Fm) and np.array_equal(G[i], Gm)
+
 
 class TestWeights:
     def test_psd_enforced(self):
@@ -99,26 +124,25 @@ class TestWeights:
 
     def test_power_law_example_dirichlet(self):
         fam = PowerLawWeights(q=1.0, r=5.0, cutoff=64)
-        w = weight_of(fam, 2, Boundary.DIRICHLET)
-        assert w.q11 == w.q22 == 1.0 / 32.0 and w.q12 == 0.0
+        q11, q12, q22 = weight_arrays(fam, [2])
+        assert q11[0] == q22[0] == 1.0 / 32.0 and q12[0] == 0.0
 
     def test_power_law_example_neumann_mean_mode(self):
         fam = PowerLawWeights(q=3.0, r=2.0, cutoff=64)
-        w = weight_of(fam, 0, Boundary.NEUMANN)
-        assert w.q11 == w.q22 == 3.0
+        q11, _, q22 = weight_arrays(fam, [0])
+        assert q11[0] == q22[0] == 3.0
 
     def test_beyond_cutoff_is_zero(self):
         fam = PowerLawWeights(q=1.0, r=5.0, cutoff=8)
-        assert weight_of(fam, 9, Boundary.DIRICHLET).is_zero
+        assert not np.any(weight_arrays(fam, [9]))
         exp = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}, cutoff=4)
-        assert weight_of(exp, 5, Boundary.DIRICHLET).is_zero
-        assert weight_of(exp, 2, Boundary.DIRICHLET).is_zero
+        assert not np.any(weight_arrays(exp, [5]))
+        assert not np.any(weight_arrays(exp, [2]))
 
     def test_generated_weights_are_psd(self):
         fam = PowerLawWeights(q=2.5, r=3.0, cutoff=100)
-        for n in mode_range(Boundary.NEUMANN, 100):
-            w = weight_of(fam, n, Boundary.NEUMANN)
-            assert w.q11 >= 0 and w.q22 >= 0 and w.q11 * w.q22 - w.q12**2 >= 0
+        q11, q12, q22 = weight_arrays(fam, mode_range(Boundary.NEUMANN, 100))
+        assert np.all(q11 >= 0) and np.all(q22 >= 0) and np.all(q11 * q22 - q12**2 >= 0)
 
     @pytest.mark.parametrize("q,r", [(1.0, 5.0), (0.3, 2.5), (2.0, 6.5)])
     def test_weight_arrays_match_scalar_power_bitwise(self, q, r):
@@ -237,16 +261,19 @@ class TestConfigParsing:
             wave_config_from_dict({"boundary": "robin"})
 
     def test_power_family_from_dict(self):
-        fam = weight_family_from_dict({"type": "power", "q": 2.0, "r": 3.0}, cutoff=32)
+        fam = weight_family_from_dict(
+            {"type": "power", "q": 2.0, "r": 3.0}, cutoff=32, boundary=Boundary.DIRICHLET
+        )
         assert isinstance(fam, PowerLawWeights) and fam.cutoff == 32
 
     def test_list_family_from_dict(self):
         fam = weight_family_from_dict(
-            {"type": "list", "entries": [{"n": 1, "Q11": 1.0, "Q22": 2.0}]}, cutoff=8
+            {"type": "list", "entries": [{"n": 1, "Q11": 1.0, "Q22": 2.0}]}, cutoff=8,
+            boundary=Boundary.DIRICHLET,
         )
-        w = weight_of(fam, 1, Boundary.DIRICHLET)
-        assert (w.q11, w.q12, w.q22) == (1.0, 0.0, 2.0)
+        q11, q12, q22 = weight_arrays(fam, [1])
+        assert (q11[0], q12[0], q22[0]) == (1.0, 0.0, 2.0)
 
     def test_unknown_family_type(self):
         with pytest.raises(ValueError, match="power"):
-            weight_family_from_dict({"type": "diag"}, cutoff=8)
+            weight_family_from_dict({"type": "diag"}, cutoff=8, boundary=Boundary.NEUMANN)

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sweep_configs
+from conftest import one_mode, sweep_configs
 from wavelqr.model import (
     Boundary,
     ExplicitWeights,
@@ -11,24 +13,24 @@ from wavelqr.model import (
     ModalWeight,
     PowerLawWeights,
     WaveConfig,
+    frequency_sq,
     modal_matrices,
     mode_range,
     projection_weight,
-    weight_of,
+    weight_arrays,
 )
 from wavelqr.riccati import (
+    ModalTable,
     OracleError,
     _newton_kleinman,
     are_oracle,
     coupled_truncated_are,
+    gain_arrays,
     input_gain_sq,
-    modal_gain,
     modal_table,
-    negative_root_solution,
+    negative_root_matrices,
     oracle_solve_modes,
-    residual_scale,
-    residuals,
-    solve_closed_form,
+    residual_arrays,
     solve_family,
 )
 
@@ -40,58 +42,69 @@ P12_REF = 0.04943850874757677
 P22_REF = 0.33367577090638584
 
 
+def row_scale(t: ModalTable) -> np.ndarray:
+    """1 + |Q| + |P|^2 per row, the scale of the relative residual bounds."""
+    qmax = np.abs(np.stack([t.q11, t.q12, t.q22])).max(axis=0)
+    return 1.0 + qmax + np.abs(t.matrices).max(axis=(1, 2)) ** 2
+
+
+def residuals(cfg, w: ModalWeight, P) -> tuple:
+    """The four modal ARE components at an arbitrary 2x2 P; P21 is P[1, 0]."""
+    return residual_arrays(
+        frequency_sq(w.n), input_gain_sq(cfg, w.n), cfg.alpha, w.q11, w.q22, w.q12,
+        P[0, 0], P[0, 1], P[1, 1], p21=P[1, 0],
+    )
+
+
 class TestClosedForm:
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
     def test_zero_weight_gives_zero(self, boundary, alpha):
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.3, R=0.7)
-        sol = solve_closed_form(cfg, ModalWeight(2, 0.0, 0.0, 0.0))
-        assert (sol.p11, sol.p12, sol.p22) == (0.0, 0.0, 0.0)
-        assert sol.residuals == (0.0, 0.0, 0.0, 0.0)
+        t = one_mode(cfg, ModalWeight(2, 0.0, 0.0, 0.0))
+        assert (t.p11[0], t.p12[0], t.p22[0]) == (0.0, 0.0, 0.0)
+        assert t.residuals[0].tolist() == [0.0, 0.0, 0.0, 0.0]
 
     def test_dirichlet_p12_symbolic_form(self, dirichlet_cfg):
         # beta = R = 1, alpha = 0: P12 = -1 + sqrt(1 + Q11 / (n pi)^2)
-        for n, q11 in [(1, 1.0), (3, 0.25), (10, 7.0)]:
-            sol = solve_closed_form(dirichlet_cfg, ModalWeight(n, q11, 0.0, 0.5))
-            expect = -1.0 + np.sqrt(1.0 + q11 / (n * np.pi) ** 2)
-            np.testing.assert_allclose(sol.p12, expect, rtol=1e-13)
+        n = np.array([1, 3, 10])
+        q11 = np.array([1.0, 0.25, 7.0])
+        t = modal_table(dirichlet_cfg, n, q11, np.zeros(3), np.full(3, 0.5))
+        expect = -1.0 + np.sqrt(1.0 + q11 / (n * np.pi) ** 2)
+        np.testing.assert_allclose(t.p12, expect, rtol=1e-13)
 
     def test_dirichlet_fundamental_reference(self, dirichlet_cfg):
-        sol = solve_closed_form(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        np.testing.assert_allclose(
-            [sol.p11, sol.p12, sol.p22], [P11_REF, P12_REF, P22_REF], rtol=1e-12
-        )
+        t = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
+        p = [t.p11[0], t.p12[0], t.p22[0]]
+        np.testing.assert_allclose(p, [P11_REF, P12_REF, P22_REF], rtol=1e-12)
         # the rounded values the derivation arrives at
         np.testing.assert_allclose(
-            [sol.p12, sol.p22, sol.p11], [0.049438, 0.333674, 3.4561], atol=5e-5
+            [t.p12[0], t.p22[0], t.p11[0]], [0.049438, 0.333674, 3.4561], atol=5e-5
         )
-        assert sol.max_residual <= 1e-10 * residual_scale(
-            ModalWeight(1, 1.0, 0.0, 1.0), sol.matrix
-        )
+        assert np.abs(t.residuals[0]).max() <= 1e-10 * row_scale(t)[0]
 
     def test_neumann_mean_mode_exact(self, neumann_cfg):
-        sol = solve_closed_form(neumann_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
-        np.testing.assert_allclose(sol.p12, 1.0, rtol=1e-15)
-        np.testing.assert_allclose(sol.p22, np.sqrt(3.0), rtol=1e-15)
-        np.testing.assert_allclose(sol.p11, np.sqrt(3.0), rtol=1e-15)
-        assert sol.max_residual <= 1e-15
+        t = one_mode(neumann_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
+        np.testing.assert_allclose(t.p12[0], 1.0, rtol=1e-15)
+        np.testing.assert_allclose(t.p22[0], np.sqrt(3.0), rtol=1e-15)
+        np.testing.assert_allclose(t.p11[0], np.sqrt(3.0), rtol=1e-15)
+        assert np.abs(t.residuals[0]).max() <= 1e-15
 
     def test_dirichlet_rejects_mode_zero(self, dirichlet_cfg):
         with pytest.raises(InvalidModeError):
-            solve_closed_form(dirichlet_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
+            one_mode(dirichlet_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
 
     def test_solution_psd_and_residuals_over_sweep(self):
         for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
             lo = 1 if boundary == Boundary.DIRICHLET else 0
+            n = np.array([lo, 1, 7, 200])
             for alpha, beta, R, q, r in sweep_configs()[::11]:
                 cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
-                for n in (lo, 1, 7, 200):
-                    amp = q if n == 0 else q / float(n) ** r
-                    w = ModalWeight(n, amp, 0.0, amp)
-                    sol = solve_closed_form(cfg, w)
-                    scale = residual_scale(w, sol.matrix)
-                    assert sol.max_residual <= 1e-10 * scale
-                    assert sol.min_eigenvalue >= -1e-12 * scale
+                amp = np.array([q if m == 0 else q / float(m) ** r for m in n])
+                t = modal_table(cfg, n, amp, np.zeros(4), amp)
+                scale = row_scale(t)
+                assert np.all(np.abs(t.residuals).max(axis=1) <= 1e-10 * scale)
+                assert np.all(t.min_eigenvalue >= -1e-12 * scale)
 
     def test_off_diagonal_weight(self, rng):
         # Q12 != 0 exercises the P11 shift; validated against the oracle
@@ -107,15 +120,15 @@ class TestClosedForm:
                 R=float(rng.uniform(0.3, 2.0)),
             )
             w = ModalWeight(n, q11, q12, q22)
-            sol = solve_closed_form(cfg, w)
+            t = one_mode(cfg, w)
             F, G = modal_matrices(cfg, n)
             P = are_oracle(F, G, w.matrix, np.array([[cfg.R]]))
             scale = 1.0 + np.max(np.abs(P))
-            np.testing.assert_allclose(sol.matrix, P, atol=1e-8 * scale)
+            np.testing.assert_allclose(t.matrices[0], P, atol=1e-8 * scale)
 
     def test_solve_family_modes(self, neumann_cfg):
         sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
-        assert [s.n for s in sols] == [0, 1, 2, 3, 4, 5]
+        assert sols.n.tolist() == [0, 1, 2, 3, 4, 5]
 
 
 def _log_uniform(lo, hi):
@@ -156,20 +169,26 @@ class TestModalTable:
     def test_views_and_slices(self, neumann_cfg):
         t = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
         assert len(t) == 6 and len(t[:3]) == 3 and list(t[1:].n) == [1, 2, 3, 4, 5]
-        assert t[-1] == list(t)[-1]
-        sol = solve_closed_form(neumann_cfg, ModalWeight(2, t.q11[2], t.q12[2], t.q22[2]))
-        assert t[2] == sol
-        np.testing.assert_array_equal(t.matrices[2], sol.matrix)
-        assert t.k1[2] == modal_gain(neumann_cfg, sol).k1
-        assert t.gains == [modal_gain(neumann_cfg, s) for s in t]
+        assert list(t[t.n % 2 == 0].n) == [0, 2, 4]
+        # a sub-table row holds what a one-row solve of the same weight gives
+        row = t[2:3]
+        one = modal_table(neumann_cfg, [2], row.q11, row.q12, row.q22)
+        for f in fields(ModalTable):
+            assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
+        np.testing.assert_array_equal(t.matrices[2], one.matrices[0])
+        k1, k2 = gain_arrays(neumann_cfg, t.n, t.p12, t.p22)
+        assert np.array_equal(t.k1, k1) and np.array_equal(t.k2, k2)
+        # a single row is read from the columns, not indexed out as an object
+        with pytest.raises(TypeError):
+            t[2]
 
 
 class TestResiduals:
     def test_solution_residuals_small(self, dirichlet_cfg):
         w = ModalWeight(3, 2.0, 0.3, 1.0)
-        sol = solve_closed_form(dirichlet_cfg, w)
-        r = residuals(dirichlet_cfg, w, sol.matrix)
-        assert max(abs(v) for v in r) <= 1e-10 * residual_scale(w, sol.matrix)
+        t = one_mode(dirichlet_cfg, w)
+        r = residuals(dirichlet_cfg, w, t.matrices[0])
+        assert max(abs(v) for v in r) <= 1e-10 * row_scale(t)[0]
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_zero_matrix_unit_weight(self, boundary):
@@ -179,14 +198,14 @@ class TestResiduals:
 
     def test_p12_perturbation_changes_r11_quadratically(self, dirichlet_cfg):
         w = ModalWeight(2, 1.0, 0.0, 1.0)
-        sol = solve_closed_form(dirichlet_cfg, w)
+        t = one_mode(dirichlet_cfg, w)
         n2pi2 = (2 * np.pi) ** 2
         g2 = dirichlet_cfg.gamma_sq
         for eps in (1e-3, -0.02, 0.5):
-            P = sol.matrix + np.array([[0.0, eps], [eps, 0.0]])
+            P = t.matrices[0] + np.array([[0.0, eps], [eps, 0.0]])
             r = residuals(dirichlet_cfg, w, P)
-            delta = r[0] - sol.residuals[0]
-            expect = -2 * n2pi2 * eps - n2pi2 * g2 * (2 * sol.p12 * eps + eps**2)
+            delta = r[0] - t.residuals[0, 0]
+            expect = -2 * n2pi2 * eps - n2pi2 * g2 * (2 * t.p12[0] * eps + eps**2)
             np.testing.assert_allclose(delta, expect, rtol=1e-9, atol=1e-12)
 
     def test_asymmetric_input_splits_r12_r21(self, neumann_cfg):
@@ -213,14 +232,14 @@ class TestNegativeRoot:
             q11 = float(rng.uniform(0.01, 5.0))
             q22 = float(rng.uniform(0.01, 5.0))
             q12 = float(rng.uniform(-0.9, 0.9)) * np.sqrt(q11 * q22)
-            P = negative_root_solution(cfg, ModalWeight(n, q11, q12, q22))
+            P = negative_root_matrices(cfg, [n], [q11], [q12], [q22])[0]
             if np.all(np.isfinite(P)):
                 assert np.linalg.eigvalsh(P).min() < 0
             # a complex P22 radicand also disproves nonnegative definiteness
 
     def test_negative_root_solves_first_equation(self, dirichlet_cfg):
         w = ModalWeight(1, 1.0, 0.0, 1.0)
-        P = negative_root_solution(dirichlet_cfg, w)
+        P = negative_root_matrices(dirichlet_cfg, [1], [1.0], [0.0], [1.0])[0]
         r = residuals(dirichlet_cfg, w, P)
         assert abs(r[0]) < 1e-12
 
@@ -263,42 +282,37 @@ class TestOracle:
             cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
             amp = np.where(ns == 0, q, q / np.maximum(ns, 1).astype(float) ** r)
             o11, o12, o22 = oracle_solve_modes(cfg, ns, amp, 0.0, amp)
-            for i, n in enumerate(ns):
-                sol = solve_closed_form(cfg, ModalWeight(int(n), amp[i], 0.0, amp[i]))
-                scale = 1.0 + max(abs(sol.p11), abs(sol.p12), abs(sol.p22))
-                assert abs(sol.p11 - o11[i]) <= 1e-8 * scale
-                assert abs(sol.p12 - o12[i]) <= 1e-8 * scale
-                assert abs(sol.p22 - o22[i]) <= 1e-8 * scale
+            t = modal_table(cfg, ns, amp, np.zeros_like(amp), amp)
+            scale = 1.0 + np.abs(t.matrices).max(axis=(1, 2))
+            assert np.all(np.abs(t.p11 - o11) <= 1e-8 * scale)
+            assert np.all(np.abs(t.p12 - o12) <= 1e-8 * scale)
+            assert np.all(np.abs(t.p22 - o22) <= 1e-8 * scale)
 
 
 class TestModalGain:
     def test_zero_solution(self, dirichlet_cfg):
-        sol = solve_closed_form(dirichlet_cfg, ModalWeight(4, 0.0, 0.0, 0.0))
-        g = modal_gain(dirichlet_cfg, sol)
-        assert (g.k1, g.k2) == (0.0, 0.0)
+        t = one_mode(dirichlet_cfg, ModalWeight(4, 0.0, 0.0, 0.0))
+        assert (t.k1[0], t.k2[0]) == (0.0, 0.0)
 
     def test_dirichlet_fundamental_reference(self, dirichlet_cfg):
-        sol = solve_closed_form(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        g = modal_gain(dirichlet_cfg, sol)
-        np.testing.assert_allclose(
-            [g.k1, g.k2], [-np.pi * P12_REF, -np.pi * P22_REF], rtol=1e-12
-        )
-        np.testing.assert_allclose([g.k1, g.k2], [-0.15532, -1.04827], atol=5e-6)
+        t = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
+        k = [t.k1[0], t.k2[0]]
+        np.testing.assert_allclose(k, [-np.pi * P12_REF, -np.pi * P22_REF], rtol=1e-12)
+        np.testing.assert_allclose(k, [-0.15532, -1.04827], atol=5e-6)
 
     def test_neumann_mean_mode(self, neumann_cfg):
-        sol = solve_closed_form(neumann_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
-        g = modal_gain(neumann_cfg, sol)
-        np.testing.assert_allclose([g.k1, g.k2], [-1.0, -np.sqrt(3.0)], rtol=1e-14)
+        t = one_mode(neumann_cfg, ModalWeight(0, 1.0, 0.0, 1.0))
+        np.testing.assert_allclose([t.k1[0], t.k2[0]], [-1.0, -np.sqrt(3.0)], rtol=1e-14)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_equals_matrix_product(self, boundary):
         cfg = WaveConfig(boundary, alpha=0.2, beta=1.4, R=0.6)
-        for n in mode_range(boundary, 20):
-            w = ModalWeight(n, 1.0 / (n + 1.0), 0.0, 2.0 / (n + 1.0))
-            sol = solve_closed_form(cfg, w)
-            _, G = modal_matrices(cfg, n)
-            k_ref = -(G / cfg.R) @ sol.matrix
-            np.testing.assert_allclose(modal_gain(cfg, sol).row, k_ref, rtol=0, atol=0)
+        n = np.array(mode_range(boundary, 20))
+        t = modal_table(cfg, n, 1.0 / (n + 1.0), np.zeros(len(n)), 2.0 / (n + 1.0))
+        _, G = modal_matrices(cfg, n)
+        for i in range(len(n)):
+            k_ref = -(G[i] / cfg.R) @ t.matrices[i]
+            np.testing.assert_allclose([t.k1[i], t.k2[i]], k_ref, rtol=0, atol=0)
 
 
 class TestCoupledTruncatedAre:
@@ -324,10 +338,10 @@ class TestCoupledTruncatedAre:
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=1.0)
         fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}, cutoff=4)
         ca = coupled_truncated_are(cfg, fam, 4)
-        sol = solve_closed_form(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
+        sol = one_mode(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
         i = ca.modes.index(k)
         block = ca.P_big[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
-        np.testing.assert_allclose(block, sol.matrix, atol=1e-9)
+        np.testing.assert_allclose(block, sol.matrices[0], atol=1e-9)
         off = ca.P_big.copy()
         off[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = 0.0
         assert np.max(np.abs(off)) <= 1e-9
@@ -351,14 +365,13 @@ class TestCoupledTruncatedAre:
 
         fam = PowerLawWeights(1.0, 5.0, cutoff=4)
         ca = coupled_truncated_are(dirichlet_cfg, fam, 4)
-        _, A, B, _ = coupled_loop_parts(dirichlet_cfg, [], 4)
+        _, A, B, _ = coupled_loop_parts(dirichlet_cfg, solve_family(dirichlet_cfg, fam, 4), 4)
         # pairing-weighted coordinates
-        B = B * np.repeat([projection_weight(dirichlet_cfg.boundary, n) for n in ca.modes], 2)[:, None]
+        B = B * np.repeat(projection_weight(dirichlet_cfg.boundary, ca.modes), 2)[:, None]
+        q11, q12, q22 = weight_arrays(fam, ca.modes)
         Qb = np.zeros_like(ca.P_big)
-        for i, n in enumerate(ca.modes):
-            Qb[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = weight_of(
-                fam, n, dirichlet_cfg.boundary
-            ).matrix
+        for i in range(len(ca.modes)):
+            Qb[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[q11[i], q12[i]], [q12[i], q22[i]]]
         res = A.T @ ca.P_big + ca.P_big @ A - ca.P_big @ B @ B.T @ ca.P_big + Qb
         assert np.max(np.abs(res)) < 1e-9
 

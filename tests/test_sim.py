@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import one_mode
 from wavelqr.kernels import assemble_K, assemble_P, assemble_Q, basis_matrix
 from wavelqr.model import (
     Boundary,
@@ -13,7 +16,7 @@ from wavelqr.model import (
     projection_weight,
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
-from wavelqr.riccati import modal_gain, solve_closed_form, solve_family
+from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
     ModalState,
     SimulationError,
@@ -28,7 +31,12 @@ from wavelqr.sim import (
     simulate_fd,
     target_solution,
 )
-from wavelqr.spectrum import closed_loop_eigs, closed_loop_matrix
+from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum
+
+
+def no_gains(cfg):
+    """The empty table: every mode runs without feedback."""
+    return modal_table(cfg, [], [], [], [])
 
 
 def band_limited(boundary):
@@ -47,7 +55,7 @@ def project_grid_state(boundary, modes, x, z1, z2):
     """Simpson projection of grid samples onto the modal basis."""
     wq = simpson_weights(len(x), x[1] - x[0])
     phi = basis_matrix(boundary, modes, x)
-    pw = np.array([projection_weight(boundary, n) for n in modes])
+    pw = projection_weight(boundary, modes)
     a = np.stack([(phi @ (wq * z1)) / pw, (phi @ (wq * z2)) / pw], axis=1)
     return a
 
@@ -149,8 +157,9 @@ class TestSimulateDecoupled:
         dt = 0.01
         res = simulate_decoupled(dirichlet_cfg, fam, sols, st, 1.0, dt)
         k = 37
-        for i, sol in enumerate(sols):
-            prop = expm(closed_loop_matrix(dirichlet_cfg, sol) * (k * dt))
+        A = closed_loop_matrices(dirichlet_cfg, sols.n, sols.k1, sols.k2)
+        for i in range(len(sols)):
+            prop = expm(A[i] * (k * dt))
             np.testing.assert_allclose(res.states[k, i], prop @ a0[i], rtol=1e-10, atol=1e-13)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
@@ -160,14 +169,15 @@ class TestSimulateDecoupled:
         """Infinite-horizon simulated cost equals the Riccati quadratic form."""
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
         w = ModalWeight(n, 1.0, 0.0, 1.0)
-        sol = solve_closed_form(cfg, w)
+        sol = one_mode(cfg, w)
         fam = ExplicitWeights({n: w}, cutoff=n)
         st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
-        T = decay_horizon(cfg, [sol], 1e-8)
-        mu_mag = max(abs(closed_loop_eigs(cfg, sol).mu_plus), 1.0)
+        T = decay_horizon(cfg, sol, 1e-8)
+        mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+        mu_mag = max(abs(mu[0, 0]), 1.0)
         dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-        res = simulate_decoupled(cfg, fam, [sol], st, T, dt)
-        pred = predicted_cost(st, [sol]).per_mode
+        res = simulate_decoupled(cfg, fam, sol, st, T, dt)
+        pred = predicted_cost(st, sol).per_mode
         assert abs(res.total_cost - pred) <= 1e-3 * pred
 
     def test_dt_validation(self, dirichlet_cfg):
@@ -182,7 +192,7 @@ class TestSimulateCoupled:
     def test_zero_gains_match_open_loop(self, dirichlet_cfg):
         fam = ExplicitWeights({}, cutoff=4)
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3, 4), np.ones((4, 2)))
-        res = simulate_coupled_modal(dirichlet_cfg, fam, [], st, 4, 2.0, 0.01)
+        res = simulate_coupled_modal(dirichlet_cfg, fam, no_gains(dirichlet_cfg), st, 4, 2.0, 0.01)
         ref = target_solution(dirichlet_cfg, st, 2.0, 0.01)
         np.testing.assert_allclose(res.states, ref.states, atol=1e-10)
         assert np.all(res.u_record == 0.0)
@@ -193,41 +203,38 @@ class TestSimulateCoupled:
         N = 4
         w = ModalWeight(k, 1.0, 0.0, 1.0)
         fam = ExplicitWeights({k: w}, cutoff=N)
-        sol = solve_closed_form(cfg, w)
+        sol = one_mode(cfg, w)
         modes = tuple(mode_range(boundary, N))
         a0 = np.zeros((len(modes), 2))
         i = modes.index(k)
         a0[i] = [1.0, -0.3]
         st = ModalState(boundary, modes, a0)
-        res_c = simulate_coupled_modal(cfg, fam, [modal_gain(cfg, sol)], st, N, 2.0, 0.005)
+        res_c = simulate_coupled_modal(cfg, fam, sol, st, N, 2.0, 0.005)
         st1 = ModalState(boundary, (k,), a0[i : i + 1])
-        res_d = simulate_decoupled(cfg, fam, [sol], st1, 2.0, 0.005)
+        res_d = simulate_decoupled(cfg, fam, sol, st1, 2.0, 0.005)
         np.testing.assert_allclose(res_c.states[:, i], res_d.states[:, 0], atol=1e-10)
 
     def test_driven_modes_respond(self, dirichlet_cfg):
         # modes with zero gain still feel the shared control through their
         # true input vectors
         fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}, cutoff=3)
-        sol = solve_closed_form(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
+        sol = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
         modes = (1, 2, 3)
         a0 = np.zeros((3, 2))
         a0[0] = [1.0, 0.0]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(
-            dirichlet_cfg, fam, [modal_gain(dirichlet_cfg, sol)], st, 3, 1.0, 0.005
-        )
+        res = simulate_coupled_modal(dirichlet_cfg, fam, sol, st, 3, 1.0, 0.005)
         assert np.abs(res.states[-1, 1:]).max() > 1e-4
 
     def test_terminal_energy_regression(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0, cutoff=8)
         sols = solve_family(dirichlet_cfg, fam, 8)
-        gains = [modal_gain(dirichlet_cfg, s) for s in sols]
         modes = tuple(range(1, 9))
         a0 = np.zeros((8, 2))
         for i in range(8):
             a0[i] = [1.0 / (i + 1) ** 2, 0.5 / (i + 1) ** 2]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(dirichlet_cfg, fam, gains, st, 8, 10.0, 0.002)
+        res = simulate_coupled_modal(dirichlet_cfg, fam, sols, st, 8, 10.0, 0.002)
         stT = ModalState(Boundary.DIRICHLET, modes, res.states[-1], t=10.0)
         ratio = modal_energy(stT) / modal_energy(st)
         assert ratio < 1.0
@@ -237,7 +244,7 @@ class TestSimulateCoupled:
         fam = ExplicitWeights({}, cutoff=4)
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="modes"):
-            simulate_coupled_modal(dirichlet_cfg, fam, [], st, 4, 1.0, 0.01)
+            simulate_coupled_modal(dirichlet_cfg, fam, no_gains(dirichlet_cfg), st, 4, 1.0, 0.01)
 
 
 class TestSimulateFd:
@@ -305,13 +312,12 @@ class TestSimulateFd:
         z1, z2 = band_limited(boundary)
         fam = PowerLawWeights(1.0, 5.0, cutoff=N)
         sols = solve_family(cfg, fam, N)
-        gains = [modal_gain(cfg, s) for s in sols]
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, cfg, x)
         rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, boundary)
-        rm = simulate_coupled_modal(cfg, fam, gains, st0, N, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(cfg, fam, sols, st0, N, t_end, t_end / 2500)
 
         a_fd = project_grid_state(boundary, st0.modes, x,
                                   rf.states[-1][:, 0], rf.states[-1][:, 1])
@@ -331,13 +337,12 @@ class TestSimulateFd:
         z2 = lambda x: 0.4 * np.sin(6 * np.pi * x)
         fam = PowerLawWeights(1.0, 5.0, cutoff=N)
         sols = solve_family(dirichlet_cfg, fam, N)
-        gains = [modal_gain(dirichlet_cfg, s) for s in sols]
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, dirichlet_cfg, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, fam, gains, st0, N, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(dirichlet_cfg, fam, sols, st0, N, t_end, t_end / 2500)
         f_m = reconstruct_field(
             ModalState(Boundary.DIRICHLET, st0.modes, rm.states[-1], t=t_end), x
         )
@@ -350,12 +355,11 @@ class TestSimulateFd:
         N, M = 8, 400
         fam = PowerLawWeights(1.0, 5.0, cutoff=N)
         sols = solve_family(dirichlet_cfg, fam, N)
-        gains = [modal_gain(dirichlet_cfg, s) for s in sols]
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, dirichlet_cfg, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, fam, gains, st0, N,
+        rm = simulate_coupled_modal(dirichlet_cfg, fam, sols, st0, N,
                                     rf.times[-1], rf.times[-1] / 2500)
         np.testing.assert_allclose(rf.total_cost, rm.total_cost, rtol=1e-3)
 
@@ -448,33 +452,34 @@ class TestPredictedCost:
         np.testing.assert_allclose(pred.field, total, rtol=1e-8)
 
     def test_per_mode_vs_field_weights(self, neumann_cfg):
-        sols = [solve_closed_form(neumann_cfg, ModalWeight(0, 1.0, 0.0, 1.0)),
-                solve_closed_form(neumann_cfg, ModalWeight(1, 0.5, 0.0, 0.5))]
+        sols = modal_table(neumann_cfg, [0, 1], [1.0, 0.5], [0.0, 0.0], [1.0, 0.5])
         a = np.array([[1.0, 0.0], [1.0, 0.0]])
         st = ModalState(Boundary.NEUMANN, (0, 1), a)
         pred = predicted_cost(st, sols)
-        q0 = float(a[0] @ sols[0].matrix @ a[0])
-        q1 = float(a[1] @ sols[1].matrix @ a[1])
+        q0 = float(a[0] @ sols.matrices[0] @ a[0])
+        q1 = float(a[1] @ sols.matrices[1] @ a[1])
         np.testing.assert_allclose(pred.per_mode, q0 + q1)
         np.testing.assert_allclose(pred.field, 1.0 * q0 + 0.25 * q1)
 
 
 class TestTableInputs:
-    def test_table_and_rows_give_identical_results(self):
-        """The columns of a ModalTable and a list of its ModalRiccati rows,
-        with a mode missing from the list, give the same numbers bit for bit."""
+    def test_missing_mode_equals_zero_row(self):
+        """A table missing a mode gives, bit for bit, the numbers of the full
+        table with that mode's solution and gains set to zero."""
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.4, beta=1.3, R=0.6)
         fam = PowerLawWeights(1.0, 3.0, cutoff=6)
         table = solve_family(cfg, fam, 6)
         st = project_initial(*band_limited(Boundary.NEUMANN), 6, Boundary.NEUMANN)
         x = np.linspace(0.0, 1.0, 41)
-        cases = ((table, list(table)), (table[table.n != 3], [s for s in table if s.n != 3]))
-        for sols, rows in cases:
-            assert np.array_equal(assemble_K(sols, cfg, x).values, assemble_K(rows, cfg, x).values)
-            assert predicted_cost(st, sols) == predicted_cost(st, rows)
-            a = simulate_decoupled(cfg, fam, sols, st, 0.5, 0.01)
-            b = simulate_decoupled(cfg, fam, rows, st, 0.5, 0.01)
-            assert np.array_equal(a.states, b.states) and np.array_equal(a.cost, b.cost)
+        keep = table.n != 3
+        zeroed = replace(table, **{c: np.where(keep, getattr(table, c), 0.0)
+                                   for c in ("p11", "p12", "p22", "k1", "k2")})
+        sols = table[keep]
+        assert np.array_equal(assemble_K(sols, cfg, x).values, assemble_K(zeroed, cfg, x).values)
+        assert predicted_cost(st, sols) == predicted_cost(st, zeroed)
+        a = simulate_decoupled(cfg, fam, sols, st, 0.5, 0.01)
+        b = simulate_decoupled(cfg, fam, zeroed, st, 0.5, 0.01)
+        assert np.array_equal(a.states, b.states) and np.array_equal(a.cost, b.cost)
         # the missing mode evolves open loop: no gain, no control
         assert np.all(a.u_record[:, 3] == 0.0)
 
