@@ -22,7 +22,7 @@ for row in zip(t.n, t.p11, t.p12, t.p22, t.k1, t.k2, t.rel_residual):
     print(f"{n:>3} {p11:>12.6f} {p12:>12.3e} {p22:>12.3e} "
           f"{k1:>12.3e} {k2:>12.3e} {rel:>9.1e}")
 
-# The closed forms and the Hamiltonian-eigenvector oracle are two genuinely
+# The closed forms and the Hamiltonian sign-iteration oracle are two genuinely
 # different computations; they agree to roughly machine precision.
 print("\nCross-check against the stable-subspace oracle (mode 1):")
 P_closed = modal_table(cfg, [1], [1.0], [0.0], [1.0]).matrices[0]

@@ -214,18 +214,25 @@ def true_modal_input(cfg: WaveConfig, n) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integer_value(value, name: str) -> int:
-    """int(value) for a config field; a float must be integral (64.0 gives 64, 2.7 is refused)."""
-    if isinstance(value, float) and not value.is_integer():
+    """int(value) for a config field; a float must be integral (64.0 gives 64, 2.7 is refused).
+
+    JSON true and false are refused: Python's bool is an int, so int() would
+    read them as 1 and 0.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def finite_value(value, name: str) -> float:
-    """float(value) for a config field; NaN and the infinities are refused.
+    """float(value) for a config field; NaN, the infinities and booleans are refused.
 
     JSON parsing lets them through: NaN, Infinity, -Infinity and an
-    overflowing literal such as 1e999 all reach here as floats.
+    overflowing literal such as 1e999 all reach here as floats, and true and
+    false as bools, which float() would read as 1.0 and 0.0.
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     x = float(value)
     if not np.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")

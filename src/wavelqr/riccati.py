@@ -24,9 +24,15 @@ P12 = Q11 / (w2 + sqrt(w2^2 + c Q11)) and
 P22 = (Q22 + 2 P12) / (alpha + sqrt(alpha^2 + c (Q22 + 2 P12))), which stay
 accurate when the weights are many orders of magnitude below w2^2.
 
-The independent oracle solves the same ARE from scratch via the stable
-invariant subspace of the Hamiltonian matrix, falling back to a
-Newton-Kleinman iteration started from a Bass stabilizing gain.
+Two independent oracles solve the same equations from scratch, one
+algorithm each, and never evaluate the closed forms:
+
+* oracle_solve_modes runs Kleinman's Newton iteration on every 2x2 modal
+  problem at once (Kleinman, IEEE TAC 1968).
+* are_oracle, for a plant of any size such as the truncated coupled one,
+  runs the determinant-scaled Newton iteration for the sign function of
+  the Hamiltonian matrix (Byers, Lin. Alg. Appl. 85, 1987) and reads the
+  solution off its stable invariant subspace.
 """
 
 from dataclasses import dataclass, fields
@@ -52,6 +58,14 @@ TOL_RES = 1e-10
 TOL_PSD = 1e-12
 #: relative ARE residual accepted from the oracle
 TOL_ORACLE = 1e-8
+#: iteration limit of the modal Kleinman iteration, and the step, relative to
+#: 1 + |P| entrywise, that ends it (about 16 times its measured rounding floor)
+_KLEINMAN_MAX_ITER = 200
+_KLEINMAN_TOL = 1e-13
+#: iteration limit of the sign iteration, and the 1-norm step, relative to
+#: |Z|, that ends it
+_SIGN_MAX_ITER = 100
+_SIGN_TOL = 1e-12
 
 
 class OracleError(RuntimeError):
@@ -208,51 +222,6 @@ def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _solve_lyapunov(A: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Solve A' X + X A + W = 0 through the eigendecomposition of A."""
-    lam, V = np.linalg.eig(A)
-    pair = lam[:, None] + lam[None, :]
-    if np.min(np.abs(pair)) < 1e-12 * (1.0 + np.max(np.abs(lam))):
-        raise OracleError("Lyapunov spectrum condition lambda_i + lambda_j != 0 violated")
-    Wt = V.T @ W @ V
-    Y = -Wt / pair
-    Vinv = np.linalg.inv(V)
-    X = Vinv.T @ Y @ Vinv
-    X = np.real(X)
-    return 0.5 * (X + X.T)
-
-
-def _bass_stabilizing_gain(F: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Stabilizing state feedback K with F + G K Hurwitz (Bass's method)."""
-    d = F.shape[0]
-    mu = 1.0 + np.linalg.norm(F, ord="fro")
-    M = F + mu * np.eye(d)
-    # M Z + Z M' = 2 G G', positive definite when (F, G) is controllable
-    Z = _solve_lyapunov(M.T, -2.0 * G @ G.T)
-    try:
-        K = -np.linalg.solve(Z, G).T
-    except np.linalg.LinAlgError as exc:
-        raise OracleError("Bass stabilization failed: controllability Gramian singular") from exc
-    return K
-
-
-def _newton_kleinman(F, G, Q, R, K0=None, tol=1e-13, max_iter=100) -> np.ndarray:
-    """Kleinman iteration: Lyapunov solves with successively improved gains."""
-    K = _bass_stabilizing_gain(F, G) if K0 is None else K0
-    P = None
-    for _ in range(max_iter):
-        A = F + G @ K
-        if np.max(np.linalg.eigvals(A).real) >= 0:
-            raise OracleError("Newton-Kleinman iterate lost closed-loop stability")
-        W = Q + K.T @ R @ K
-        P_new = _solve_lyapunov(A, W)
-        K = -np.linalg.solve(R, G.T @ P_new)
-        if P is not None and np.max(np.abs(P_new - P)) <= tol * (1.0 + np.max(np.abs(P_new))):
-            return P_new
-        P = P_new
-    raise OracleError("Newton-Kleinman iteration did not converge")
-
-
 def _care_residual(F, G, Q, R, P) -> float:
     res = F.T @ P + P @ F - P @ G @ np.linalg.solve(R, G.T @ P) + Q
     scale = 1.0 + np.linalg.norm(Q) + np.linalg.norm(P) ** 2 * np.linalg.norm(G @ G.T) / np.min(
@@ -270,11 +239,14 @@ def _strictly_stable(A: np.ndarray) -> bool:
 def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
     """Stabilizing PSD solution of F'P + PF - PGR^-1G'P + Q = 0.
 
-    Forms the Hamiltonian [[F, -G R^-1 G'], [-Q, -F']], extracts the stable
-    invariant subspace from its eigendecomposition and sets P = X2 X1^-1.
-    When Hamiltonian eigenvalues cluster near the imaginary axis, or X1 is
-    ill conditioned, it falls back to a Newton-Kleinman iteration from a
-    Bass stabilizing gain.  Eigenvalues on the axis raise OracleError.
+    Runs the Newton iteration Z <- (mu Z + Z^-1 / mu) / 2 for the matrix sign
+    function of the Hamiltonian H = [[F, -G R^-1 G'], [-Q, -F']], with
+    mu = |det Z|^(-1/2d) (Byers' determinant scaling).  The stable invariant
+    subspace [I; P] is the null space of sign(H) + I, so P solves
+    [W12; W22 + I] P = -[W11 + I; W21] in the least-squares sense.  A
+    Hamiltonian eigenvalue on the imaginary axis stops the iteration from
+    converging and raises OracleError, as does a P that fails the residual,
+    semidefiniteness or closed-loop stability check.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -285,70 +257,71 @@ def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
     d = F.shape[0]
 
     S = G @ np.linalg.solve(R, G.T)
-    H = np.block([[F, -S], [-Q, -F.T]])
-    ev, V = np.linalg.eig(H)
-
-    def accept(P: np.ndarray) -> bool:
-        # the stabilizing solution is the PSD one with a stable closed loop;
-        # mixed invariant subspaces also zero the residual but fail these
-        if _care_residual(F, G, Q, R, P) > tol:
-            return False
-        if np.min(np.linalg.eigvalsh(P)) < -tol * (1.0 + np.max(np.abs(P))):
-            return False
-        return _strictly_stable(F - S @ P)
-
-    order = np.argsort(ev.real)
-    stable = order[:d]
-    # smallest distance between a selected and an unselected eigenvalue:
-    # when stable and antistable eigenvalues nearly collide on the axis the
-    # computed subspace mixes them and P degrades like eps*|H|/gap
-    gap = np.min(np.abs(ev[stable][:, None] - ev[order[d:]][None, :]))
-    hnorm = np.linalg.norm(H, ord="fro")
-    clustered = gap <= 0 or np.finfo(float).eps * hnorm / max(gap, 1e-300) > 1e-10
-    if not clustered and np.all(ev.real[stable] < 0) and ev.real[order[d]] > 0:
-        X = V[:, stable]
-        X1, X2 = X[:d], X[d:]
-        if np.linalg.cond(X1) < 1e12:
-            P = np.real(X2 @ np.linalg.inv(X1))
-            P = 0.5 * (P + P.T)
-            if accept(P):
-                return P
-
-    # eigenvalues clustered near the imaginary axis, X1 ill conditioned,
-    # or the extracted subspace failed the checks
-    try:
-        P = _newton_kleinman(F, G, Q, R)
-    except OracleError as exc:
-        raise OracleError(f"no stabilizing solution found: {exc}") from exc
-    if _care_residual(F, G, Q, R, P) > tol:
-        raise OracleError("oracle residual above tolerance after Newton-Kleinman fallback")
-    if not _strictly_stable(F - S @ P):
+    Z = np.block([[F, -S], [-Q, -F.T]])
+    for _ in range(_SIGN_MAX_ITER):
+        sign, logdet = np.linalg.slogdet(Z)
+        if sign == 0:
+            # an iterate is singular only when H has an eigenvalue on the axis
+            raise OracleError(
+                "sign iteration hit a singular iterate: a Hamiltonian eigenvalue lies on "
+                "the imaginary axis, so no stabilizing solution exists"
+            )
+        mu = np.exp(-logdet / (2 * d))
+        Z_next = 0.5 * (mu * Z + np.linalg.inv(Z) / mu)
+        step = np.linalg.norm(Z_next - Z, 1)
+        Z = Z_next
+        if step <= _SIGN_TOL * np.linalg.norm(Z, 1):
+            break
+    else:
         raise OracleError(
-            "Hamiltonian eigenvalue on the imaginary axis: the problem is not "
-            "stabilizable or only marginally so"
+            "sign iteration did not converge: a Hamiltonian eigenvalue lies on or "
+            "near the imaginary axis, so no stabilizing solution exists or it is "
+            "only marginally stabilizing"
         )
+
+    eye = np.eye(d)
+    lhs = np.vstack([Z[:d, d:], Z[d:, d:] + eye])
+    rhs = -np.vstack([Z[:d, :d] + eye, Z[d:, :d]])
+    P = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    P = 0.5 * (P + P.T)
+    # the stabilizing solution is the PSD one with a stable closed loop
+    if _care_residual(F, G, Q, R, P) > tol:
+        raise OracleError("oracle residual above tolerance")
+    if np.min(np.linalg.eigvalsh(P)) < -tol * (1.0 + np.max(np.abs(P))):
+        raise OracleError("oracle solution is not positive semidefinite")
+    if not _strictly_stable(F - S @ P):
+        raise OracleError("oracle solution does not stabilize the closed loop")
     return P
 
 
-def _newton_kleinman_modes(w2, c, alpha, q11, q12, q22, max_iter=200, tol=1e-14):
-    """Vectorized Kleinman iteration over many 2x2 modal problems.
+def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
+    """Batched oracle for many 2x2 modal problems at once: Kleinman's iteration.
 
-    Every closed-loop iterate keeps the companion form [[0, 1], [-d, -t]],
-    for which the Lyapunov equation solves in closed form; the iteration is
-    therefore exact Newton-Kleinman, run elementwise across all items.
-    Returns (P11, P12, P22, converged mask).
+    Returns (P11, P12, P22) arrays.  Each step solves the Lyapunov equation
+    of the current closed loop and takes the gain of its solution (Kleinman,
+    IEEE TAC 1968).  Every closed-loop iterate keeps the companion form
+    [[0, 1], [-d, -t]], whose Lyapunov equation solves in closed form, so
+    the iteration runs elementwise across all modes.  Raises OracleError,
+    naming the first such mode, when an item does not converge.
     """
+    ns = np.asarray(ns)
+    q11, q12, q22, _ = np.broadcast_arrays(
+        np.asarray(q11, dtype=float),
+        np.asarray(q12, dtype=float),
+        np.asarray(q22, dtype=float),
+        np.zeros(len(ns)),
+    )
+    w2 = frequency_sq(ns)
+    c = input_gain_sq(cfg, ns)
+
     # initial stabilizing gain: d0 = max(w2, 1) > 0, t0 = alpha + 1 > 0
     a = np.where(w2 > 0, 0.0, 1.0)  # a = c P12 of the current gain
     b = np.ones_like(w2)  # b = c P22 of the current gain
-    p11 = np.zeros_like(w2)
-    p12 = np.zeros_like(w2)
-    p22 = np.zeros_like(w2)
     prev = None
     converged = np.zeros(w2.shape, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(_KLEINMAN_MAX_ITER):
         d = w2 + a
-        t = alpha + b
+        t = cfg.alpha + b
         w11 = q11 + a * a / c
         w12 = q12 + a * b / c
         w22 = q22 + b * b / c
@@ -359,101 +332,12 @@ def _newton_kleinman_modes(w2, c, alpha, q11, q12, q22, max_iter=200, tol=1e-14)
         b = c * p22
         cur = np.stack([p11, p12, p22])
         if prev is not None:
-            converged = np.all(np.abs(cur - prev) <= tol * (1.0 + np.abs(cur)), axis=0)
+            converged = np.all(np.abs(cur - prev) <= _KLEINMAN_TOL * (1.0 + np.abs(cur)), axis=0)
             if converged.all():
                 break
         prev = cur
-    return p11, p12, p22, converged & np.isfinite(p11) & np.isfinite(p12) & np.isfinite(p22)
-
-
-def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
-    """Batched oracle for many 2x2 modal problems at once.
-
-    Returns (P11, P12, P22) arrays.  One stacked eigendecomposition of the
-    4x4 Hamiltonians covers the well-separated items; items whose stable
-    and antistable eigenvalues nearly collide on the imaginary axis (where
-    the subspace extraction degrades like eps |H| / gap) are redone with the
-    vectorized Newton-Kleinman iteration, and any stragglers with the
-    scalar oracle.
-    """
-    ns = np.asarray(ns)
-    k = len(ns)
-    q11, q12, q22, _ = np.broadcast_arrays(
-        np.asarray(q11, dtype=float),
-        np.asarray(q12, dtype=float),
-        np.asarray(q22, dtype=float),
-        np.zeros(k),
-    )
-    w2 = (ns * np.pi) ** 2
-    c = input_gain_sq(cfg, ns)
-
-    H = np.zeros((k, 4, 4))
-    H[:, 0, 1] = 1.0
-    H[:, 1, 0] = -w2
-    H[:, 1, 1] = -cfg.alpha
-    H[:, 1, 3] = -c
-    H[:, 2, 0] = -q11
-    H[:, 2, 1] = -q12
-    H[:, 2, 3] = w2
-    H[:, 3, 0] = -q12
-    H[:, 3, 1] = -q22
-    H[:, 3, 2] = -1.0
-    H[:, 3, 3] = cfg.alpha
-
-    ev, V = np.linalg.eig(H)
-    order = np.argsort(ev.real, axis=1)
-    sel = order[:, :2]
-    unsel = order[:, 2:]
-    X = np.take_along_axis(V, sel[:, None, :], axis=2)
-    X1, X2 = X[:, :2, :], X[:, 2:, :]
-
-    det = X1[:, 0, 0] * X1[:, 1, 1] - X1[:, 0, 1] * X1[:, 1, 0]
-    safe = np.abs(det) > 0
-    detsafe = np.where(safe, det, 1.0)
-    inv = np.empty_like(X1)
-    inv[:, 0, 0] = X1[:, 1, 1] / detsafe
-    inv[:, 0, 1] = -X1[:, 0, 1] / detsafe
-    inv[:, 1, 0] = -X1[:, 1, 0] / detsafe
-    inv[:, 1, 1] = X1[:, 0, 0] / detsafe
-    P = X2 @ inv
-
-    Pr = P.real
-    p11 = Pr[:, 0, 0]
-    p12 = 0.5 * (Pr[:, 0, 1] + Pr[:, 1, 0])
-    p22 = Pr[:, 1, 1]
-
-    ev_sel = np.take_along_axis(ev, sel, axis=1)
-    ev_unsel = np.take_along_axis(ev, unsel, axis=1)
-    gap = np.min(np.abs(ev_sel[:, :, None] - ev_unsel[:, None, :]), axis=(1, 2))
-    hnorm = np.maximum.reduce([w2, np.abs(q11), np.abs(q22), c, np.ones_like(w2)])
-    separated = np.finfo(float).eps * hnorm <= 1e-10 * np.maximum(gap, 1e-300)
-
-    r = residual_arrays(w2, c, cfg.alpha, q11, q22, q12, p11, p12, p22)
-    res = np.max(np.abs(np.stack(r)), axis=0)
-    pmax = np.maximum.reduce([np.abs(p11), np.abs(p12), np.abs(p22)])
-    res_scale = 1.0 + np.maximum.reduce([np.abs(q11), np.abs(q12), np.abs(q22)]) + pmax**2
-    min_eig = 0.5 * (p11 + p22) - np.sqrt(0.25 * (p11 - p22) ** 2 + p12**2)
-    ok = (
-        safe
-        & separated
-        & (np.abs(P.imag).max(axis=(1, 2)) <= 1e-7 * (1.0 + np.abs(Pr).max(axis=(1, 2))))
-        & (res <= 1e-9 * res_scale)
-        & (min_eig >= -1e-9 * (1.0 + pmax))
-    )
-
-    if not ok.all():
-        n11, n12, n22, conv = _newton_kleinman_modes(w2, c, cfg.alpha, q11, q12, q22)
-        take = ~ok & conv
-        p11 = np.where(take, n11, p11)
-        p12 = np.where(take, n12, p12)
-        p22 = np.where(take, n22, p22)
-        ok |= take
-
-    for i in np.nonzero(~ok)[0]:
-        F = np.array([[0.0, 1.0], [-w2[i], -cfg.alpha]])
-        g = np.sqrt(c[i] * cfg.R)
-        Pi = are_oracle(F, np.array([0.0, g]), np.array([[q11[i], q12[i]], [q12[i], q22[i]]]), cfg.R)
-        p11[i], p12[i], p22[i] = Pi[0, 0], Pi[0, 1], Pi[1, 1]
+    if not converged.all():
+        raise OracleError(f"Kleinman iteration did not converge for mode {ns[np.argmin(converged)]}")
     return p11, p12, p22
 
 
@@ -502,12 +386,7 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
     sign = gain_expansion_sign(cfg.boundary, modes)
     K_diag = np.stack([sign * t.k1, sign * t.k2], axis=1).reshape(1, -1)
 
-    if not Qb.any():
-        if cfg.alpha == 0:
-            raise OracleError("undamped plant with zero weights is only marginally stable")
-        P_big = np.zeros_like(A)
-    else:
-        P_big = are_oracle(A, B, Qb, np.array([[cfg.R]]))
+    P_big = are_oracle(A, B, Qb, np.array([[cfg.R]]))
     K_big = -(B.T @ P_big) / cfg.R
     dev_P = P_big - P_diag
     return CoupledAre(

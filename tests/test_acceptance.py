@@ -97,7 +97,7 @@ def test_criterion_1_closed_form_residuals_and_psd():
 
 
 def test_criterion_2_oracle_equivalence():
-    """Closed form matches the Hamiltonian/Newton oracle to 1e-8 relative."""
+    """Closed form matches the modal Kleinman oracle to 1e-8 relative."""
     worst = 0.0
     for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
         ns = sweep_mode_arrays(boundary)

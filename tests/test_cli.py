@@ -118,10 +118,19 @@ class TestConfigParsing:
         (("converge", "fit_lo"), 50.5),
         (("converge", "fit_hi"), 120.25),
         (("weights",), {"type": "list", "entries": [{"n": 1.5, "Q11": 1.0, "Q22": 1.0}]}),
+        (("N",), True),
+        (("N",), False),
+        (("alpha",), True),
+        (("alpha",), False),
+        (("seed",), True),
+        (("seed",), False),
+        (("weights", "q"), True),
+        (("weights", "q"), False),
     ], ids=["N-abc", "N-null", "initial_modes-str", "initial_modes-scalar", "N_list-negative",
             "N-fractional", "N-inf", "grid_points-fractional", "seed-fractional", "M-fractional",
             "csv_stride-fractional", "N_list-fractional", "fit_lo-fractional",
-            "fit_hi-fractional", "entry_n-fractional"])
+            "fit_hi-fractional", "entry_n-fractional", "N-true", "N-false", "alpha-true",
+            "alpha-false", "seed-true", "seed-false", "q-true", "q-false"])
     def test_bad_field_value_is_config_error(self, tmp_path, path, value):
         doc = base_config()
         *parents, key = path
