@@ -18,11 +18,15 @@ from .model import (
     WeightFamily,
     gain_expansion_sign,
     mode_range,
+    projection_weight,
     weight_arrays,
 )
 from .riccati import ModalTable, modal_table, solve_family
 
 QUAD_WARNING = "series not absolutely summable"
+
+#: grid points per block of the Gram accumulation in pde_residual_diagonal
+GRAM_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -183,6 +187,31 @@ def pde_residual(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid) 
     phi = basis_matrix(cfg.boundary, modes, grid)
     fields = [phi.T @ m @ phi for m in mats]
     return ResidualFields(grid, *fields, modes=tuple(int(n) for n in modes))
+
+
+def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid,
+                          weights) -> np.ndarray:
+    """diag(proj f proj') of the four residual fields f, without forming the fields.
+
+    proj = phi * weights / pairing weight is the quadrature projection onto
+    the basis, and each field is f = phi' M phi with M one of the
+    residual_coefficient_matrices, so proj f proj' = Gamma M Gamma' with the
+    discrete Gram matrix Gamma = proj phi' of the basis on the same grid.
+    That is the same quadrature of the same sampled basis in another product
+    order.  Gamma is not assumed to be the identity, so the diagonal stays a
+    quadrature check of the modal residuals.  Returns a (4, k) array, rows
+    r11, r12, r21, r22.  Gamma is accumulated over blocks of GRAM_BLOCK grid
+    points, so memory is O(k^2 + k * GRAM_BLOCK) whatever the grid size.
+    """
+    modes, mats = residual_coefficient_matrices(cfg, sols, family)
+    grid = np.asarray(grid, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    gram = np.zeros((len(modes), len(modes)))
+    for lo in range(0, len(grid), GRAM_BLOCK):
+        phi = basis_matrix(cfg.boundary, modes, grid[lo:lo + GRAM_BLOCK])
+        gram += (phi * weights[lo:lo + GRAM_BLOCK]) @ phi.T
+    gram /= projection_weight(cfg.boundary, modes)[:, None]
+    return np.stack([np.einsum("ij,ij->i", gram @ m, gram) for m in mats])
 
 
 def decay_fit(ns, values) -> float:

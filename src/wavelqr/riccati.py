@@ -302,7 +302,12 @@ def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
     IEEE TAC 1968).  Every closed-loop iterate keeps the companion form
     [[0, 1], [-d, -t]], whose Lyapunov equation solves in closed form, so
     the iteration runs elementwise across all modes.  Raises OracleError,
-    naming the first such mode, when an item does not converge.
+    naming the first such mode, when an item has no stabilizing solution or
+    does not converge.  A mode has none when Q does not observe an open-loop
+    eigenvalue on the imaginary axis: the eigenvalues +-i n pi of an
+    undamped mode n >= 1 with Q = 0, or the eigenvalue 0 of the n pi = 0
+    (Neumann mean) mode with Q11 = Q12 = 0.  Kleinman's iterates would
+    halve towards P = 0 there and meet the step bound.
     """
     ns = np.asarray(ns)
     q11, q12, q22, _ = np.broadcast_arrays(
@@ -313,6 +318,12 @@ def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
     )
     w2 = frequency_sq(ns)
     c = input_gain_sq(cfg, ns)
+    unobserved = (q11 == 0) & (q12 == 0) & np.where(w2 > 0, (cfg.alpha == 0) & (q22 == 0), True)
+    if unobserved.any():
+        raise OracleError(
+            f"no stabilizing solution for mode {ns[np.argmax(unobserved)]}: Q does not "
+            "observe its open-loop eigenvalue on the imaginary axis"
+        )
 
     # initial stabilizing gain: d0 = max(w2, 1) > 0, t0 = alpha + 1 > 0
     a = np.where(w2 > 0, 0.0, 1.0)  # a = c P12 of the current gain

@@ -11,12 +11,14 @@ simulate_fd          integrates the wave equation on a grid with leapfrog
 
 Modal integrators use matrix exponentials of the (block) closed-loop
 matrices, so their only error sources are the mode truncation and the
-time quadrature of the cost.  scipy's expm is imported inside the two
-functions that call it, so importing the package does not load scipy.
+time quadrature of the cost.  Both exponentials are computed here in
+numpy: the per-mode 2x2 blocks in closed form (expm_2x2), the coupled
+propagator by Pade scaling and squaring (expm_pade).
 """
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from math import factorial
 
 import numpy as np
 
@@ -36,6 +38,17 @@ from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_p
 
 #: fewest grid intervals simulate_fd accepts
 MIN_FD_INTERVALS = 32
+
+#: expm_2x2 sums the power series of cosh and sinh(q)/q in q^2 for
+#: |q^2| <= this radius; there its first omitted term, 1/20!, is below 1e-18
+_SERIES_RADIUS = 1.0
+_SERIES_TERMS = 10
+
+#: Al-Mohy & Higham (2009), Table 3.1: the largest eta for which the
+#: degree-m Pade approximant has backward error at most 2^-53
+_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
+               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
+_THETA_13 = 4.25
 
 
 class SimulationError(RuntimeError):
@@ -155,16 +168,132 @@ def _solution_at(sols: ModalTable, modes) -> tuple[np.ndarray, np.ndarray, np.nd
     return tuple(np.append(c, 0.0)[idx] for c in (sols.p11, sols.p12, sols.p22))
 
 
+def expm_2x2(A) -> np.ndarray:
+    """e^A of every matrix of a (k, 2, 2) stack, in closed form.
+
+    With s = tr(A) / 2 and q^2 = s^2 - det(A), (A - s I)^2 = q^2 I, so
+    e^A = e^s [c I + S (A - s I)] with c = cosh(q), S = sinh(q) / q; for
+    q^2 < 0 these are cos|q| and sin|q| / |q|.  q^2 is formed as
+    ((a11 - a22) / 2)^2 + a12 a21, which does not cancel near critical
+    damping.  For |q^2| <= _SERIES_RADIUS, c and S are power series in
+    q^2; on the real branch beyond it, e^s c and e^s S are built from
+    e^(s+q) and e^(s-q), so no cosh overflows where e^s underflows.
+    """
+    A = np.asarray(A, dtype=float)
+    s = 0.5 * (A[:, 0, 0] + A[:, 1, 1])
+    h = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
+    q2 = h * h + A[:, 0, 1] * A[:, 1, 0]
+    ec = np.empty_like(s)  # e^s c
+    eS = np.empty_like(s)  # e^s S
+
+    near = np.abs(q2) <= _SERIES_RADIUS
+    x = q2[near]
+    c = np.zeros_like(x)
+    S = np.zeros_like(x)
+    for k in range(_SERIES_TERMS - 1, -1, -1):
+        c = c * x + 1.0 / factorial(2 * k)
+        S = S * x + 1.0 / factorial(2 * k + 1)
+    es = np.exp(s[near])
+    ec[near] = es * c
+    eS[near] = es * S
+
+    osc = ~near & (q2 < 0)
+    w = np.sqrt(-q2[osc])
+    es = np.exp(s[osc])
+    ec[osc] = es * np.cos(w)
+    eS[osc] = es * np.sin(w) / w
+
+    real = ~near & (q2 > 0)
+    q = np.sqrt(q2[real])
+    ep = np.exp(s[real] + q)
+    em = np.exp(s[real] - q)
+    ec[real] = 0.5 * (ep + em)
+    eS[real] = 0.5 * (ep - em) / q
+
+    out = np.empty_like(A)
+    out[:, 0, 0] = ec + eS * h
+    out[:, 0, 1] = eS * A[:, 0, 1]
+    out[:, 1, 0] = eS * A[:, 1, 0]
+    out[:, 1, 1] = ec - eS * h
+    return out
+
+
+def _pade_coefficients(m: int) -> list[float]:
+    """b_j = (2m - j)! / (j! (m - j)!), Higham's integer scaling of the [m/m] Pade coefficients."""
+    return [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
+
+
+def _extra_squarings(A, m: int) -> int:
+    """ell(A, m) of Al-Mohy & Higham (2009): squarings to add so that the
+    leading backward-error term |c_(2m+1)| ||A^(2m+1)|| / ||A|| stays near
+    unit roundoff, bounded through |A|."""
+    # the 1-norm of the nonnegative |A|^(2m+1) is the largest entry of
+    # 1' |A|^(2m+1), formed exactly by 2m + 1 vector-matrix products
+    absA = np.abs(A)
+    v = np.ones(len(A))
+    for _ in range(2 * m + 1):
+        v = v @ absA
+    if not v.max() > 0:
+        return 0
+    c = factorial(m) ** 2 / (factorial(2 * m) * factorial(2 * m + 1))
+    alpha = c * v.max() / np.linalg.norm(A, 1)
+    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
+
+
+def expm_pade(A) -> np.ndarray:
+    """e^A of a square matrix by scaling and squaring with a [m/m] Pade approximant.
+
+    The degree m in {3, 5, 7, 9, 13} and the scaling 2^-s follow Al-Mohy &
+    Higham (SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1): they are
+    chosen from eta = max(||A^4||^(1/4), ||A^6||^(1/6), ...), with exact
+    1-norms of the even powers the approximant needs anyway.  The
+    approximants are evaluated as in Higham (SIAM J. Matrix Anal. Appl. 26,
+    2005).  Scaling by ||A||_1 instead would over-scale the weakly damped
+    closed loops, whose norm is far above their spectral radius, and lose
+    accuracy in the squarings.
+    """
+    A = np.asarray(A, dtype=float)
+    ident = np.eye(len(A))
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A2 @ A4
+    d6 = np.linalg.norm(A6, 1) ** (1 / 6)
+    eta = max(np.linalg.norm(A4, 1) ** 0.25, d6)
+    powers = [ident, A2, A4, A6]  # A^0, A^2, A^4, ...
+    for m, theta in _PADE_THETA:
+        if m == 7:  # degrees 7 and 9 use A^8, and judge by max(d6, d8)
+            powers.append(A4 @ A4)
+            d8 = np.linalg.norm(powers[4], 1) ** (1 / 8)
+            eta = max(d6, d8)
+        if eta <= theta and _extra_squarings(A, m) == 0:
+            b = _pade_coefficients(m)
+            half = range(m // 2, -1, -1)
+            U = A @ sum(b[2 * k + 1] * powers[k] for k in half)
+            V = sum(b[2 * k] * powers[k] for k in half)
+            return np.linalg.solve(V - U, V + U)
+
+    eta = min(eta, max(d8, np.linalg.norm(A4 @ A6, 1) ** 0.1))
+    s = max(int(np.ceil(np.log2(eta / _THETA_13))), 0) if eta > 0 else 0
+    s += _extra_squarings(A / 2.0**s, 13)
+    A, A2, A4, A6 = (X / 2.0 ** (p * s) for p, X in ((1, A), (2, A2), (4, A4), (6, A6)))
+    b = _pade_coefficients(13)
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 def _propagate(cfg: WaveConfig, state0: ModalState, k1, k2, nsteps: int, dt: float):
     """Modal states (nsteps + 1, k, 2) under each mode's own loop F + G K.
 
-    One step is the exact propagator expm((F + G K) dt) of every mode.
+    One step is the exact propagator expm((F + G K) dt) of every mode, in
+    closed form (expm_2x2).
     """
-    # deferred: simulation is the only use of scipy, and importing
-    # scipy.linalg costs about 0.3 s that the other CLI commands need not pay
-    from scipy.linalg import expm
-
-    props = expm(closed_loop_matrices(cfg, state0.modes, k1, k2) * dt)
+    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, k1, k2) * dt)
     a = np.empty((nsteps + 1, len(state0.modes), 2))
     a[0] = state0.a
     for k in range(nsteps):
@@ -238,14 +367,12 @@ def simulate_coupled_modal(
     true input vector.  The accumulated cost is the field-frame criterion:
     the double space quadrature plus R u^2.
     """
-    from scipy.linalg import expm  # deferred, see _propagate
-
     nsteps = _steps_for(T, dt)
     modes, A, B, Krow = coupled_loop_parts(cfg, sols, N)
     if tuple(state0.modes) != tuple(modes):
         raise ValueError("initial state modes must match the truncation 1..N (0..N for Neumann)")
     d = 2 * len(modes)
-    prop = expm((A + B @ Krow) * dt)
+    prop = expm_pade((A + B @ Krow) * dt)
     s = np.empty((nsteps + 1, d))
     s[0] = state0.a.reshape(-1)
     for k in range(nsteps):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import one_mode
+from wavelqr import kernels
 from wavelqr.kernels import (
     QUAD_WARNING,
     assemble_K,
@@ -13,6 +14,7 @@ from wavelqr.kernels import (
     convergence_report,
     decay_fit,
     pde_residual,
+    pde_residual_diagonal,
     residual_coefficient_matrices,
     series_thresholds,
 )
@@ -296,6 +298,28 @@ class TestPdeResidual:
         for f in (fields.r11, fields.r12, fields.r21, fields.r22):
             coeffs = proj @ f @ proj.T
             assert np.abs(np.diag(coeffs)).max() <= 1e-8
+
+    @pytest.mark.parametrize("block", [None, 97])
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("N", [1, 8, 64])
+    def test_gram_diagonal_matches_field_projection(self, monkeypatch, N, boundary, alpha, block):
+        """diag(Gamma M Gamma') equals diag(proj f proj') of the assembled fields."""
+        if block is not None:  # several blocks, the last one partial
+            monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
+        cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
+        fam = PowerLawWeights(1.0, 5.0)
+        sols = solve_family(cfg, fam, N)
+        npts = max(401, 20 * N + 1)
+        grid = np.linspace(0.0, 1.0, npts)
+        wq = simpson_weights(npts, grid[1] - grid[0])
+        fields = pde_residual(cfg, sols, fam, grid)
+        proj = basis_matrix(boundary, sols.n, grid) * wq / projection_weight(boundary, sols.n)[:, None]
+        ref = np.stack([np.diag(proj @ f @ proj.T)
+                        for f in (fields.r11, fields.r12, fields.r21, fields.r22)])
+        got = pde_residual_diagonal(cfg, sols, fam, grid, wq)
+        assert got.shape == (4, len(sols))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
     def test_duplicate_modes_rejected(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0, cutoff=2)

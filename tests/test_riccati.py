@@ -288,6 +288,54 @@ class TestOracle:
             assert np.all(np.abs(t.p22 - o22) <= 1e-8 * scale)
 
 
+    @pytest.mark.parametrize(
+        "boundary, alpha, n, q",
+        [
+            (Boundary.DIRICHLET, 0.0, 2, (0.0, 0.0, 0.0)),  # +-i 2 pi unobserved
+            (Boundary.NEUMANN, 0.0, 3, (0.0, 0.0, 0.0)),
+            (Boundary.NEUMANN, 0.0, 0, (0.0, 0.0, 1.0)),  # eigenvalue 0 unobserved
+            (Boundary.NEUMANN, 0.2, 0, (0.0, 0.0, 1.0)),
+        ],
+    )
+    def test_batched_oracle_refuses_unobserved_imaginary_axis(self, boundary, alpha, n, q):
+        """No stabilizing solution exists, and both oracles say so, naming the mode."""
+        cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
+        ns = np.array(sorted({n, 1, 4}))
+        q11, q12, q22 = (np.where(ns == n, qi, 1.0 if i != 1 else 0.0) for i, qi in enumerate(q))
+        with pytest.raises(OracleError, match=f"mode {n}\\b"):
+            oracle_solve_modes(cfg, ns, q11, q12, q22)
+        F, G = modal_matrices(cfg, n)
+        with pytest.raises(OracleError):
+            are_oracle(F, G, np.array([[q[0], q[1]], [q[1], q[2]]]), np.array([[cfg.R]]))
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_batched_oracle_solves_observed_edge_cases(self, boundary):
+        """Damped modes n >= 1 with zero weights have P = 0, and an undamped
+        mean mode weighted through Q11 alone is observed."""
+        cfg = WaveConfig(boundary, alpha=0.2, beta=1.0, R=1.0)
+        ns = np.arange(1, 7)
+        zero = np.zeros(len(ns))
+        np.testing.assert_allclose(oracle_solve_modes(cfg, ns, zero, zero, zero), 0.0, atol=1e-14)
+        if boundary == Boundary.NEUMANN:
+            undamped = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
+            o = oracle_solve_modes(undamped, [0], [1.0], [0.0], [0.0])
+            t = modal_table(undamped, [0], [1.0], [0.0], [0.0])
+            np.testing.assert_allclose(np.ravel(o), [t.p11[0], t.p12[0], t.p22[0]], rtol=1e-10)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_batched_oracle_tiny_positive_weights(self, boundary):
+        """q / n^r down to 1e-22 at n = 2048 is observed: the modes still solve."""
+        cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
+        ns = np.array(mode_range(boundary, 2048))
+        amp = weight_arrays(PowerLawWeights(0.1, 6.5, cutoff=2048), ns)[0]
+        o11, o12, o22 = oracle_solve_modes(cfg, ns, amp, 0.0, amp)
+        t = modal_table(cfg, ns, amp, np.zeros_like(amp), amp)
+        scale = 1.0 + np.abs(t.matrices).max(axis=(1, 2))
+        for o, p in ((o11, t.p11), (o12, t.p12), (o22, t.p22)):
+            assert np.all(np.abs(o - p) <= 1e-8 * scale)
+        assert np.all(o12 > 0) and np.all(o22 > 0)
+
+
 class TestModalGain:
     def test_zero_solution(self, dirichlet_cfg):
         t = one_mode(dirichlet_cfg, ModalWeight(4, 0.0, 0.0, 0.0))

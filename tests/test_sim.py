@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import one_mode
+from conftest import one_mode, sweep_configs
 from wavelqr.kernels import assemble_K, assemble_P, assemble_Q, basis_matrix
 from wavelqr.model import (
     Boundary,
@@ -21,6 +21,8 @@ from wavelqr.sim import (
     ModalState,
     SimulationError,
     decay_horizon,
+    expm_2x2,
+    expm_pade,
     field_energy,
     modal_energy,
     predicted_cost,
@@ -31,7 +33,7 @@ from wavelqr.sim import (
     simulate_fd,
     target_solution,
 )
-from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum
+from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
 def no_gains(cfg):
@@ -136,6 +138,78 @@ class TestTargetSolution:
         res = target_solution(cfg, st, period, period / nsteps)
         expect = np.exp(-cfg.alpha * period / 2.0) * st.a
         np.testing.assert_allclose(res.states[-1], expect, rtol=1e-9, atol=1e-12)
+
+
+def closed_loops(boundary, params, N):
+    """Per-mode (k, 2, 2) closed loops and the coupled (2N)^2 loop of a sweep config."""
+    alpha, beta, R, q, r = params
+    cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
+    sols = solve_family(cfg, PowerLawWeights(q, r, cutoff=N), N)
+    _, A, B, Krow = coupled_loop_parts(cfg, sols, N)
+    return closed_loop_matrices(cfg, sols.n, sols.k1, sols.k2), A + B @ Krow
+
+
+def deviation(got, ref):
+    """Largest entry of |got - ref| over the largest entry of |ref|, per matrix."""
+    return (np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max()
+
+
+class TestExponentials:
+    """expm_2x2 (closed form) and expm_pade (scaling and squaring) against
+    scipy.linalg.expm, and against a 40-digit reference where scipy's own
+    squarings lose digits."""
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_match_scipy_over_sweep(self, boundary):
+        dt = 0.002  # the simulation step: Pade degree 3 at N=2 up to 7 at N=64
+        for params in sweep_configs():
+            blocks, coupled = closed_loops(boundary, params, 64)
+            assert deviation(expm_2x2(blocks * dt), expm(blocks * dt)) <= 1e-15
+            if params[1:3] == (2.0, 0.5):  # the largest input gain beta^2 / R
+                assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
+            for N in (2, 16):
+                _, coupled = closed_loops(boundary, params, N)
+                assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
+
+    @pytest.mark.parametrize("boundary, alpha", [(Boundary.DIRICHLET, 0.0), (Boundary.NEUMANN, 0.2)])
+    def test_match_scipy_at_fine_grid_size(self, boundary, alpha):
+        blocks, coupled = closed_loops(boundary, (alpha, 1.0, 1.0, 1.0, 5.0), 208)
+        dt = 0.002
+        assert deviation(expm_2x2(blocks * dt), expm(blocks * dt)) <= 1e-15
+        assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
+
+    @pytest.mark.parametrize("q2", [0.0, 1e-10, -1e-10])
+    def test_critical_damping(self, q2):
+        # A = [[0, 1], [-d, -2]] has s = -1 and q^2 = 1 - d exactly
+        A = np.array([[[0.0, 1.0], [-(1.0 - q2), -2.0]]])
+        ref = expm(A[0])
+        assert deviation(expm_2x2(A), ref) <= 1e-15
+        assert deviation(expm_pade(A[0]), ref) <= 1e-14
+        if q2 == 0.0:  # e^A = e^-1 (I + (A + I))
+            np.testing.assert_allclose(expm_2x2(A)[0], np.exp(-1.0) * np.array([[2.0, 1.0], [-1.0, 0.0]]),
+                                       rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("dt", [1.0, 5.0])
+    def test_large_step_against_high_precision(self, boundary, dt):
+        mpmath = pytest.importorskip("mpmath")
+
+        def reference(A):
+            with mpmath.workdps(40):
+                return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+        blocks, coupled = closed_loops(boundary, (0.1, 0.5, 1.0, 10.0, 2.5), 8)
+        for A in (*blocks * dt, coupled * dt):
+            # e^A is conditioned like ||A||: bound the deviation by u ||A||_1
+            tol = 1e-15 * np.abs(A).sum(axis=0).max()
+            if A.shape == (2, 2):
+                assert deviation(expm_2x2(A[None])[0], reference(A)) <= tol
+            assert deviation(expm_pade(A), reference(A)) <= tol
+
+    def test_no_overflow_where_exp_s_underflows(self):
+        # s = -800, q = 790: cosh(q) overflows, e^(s+q) = e^-10 does not
+        A = np.array([[[-10.0, 0.0], [0.0, -1590.0]]])
+        np.testing.assert_allclose(expm_2x2(A)[0], [[np.exp(-10.0), 0.0], [0.0, 0.0]], rtol=1e-15, atol=0)
 
 
 class TestSimulateDecoupled:
