@@ -12,7 +12,7 @@ from wavelqr.model import Boundary, modal_matrices
 from wavelqr.riccati import negative_root_matrices
 
 cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
-family = PowerLawWeights(q=1.0, r=5.0, cutoff=8)
+family = PowerLawWeights(q=1.0, r=5.0)
 
 print("Per-mode stabilizing solutions, Dirichlet actuation, Q = q/n^r I")
 print(f"{'n':>3} {'P11':>12} {'P12':>12} {'P22':>12} {'K1':>12} {'K2':>12} {'rel res':>9}")

@@ -11,11 +11,11 @@ import os
 import numpy as np
 
 from wavelqr import PowerLawWeights, WaveConfig, assemble_K, assemble_P, assemble_Q, solve_family
-from wavelqr.kernels import pde_residual
+from wavelqr.kernels import pde_residual, summability_warnings
 from wavelqr.model import Boundary
 
 grid = np.linspace(0.0, 1.0, 201)
-family = PowerLawWeights(q=1.0, r=5.0, cutoff=32)
+family = PowerLawWeights(q=1.0, r=5.0)
 
 for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
@@ -39,9 +39,9 @@ for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
 
     # the diagonal modal solution satisfies the kernel Riccati PDE only on
     # the diagonal Fourier coefficients; the off-diagonal defect survives
-    fields = pde_residual(cfg, sols, family, grid)
+    fields = pde_residual(cfg, sols, grid)
     print(f"kernel Riccati PDE residual field, max abs: {fields.max_abs():.4f}")
-    print(f"Q series warnings: {kq.warnings or 'none'}")
+    print(f"Q series warnings: {summability_warnings(family) or 'none'}")
 
     out = os.path.join("out", "demo02")
     os.makedirs(out, exist_ok=True)

@@ -21,7 +21,7 @@ for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     print(f"=== {boundary.value} ===")
     for r in (1.5, 2.5, 4.5, 6.5):
         rep = convergence_report(
-            cfg, PowerLawWeights(q=1.0, r=r, cutoff=64), [16, 32, 64],
+            cfg, PowerLawWeights(q=1.0, r=r), [16, 32, 64],
             fit_window=(50, 200),
         )
         parts = []

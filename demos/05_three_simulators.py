@@ -22,7 +22,7 @@ from wavelqr import (
     simulate_fd,
     solve_family,
 )
-from wavelqr.model import Boundary, ExplicitWeights
+from wavelqr.model import Boundary
 from wavelqr.sim import ModalState, decay_horizon, field_energy, modal_energy
 
 cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
@@ -31,10 +31,9 @@ cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
 n = 2
 w = ModalWeight(n, 1.0, 0.0, 1.0)
 sol = modal_table(cfg, [n], [w.q11], [w.q12], [w.q22])
-fam1 = ExplicitWeights({n: w}, cutoff=n)
 state1 = ModalState(cfg.boundary, (n,), np.array([[1.0, 0.5]]))
 T = decay_horizon(cfg, sol)
-res = simulate_decoupled(cfg, fam1, sol, state1, T, 0.002)
+res = simulate_decoupled(cfg, sol, state1, T, 0.002)
 pred = predicted_cost(state1, sol).per_mode
 print(f"mode {n}: simulated cost over T={T:.2f}: {res.total_cost:.8f}")
 print(f"         Riccati prediction a0' P a0:  {pred:.8f}")
@@ -42,7 +41,7 @@ print(f"         relative deviation:           {abs(res.total_cost-pred)/pred:.2
 
 # --- coupled modal vs finite differences, band-limited initial data
 N, M = 8, 400
-family = PowerLawWeights(q=1.0, r=5.0, cutoff=N)
+family = PowerLawWeights(q=1.0, r=5.0)
 sols = solve_family(cfg, family, N)
 
 z1 = lambda x: np.sin(np.pi * x) + 0.4 * np.sin(2 * np.pi * x) - 0.2 * np.sin(5 * np.pi * x)
@@ -53,7 +52,7 @@ profile = assemble_K(sols, cfg, x)
 fd = simulate_fd(cfg, profile, z1, z2, M, 5.0, cfl=0.9, family=family, N=N)
 t_end = fd.times[-1]
 state0 = project_initial(z1, z2, N, cfg.boundary)
-coupled = simulate_coupled_modal(cfg, family, sols, state0, N, t_end, t_end / 2500)
+coupled = simulate_coupled_modal(cfg, sols, state0, t_end, t_end / 2500)
 
 print(f"accumulated criterion over [0, {t_end:.3f}]:")
 print(f"  coupled modal:      {coupled.total_cost:.6f}")

@@ -33,7 +33,7 @@ print(f"{'n':>3} {'dirichlet':>12} {'neumann':>12}")
 damping = []
 for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
-    t = solve_family(cfg, PowerLawWeights(q=q, r=r, cutoff=16), 12)
+    t = solve_family(cfg, PowerLawWeights(q=q, r=r), 12)
     t = t[t.n >= 1]
     mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
     damping.append(np.abs(mu.real.max(axis=1)))

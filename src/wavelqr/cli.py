@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .kernels import (
-    QUAD_WARNING,
     assemble_K,
     assemble_P,
     assemble_Q,
@@ -24,6 +23,7 @@ from .kernels import (
     pde_residual,
     pde_residual_diagonal,
     series_thresholds,
+    summability_warnings,
 )
 from .model import (
     Boundary,
@@ -130,7 +130,7 @@ def _run_config(doc: dict) -> RunConfig:
         raise ConfigError("weights must be an object")
     _check_keys(wdoc, {"type", "q", "r", "entries"}, "weights")
     try:
-        family = weight_family_from_dict(wdoc, cutoff=N, boundary=wave.boundary)
+        family = weight_family_from_dict(wdoc, boundary=wave.boundary)
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"invalid weights: {exc}") from exc
 
@@ -311,7 +311,7 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
             npts += 1
         grid = np.linspace(0.0, 1.0, npts)
         wq = simpson_weights(npts, grid[1] - grid[0])
-        diag = pde_residual_diagonal(cfg, t, rc.family, grid, wq)
+        diag = pde_residual_diagonal(cfg, t, grid, wq)
         add("pde_residual_diagonal", np.abs(diag).max(), 1e-8)
 
     # assembled kernel symmetry at seeded random pairs, and boundary values
@@ -339,15 +339,11 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
          "tolerance": 0.5, "passed": neg_ok}
     )
 
-    warnings = []
-    if isinstance(rc.family, PowerLawWeights) and rc.family.r <= 1.0:
-        warnings.append(QUAD_WARNING)
-
     return {
         "boundary": cfg.boundary.value,
         "N": rc.N,
         "checks": checks,
-        "warnings": warnings,
+        "warnings": list(summability_warnings(rc.family)),
         "passed": all(c["passed"] for c in checks),
     }
 
@@ -390,7 +386,7 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     kp = assemble_P(sols, grid, cfg.boundary)
     kq = assemble_Q(rc.family, grid, cfg.boundary, rc.N)
     kg = assemble_K(sols, cfg, grid)
-    fields = pde_residual(cfg, sols, rc.family, grid)
+    fields = pde_residual(cfg, sols, grid)
 
     write_csv(out / "kernel_P.csv", ["x1", "x2", "P11", "P12", "P21", "P22"], _kernel_columns(kp))
     write_csv(out / "kernel_Q.csv", ["x1", "x2", "Q11", "Q12", "Q21", "Q22"], _kernel_columns(kq))
@@ -407,7 +403,7 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
             "grid_points": rc.grid_points,
             "P_max_abs": float(np.max(np.abs(kp.values))),
             "K_max_abs": float(np.max(np.abs(kg.values))),
-            "Q_warnings": list(kq.warnings),
+            "Q_warnings": list(summability_warnings(rc.family)),
             "pde_residual_max_abs": fields.max_abs(),
         },
     )
@@ -438,8 +434,8 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     sols = solve_family(cfg, rc.family, rc.N)
     state0 = _initial_state(rc)
 
-    dec = simulate_decoupled(cfg, rc.family, sols, state0, rc.sim.T, rc.sim.dt)
-    cou = simulate_coupled_modal(cfg, rc.family, sols, state0, rc.N, rc.sim.T, rc.sim.dt)
+    dec = simulate_decoupled(cfg, sols, state0, rc.sim.T, rc.sim.dt)
+    cou = simulate_coupled_modal(cfg, sols, state0, rc.sim.T, rc.sim.dt)
 
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)

@@ -7,7 +7,7 @@ truncated series are evaluated analytically, term by term, never by
 numerical differentiation of sampled kernels.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +28,10 @@ QUAD_WARNING = "series not absolutely summable"
 #: grid points per block of the Gram accumulation in pde_residual_diagonal
 GRAM_BLOCK = 2048
 
+#: points of the uniform grid on which convergence_report takes the sup
+#: differences of successive partial sums
+CAUCHY_GRID_POINTS = 101
+
 
 @dataclass(frozen=True)
 class KernelField:
@@ -37,8 +41,6 @@ class KernelField:
     grid_x2: np.ndarray
     values: np.ndarray  # (len(grid_x1), len(grid_x2), 2, 2)
     boundary: Boundary
-    n_used: int
-    warnings: tuple[str, ...] = ()
 
     def component(self, i: int, j: int) -> np.ndarray:
         return self.values[:, :, i, j]
@@ -104,7 +106,7 @@ def assemble_P(sols: ModalTable, grid, boundary: Boundary, grid_x2=None) -> Kern
     phi1 = basis_matrix(boundary, sols.n, grid_x1)
     phi2 = basis_matrix(boundary, sols.n, grid_x2)
     values = _series_values(phi1, phi2, sols.p11, sols.p12, sols.p22)
-    return KernelField(grid_x1, grid_x2, values, boundary, int(sols.n.max(initial=0)))
+    return KernelField(grid_x1, grid_x2, values, boundary)
 
 
 def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
@@ -124,21 +126,27 @@ def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
     return GainProfile(grid, values, cfg.boundary, int(sols.n.max(initial=0)))
 
 
+def summability_warnings(family: WeightFamily) -> tuple[str, ...]:
+    """(QUAD_WARNING,) for a power law with r <= 1, whose Q series does not
+    converge absolutely; () otherwise."""
+    if isinstance(family, PowerLawWeights) and family.r <= 1.0:
+        return (QUAD_WARNING,)
+    return ()
+
+
 def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> KernelField:
-    """Truncated series of the state-cost kernel, with a summability flag."""
+    """Truncated series of the state-cost kernel over the modes up to N."""
     boundary = Boundary(boundary)
     grid = np.asarray(grid, dtype=float)
     modes = list(mode_range(boundary, N))
-    warnings = ()
-    if isinstance(family, PowerLawWeights) and family.r <= 1.0:
-        warnings = (QUAD_WARNING,)
     phi = basis_matrix(boundary, modes, grid)
     values = _series_values(phi, phi, *weight_arrays(family, modes))
-    return KernelField(grid, grid, values, boundary, max(modes, default=0), warnings)
+    return KernelField(grid, grid, values, boundary)
 
 
-def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable, family: WeightFamily):
-    """Double-basis coefficients of the four PDE residual fields.
+def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
+    """Double-basis coefficients of the four PDE residual fields, with the
+    weights Q taken from the table.
 
     Entry (i, j) multiplies phi_{m_i}(x1) phi_{n_j}(x2).  Diagonals carry the
     modal ARE residuals (zero at a solution); off-diagonals are minus the
@@ -147,9 +155,9 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable, family: Wei
     actuation.
     """
     modes, p11, p12, p22 = sols.n, sols.p11, sols.p12, sols.p22
+    q11, q12, q22 = sols.q11, sols.q12, sols.q22
     if len(np.unique(modes)) != len(modes):
         raise ValueError("solution table holds some mode more than once")
-    q11, q12, q22 = weight_arrays(family, modes)
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq
 
@@ -175,7 +183,7 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable, family: Wei
     return modes, (m11, m12, m21, m22)
 
 
-def pde_residual(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid) -> ResidualFields:
+def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> ResidualFields:
     """Defect fields of the kernel Riccati PDE for the truncated diagonal solution.
 
     With a single active mode every field vanishes; with several, the
@@ -183,14 +191,13 @@ def pde_residual(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid) 
     right-hand side.
     """
     grid = np.asarray(grid, dtype=float)
-    modes, mats = residual_coefficient_matrices(cfg, sols, family)
+    modes, mats = residual_coefficient_matrices(cfg, sols)
     phi = basis_matrix(cfg.boundary, modes, grid)
     fields = [phi.T @ m @ phi for m in mats]
     return ResidualFields(grid, *fields, modes=tuple(int(n) for n in modes))
 
 
-def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, family: WeightFamily, grid,
-                          weights) -> np.ndarray:
+def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, grid, weights) -> np.ndarray:
     """diag(proj f proj') of the four residual fields f, without forming the fields.
 
     proj = phi * weights / pairing weight is the quadrature projection onto
@@ -203,7 +210,7 @@ def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, family: WeightFamil
     r11, r12, r21, r22.  Gamma is accumulated over blocks of GRAM_BLOCK grid
     points, so memory is O(k^2 + k * GRAM_BLOCK) whatever the grid size.
     """
-    modes, mats = residual_coefficient_matrices(cfg, sols, family)
+    modes, mats = residual_coefficient_matrices(cfg, sols)
     grid = np.asarray(grid, dtype=float)
     weights = np.asarray(weights, dtype=float)
     gram = np.zeros((len(modes), len(modes)))
@@ -280,22 +287,21 @@ def convergence_report(
     family: PowerLawWeights,
     N_list,
     fit_window: tuple[int, int] = (50, 500),
-    cauchy_grid_points: int = 101,
 ) -> ConvergenceReport:
     """Summability verdicts for the Q, K and P11 series of a power-law family.
 
     The verdict compares r against the series threshold; the fitted decay
     exponent of the coefficient sequence and the sup-grid differences of
     successive partial sums are reported as empirical evidence.  The fit
-    ignores the family cutoff: the question concerns the tail of the family,
-    not of its truncation.
+    window may reach beyond every N of N_list: the question concerns the
+    tail of the family, not of its truncation.
     """
     if not isinstance(family, PowerLawWeights):
         raise TypeError("convergence analysis is defined for power-law families")
     thresholds = series_thresholds(cfg.boundary)
     lo, hi = fit_window
     ns = np.arange(max(lo, 1), hi + 1)
-    fit = modal_table(cfg, ns, *weight_arrays(replace(family, cutoff=hi), ns))
+    fit = modal_table(cfg, ns, *weight_arrays(family, ns))
     fitted = {
         "Q": decay_fit(ns, fit.q11),
         "K": decay_fit(ns, np.maximum(np.abs(fit.k1), np.abs(fit.k2))),
@@ -303,13 +309,12 @@ def convergence_report(
     }
 
     N_list = sorted(int(N) for N in N_list)
-    grid = np.linspace(0.0, 1.0, cauchy_grid_points)
+    grid = np.linspace(0.0, 1.0, CAUCHY_GRID_POINTS)
     diffs: dict[str, list[float]] = {"Q": [], "K": [], "P11": []}
     prev = None
     for N in N_list:
-        nofcut = replace(family, cutoff=N)
-        sols = solve_family(cfg, nofcut, N)
-        qf = assemble_Q(nofcut, grid, cfg.boundary, N).component(0, 0)
+        sols = solve_family(cfg, family, N)
+        qf = assemble_Q(family, grid, cfg.boundary, N).component(0, 0)
         kf = np.abs(assemble_K(sols, cfg, grid).values).max(axis=1)
         pf = assemble_P(sols, grid, cfg.boundary).component(0, 0)
         cur = (qf, kf, pf)

@@ -62,9 +62,9 @@ def validate_mode(boundary: Boundary, n) -> np.ndarray:
 
 
 def mode_range(boundary: Boundary, N: int) -> range:
-    """Modes up to cutoff N: 1..N for Dirichlet, 0..N for Neumann."""
+    """Modes up to N: 1..N for Dirichlet, 0..N for Neumann."""
     if N < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {N}")
+        raise ValueError(f"mode count N must be nonnegative, got {N}")
     return range(1, N + 1) if Boundary(boundary) == Boundary.DIRICHLET else range(0, N + 1)
 
 
@@ -99,13 +99,10 @@ class PowerLawWeights:
 
     q: float
     r: float
-    cutoff: int = 64
 
     def __post_init__(self):
         if not self.q > 0:
             raise ValueError(f"power-law amplitude q must be positive, got {self.q}")
-        if self.cutoff < 0:
-            raise ValueError(f"cutoff must be nonnegative, got {self.cutoff}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +110,6 @@ class ExplicitWeights:
     """Explicit per-mode weights; modes absent from the map get zero weight."""
 
     entries: Mapping[int, ModalWeight]
-    cutoff: int = 64
 
     def __post_init__(self):
         for n, w in self.entries.items():
@@ -125,7 +121,7 @@ WeightFamily = Union[PowerLawWeights, ExplicitWeights]
 
 
 def weight_arrays(family: WeightFamily, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q11, Q12, Q22) arrays a family gives the admissible modes n; zero beyond the cutoff.
+    """(Q11, Q12, Q22) arrays a family gives the admissible modes n.
 
     Power laws use np.float_power, which rounds as libm pow (and Python's
     float ``**``) does; np.power does not on every host.
@@ -134,9 +130,8 @@ def weight_arrays(family: WeightFamily, n) -> tuple[np.ndarray, np.ndarray, np.n
     if isinstance(family, PowerLawWeights):
         # 1**r == 1 exactly, so the mean mode gets q
         amp = family.q / np.float_power(np.maximum(n, 1), family.r)
-        amp = np.where(n <= family.cutoff, amp, 0.0)
         return amp, np.zeros_like(amp), amp
-    rows = [family.entries.get(m) if m <= family.cutoff else None for m in n.tolist()]
+    rows = [family.entries.get(m) for m in n.tolist()]
     q = np.array([(0.0, 0.0, 0.0) if w is None else (w.q11, w.q12, w.q22) for w in rows])
     return tuple(q.reshape(-1, 3).T)
 
@@ -253,17 +248,17 @@ def wave_config_from_dict(doc: Mapping) -> WaveConfig:
     )
 
 
-def weight_family_from_dict(doc: Mapping, cutoff: int, boundary: Boundary) -> WeightFamily:
+def weight_family_from_dict(doc: Mapping, boundary: Boundary) -> WeightFamily:
     """Build a weight family from the JSON 'weights' object.
 
     A list entry must name an admissible mode of the boundary, at most once;
-    entries above the cutoff are kept and weigh nothing.
+    entries above the mode count N are kept and weigh nothing, since no mode
+    above N is solved.
     """
     kind = doc.get("type")
     if kind == "power":
         return PowerLawWeights(
             q=finite_value(doc["q"], "weights.q"), r=finite_value(doc["r"], "weights.r"),
-            cutoff=cutoff,
         )
     if kind == "list":
         entries = {}
@@ -280,5 +275,5 @@ def weight_family_from_dict(doc: Mapping, cutoff: int, boundary: Boundary) -> We
                 finite_value(item.get("Q12", 0.0), f"weights entry n={n} Q12"),
                 finite_value(item["Q22"], f"weights entry n={n} Q22"),
             )
-        return ExplicitWeights(entries=entries, cutoff=cutoff)
+        return ExplicitWeights(entries=entries)
     raise ValueError(f"weights.type must be 'power' or 'list', got {kind!r}")

@@ -194,7 +194,8 @@ def modal_table(cfg: WaveConfig, n, q11, q12, q22) -> ModalTable:
 
 
 def solve_family(cfg: WaveConfig, family: WeightFamily, N: int) -> ModalTable:
-    """Closed-form solutions for every mode up to the cutoff N."""
+    """Closed-form solutions for every mode up to N: the table the kernels,
+    spectra and simulators read their modes and weights from."""
     n = np.array(mode_range(cfg.boundary, N))
     return modal_table(cfg, n, *weight_arrays(family, n))
 
@@ -245,8 +246,9 @@ def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
     subspace [I; P] is the null space of sign(H) + I, so P solves
     [W12; W22 + I] P = -[W11 + I; W21] in the least-squares sense.  A
     Hamiltonian eigenvalue on the imaginary axis stops the iteration from
-    converging and raises OracleError, as does a P that fails the residual,
-    semidefiniteness or closed-loop stability check.
+    converging and raises OracleError, at the first non-finite iterate if
+    one overflows, as does a P that fails the residual, semidefiniteness or
+    closed-loop stability check.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -268,6 +270,11 @@ def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
             )
         mu = np.exp(-logdet / (2 * d))
         Z_next = 0.5 * (mu * Z + np.linalg.inv(Z) / mu)
+        if not np.isfinite(Z_next).all():
+            raise OracleError(
+                "sign iteration overflowed: a Hamiltonian eigenvalue lies on or near "
+                "the imaginary axis, so no stabilizing solution exists"
+            )
         step = np.linalg.norm(Z_next - Z, 1)
         Z = Z_next
         if step <= _SIGN_TOL * np.linalg.norm(Z, 1):
@@ -376,8 +383,8 @@ class CoupledAre:
     dev_K_fro: float
 
 
-def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> CoupledAre:
-    """Solve the ARE of the truncated coupled plant and measure the gap.
+def coupled_truncated_are(cfg: WaveConfig, t: ModalTable) -> CoupledAre:
+    """Solve the ARE of the plant truncated to the modes of t and measure the gap.
 
     The per-mode construction solves each 2x2 block independently; the
     shared scalar control couples the blocks through B, so the coupled ARE
@@ -387,8 +394,7 @@ def coupled_truncated_are(cfg: WaveConfig, family: WeightFamily, N: int) -> Coup
     # spectrum imports this module, so its plant builder is imported here
     from .spectrum import coupled_loop_parts
 
-    t = solve_family(cfg, family, N)
-    modes, A, B, _ = coupled_loop_parts(cfg, t, N)
+    modes, A, B, _ = coupled_loop_parts(cfg, t)
     # pairing-weighted coordinates: B stacks proj_weight_n * G_true_n, which
     # equals the modal G up to the gain-expansion sign
     B = B * np.repeat(projection_weight(cfg.boundary, modes), 2)[:, None]

@@ -32,7 +32,7 @@ from .model import (
     weight_arrays,
 )
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
-from .riccati import ModalTable, gain_arrays
+from .riccati import ModalTable
 from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
@@ -160,12 +160,10 @@ def _blocks(c11, c12, c22) -> np.ndarray:
     return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
 
 
-def _solution_at(sols: ModalTable, modes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(P11, P12, P22) of a table at the given modes; zero where it has no such mode."""
-    row = {m: i for i, m in enumerate(sols.n.tolist())}
-    idx = np.array([row.get(m, -1) for m in modes], dtype=int)
-    # index -1 reads the appended zero
-    return tuple(np.append(c, 0.0)[idx] for c in (sols.p11, sols.p12, sols.p22))
+def _check_modes(state0: ModalState, sols: ModalTable) -> None:
+    """Refuse a state whose modes are not, in order, the modes of the table."""
+    if tuple(state0.modes) != tuple(sols.n.tolist()):
+        raise ValueError("initial state modes must be the solution table's modes, in order")
 
 
 def expm_2x2(A) -> np.ndarray:
@@ -318,7 +316,6 @@ def target_solution(cfg: WaveConfig, state0: ModalState, T: float, dt: float) ->
 
 def simulate_decoupled(
     cfg: WaveConfig,
-    family: WeightFamily,
     sols: ModalTable,
     state0: ModalState,
     T: float,
@@ -326,18 +323,17 @@ def simulate_decoupled(
 ) -> SimResult:
     """Every mode under its own closed loop, each with its own control u_n.
 
-    A mode missing from sols runs open loop.  The running cost integrates
-    sum_n (a_n' Q^n a_n + R u_n^2) by composite Simpson over the sample
-    times; this is the per-mode LQR frame in which the infinite-horizon cost
-    equals a_0' P^n a_0 exactly.
+    state0 must hold the modes of sols; a zero-weight row has zero gain and
+    runs open loop.  The running cost integrates sum_n (a_n' Q^n a_n + R u_n^2)
+    by composite Simpson over the sample times; this is the per-mode LQR
+    frame in which the infinite-horizon cost equals a_0' P^n a_0 exactly.
     """
+    _check_modes(state0, sols)
     nsteps = _steps_for(T, dt)
     modes = state0.modes
-    _, p12, p22 = _solution_at(sols, modes)
-    k1, k2 = gain_arrays(cfg, modes, p12, p22)
-    gains = np.stack([k1, k2], axis=1)  # (k, 2)
-    qblocks = _blocks(*weight_arrays(family, modes))
-    a = _propagate(cfg, state0, k1, k2, nsteps, dt)
+    gains = np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
+    qblocks = _blocks(sols.q11, sols.q12, sols.q22)
+    a = _propagate(cfg, state0, sols.k1, sols.k2, nsteps, dt)
     u = np.einsum("nj,tnj->tn", gains, a)  # per-mode controls
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * np.sum(u**2, axis=1)
     cost = running_quadrature(integrand, dt)
@@ -352,25 +348,23 @@ def simulate_decoupled(
 
 def simulate_coupled_modal(
     cfg: WaveConfig,
-    family: WeightFamily,
     sols: ModalTable,
     state0: ModalState,
-    N: int,
     T: float,
     dt: float,
 ) -> SimResult:
-    """Truncated coupled system under the single shared control.
+    """System truncated to the modes of sols under the single shared control.
 
-    u(t) is the pairing-weighted, expansion-signed combination of the modal
-    gains of sols (the quadrature of the gain kernel against z); a mode
-    missing from sols adds no feedback, and every mode is forced through its
-    true input vector.  The accumulated cost is the field-frame criterion:
-    the double space quadrature plus R u^2.
+    state0 must hold the modes of sols.  u(t) is the pairing-weighted,
+    expansion-signed combination of the modal gains of sols (the quadrature
+    of the gain kernel against z); a zero-weight row adds no feedback, and
+    every mode is forced through its true input vector.  The accumulated
+    cost is the field-frame criterion: the double space quadrature plus
+    R u^2.
     """
+    _check_modes(state0, sols)
     nsteps = _steps_for(T, dt)
-    modes, A, B, Krow = coupled_loop_parts(cfg, sols, N)
-    if tuple(state0.modes) != tuple(modes):
-        raise ValueError("initial state modes must match the truncation 1..N (0..N for Neumann)")
+    modes, A, B, Krow = coupled_loop_parts(cfg, sols)
     d = 2 * len(modes)
     prop = expm_pade((A + B @ Krow) * dt)
     s = np.empty((nsteps + 1, d))
@@ -380,7 +374,7 @@ def simulate_coupled_modal(
     a = s.reshape(nsteps + 1, len(modes), 2)
     u = s @ Krow[0]
     pw2 = projection_weight(cfg.boundary, modes) ** 2
-    qblocks = _blocks(*weight_arrays(family, modes)) * pw2[:, None, None]
+    qblocks = _blocks(sols.q11, sols.q12, sols.q22) * pw2[:, None, None]
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * u**2
     cost = running_quadrature(integrand, dt)
     return SimResult(
@@ -388,7 +382,7 @@ def simulate_coupled_modal(
         states=a,
         u_record=u,
         cost=cost,
-        metadata={"scheme": "modal-coupled", "dt": dt, "N": N},
+        metadata={"scheme": "modal-coupled", "dt": dt, "N": max(state0.modes, default=0)},
     )
 
 
@@ -541,10 +535,10 @@ def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:
     per_mode sums a_n' P^n a_n directly (the frame in which the modal AREs
     are exact); field applies the basis-pairing weights (1/4 per sine or
     cosine mode, 1 for the Neumann mean mode) and equals the double
-    integral of z0' P(x1, x2) z0.
+    integral of z0' P(x1, x2) z0.  state0 must hold the modes of sols.
     """
-    p11, p12, p22 = _solution_at(sols, state0.modes)
-    P = _blocks(p11, p12, p22)
+    _check_modes(state0, sols)
+    P = _blocks(sols.p11, sols.p12, sols.p22)
     a = state0.a
     quad_form = (a[:, None, :] @ P @ a[:, :, None])[:, 0, 0]
     pw2 = projection_weight(state0.boundary, state0.modes) ** 2

@@ -9,7 +9,6 @@ from .model import (
     frequency_sq,
     gain_expansion_sign,
     modal_matrices,
-    mode_range,
     true_modal_input,
 )
 from .riccati import ModalTable, _block_diag, input_gain_sq
@@ -67,32 +66,31 @@ def closed_loop_trace_det(cfg: WaveConfig, n, p12, p22) -> tuple[np.ndarray, np.
     return -(cfg.alpha + c * p22), frequency_sq(n) + c * p12
 
 
-def coupled_loop_parts(cfg: WaveConfig, sols: ModalTable, N: int):
-    """(modes, A, B, Krow) of the coupled truncation under the shared control.
+def coupled_loop_parts(cfg: WaveConfig, sols: ModalTable):
+    """(modes, A, B, Krow) of the coupled truncation to the modes of sols.
 
     A = blockdiag(F_n) and B stacks the true modal input vectors; the row
     Krow holds each modal gain scaled by its pairing weight and
     gain-expansion sign, which is exactly the quadrature of the gain kernel
-    against the basis.  Modes missing from sols contribute zero feedback.
+    against the basis.  A zero-weight row has zero gain, so its mode is
+    coupled in open loop.
     """
-    modes = np.array(mode_range(cfg.boundary, N), dtype=int)
+    modes = sols.n
     F, _ = modal_matrices(cfg, modes)
     g_true, w = true_modal_input(cfg, modes)
-    rows = sols[np.isin(sols.n, modes)]
-    gains = np.zeros((len(modes), 2))
-    gains[np.searchsorted(modes, rows.n)] = np.stack([rows.k1, rows.k2], axis=1)
+    gains = np.stack([sols.k1, sols.k2], axis=1)
     Krow = ((w * gain_expansion_sign(cfg.boundary, modes))[:, None] * gains).reshape(1, -1)
     return modes, _block_diag(F), g_true.reshape(-1, 1), Krow
 
 
-def coupled_spectrum(cfg: WaveConfig, sols: ModalTable, N: int):
+def coupled_spectrum(cfg: WaveConfig, sols: ModalTable):
     """Spectrum of the coupled closed loop and its spectral abscissa.
 
     The control u = integral K(x) z(x) dx reduces to the pairing-weighted,
     expansion-signed sum of the modal gains; each mode is forced through its
     true input vector, so the diagonal blocks collapse to F_n + G_n K_n.
     """
-    _, A, B, Krow = coupled_loop_parts(cfg, sols, N)
+    _, A, B, Krow = coupled_loop_parts(cfg, sols)
     ev = np.linalg.eigvals(A + B @ Krow)
     ev = ev[np.lexsort((ev.imag, ev.real))]
     return ev, float(ev.real.max())

@@ -209,7 +209,7 @@ def test_criterion_4_decay_exponents_and_thresholds():
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         for r_exp in (1.5, 2.5, 4.5, 6.5):
             rep = convergence_report(
-                cfg, PowerLawWeights(1.0, r_exp, cutoff=32), [8, 16, 32],
+                cfg, PowerLawWeights(1.0, r_exp), [8, 16, 32],
                 fit_window=(50, 120),
             )
             for name in ("Q", "K", "P11"):
@@ -240,15 +240,13 @@ def test_criterion_5_lqr_value_identity():
         for alpha in (0.0, 0.5):
             cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
             for n in (1, 2, 5, 20):
-                w = ModalWeight(n, 1.0, 0.0, 1.0)
                 sol = modal_table(cfg, [n], [1.0], [0.0], [1.0])
-                fam = ExplicitWeights({n: w}, cutoff=n)
                 st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
                 T = decay_horizon(cfg, sol, 1e-8)
                 mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
                 mu_mag = max(abs(mu[0, 0]), 1.0)
                 dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-                res = simulate_decoupled(cfg, fam, sol, st, T, dt)
+                res = simulate_decoupled(cfg, sol, st, T, dt)
                 pred = predicted_cost(st, sol).per_mode
                 worst = max(worst, abs(res.total_cost - pred) / pred)
     ok = worst <= 1e-3
@@ -262,18 +260,18 @@ def test_criterion_6_pde_residual_structure():
     single_max = 0.0
     for boundary, k in ((Boundary.DIRICHLET, 2), (Boundary.NEUMANN, 1)):
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.2, R=0.8)
-        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)}, cutoff=6)
+        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)})
         sols = solve_family(cfg, fam, 6)
-        fields = pde_residual(cfg, sols, fam, grid)
+        fields = pde_residual(cfg, sols, grid)
         single_max = max(single_max, fields.max_abs())
 
     cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
     fam = ExplicitWeights(
-        {1: ModalWeight(1, 1.0, 0.0, 1.0), 3: ModalWeight(3, 0.5, 0.0, 0.5)}, cutoff=3
+        {1: ModalWeight(1, 1.0, 0.0, 1.0), 3: ModalWeight(3, 0.5, 0.0, 0.5)}
     )
     sols = solve_family(cfg, fam, 3)
     p12 = dict(zip(sols.n.tolist(), sols.p12))
-    fields = pde_residual(cfg, sols, fam, grid)
+    fields = pde_residual(cfg, sols, grid)
     expect = np.zeros((201, 201))
     for m in (1, 3):
         for n in (1, 3):
@@ -302,13 +300,13 @@ def test_criterion_7_cross_simulator_agreement():
     def z2(xx):
         return 0.3 * np.sin(3 * np.pi * xx) + 0.1 * np.sin(8 * np.pi * xx)
 
-    fam = PowerLawWeights(1.0, 5.0, cutoff=N)
+    fam = PowerLawWeights(1.0, 5.0)
     sols = solve_family(cfg, fam, N)
     prof = assemble_K(sols, cfg, x)
     rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
     t_end = rf.times[-1]
     st0 = project_initial(z1, z2, N, cfg.boundary)
-    rm = simulate_coupled_modal(cfg, fam, sols, st0, N, t_end, t_end / 2500)
+    rm = simulate_coupled_modal(cfg, sols, st0, t_end, t_end / 2500)
 
     # the gain kernel is band limited, so the first N mode coefficients of
     # the PDE close exactly onto the coupled truncation; compare there
@@ -349,11 +347,14 @@ def test_criterion_8_block_triangular_coupled_spectrum():
     for boundary, k in ((Boundary.DIRICHLET, 3), (Boundary.NEUMANN, 2)):
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N = 8
-        sol = modal_table(cfg, [k], [1.0], [0.0], [1.0])
-        ev, _ = coupled_spectrum(cfg, sol, N)
-        mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+        # the full table: every other mode is a zero-weight row with zero gain
+        sols = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
+        ev, _ = coupled_spectrum(cfg, sols)
+        row = sols[sols.n == k]
+        mu, _ = closed_loop_spectrum(cfg, row.n, row.k1, row.k2)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
         expect = np.concatenate([mu[0], open_loop_spectrum(cfg, others).ravel()])
+        assert len(ev) == len(expect) == 2 * len(sols)
         cost = np.abs(np.asarray(ev)[:, None] - expect[None, :])
         rows, cols = linear_sum_assignment(cost)
         worst = max(worst, float(cost[rows, cols].max()))

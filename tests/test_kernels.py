@@ -17,6 +17,7 @@ from wavelqr.kernels import (
     pde_residual_diagonal,
     residual_coefficient_matrices,
     series_thresholds,
+    summability_warnings,
 )
 from wavelqr.model import (
     Boundary,
@@ -51,7 +52,7 @@ class TestAssembleP:
         np.testing.assert_allclose(kf.values[0, 0], np.ones((2, 2)), rtol=1e-15)
 
     def test_symmetry_at_random_pairs(self, rng, dirichlet_cfg):
-        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0, cutoff=16), 16)
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 16)
         a = rng.random(100)
         b = rng.random(100)
         kab = assemble_P(sols, a, Boundary.DIRICHLET, grid_x2=b)
@@ -62,7 +63,7 @@ class TestAssembleP:
             )
 
     def test_dirichlet_boundary_rows_vanish(self, dirichlet_cfg):
-        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0, cutoff=32), 32)
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 32)
         grid = np.linspace(0.0, 1.0, 101)
         kf = assemble_P(sols, grid, Boundary.DIRICHLET)
         assert np.abs(kf.values[0]).max() < 1e-12
@@ -71,7 +72,7 @@ class TestAssembleP:
         assert np.abs(kf.values[:, -1]).max() < 1e-12
 
     def test_neumann_edge_slope_second_order(self, neumann_cfg):
-        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0, cutoff=16), 16)
+        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0), 16)
         h = 1e-3
         grid = np.array([0.0, h, 2 * h, 1.0 - 2 * h, 1.0 - h, 1.0])
         kf = assemble_P(sols, grid, Boundary.NEUMANN)
@@ -96,7 +97,7 @@ class TestAssembleP:
         grid = np.linspace(0.0, 1.0, 201)
 
         def tail_sup(n1, n2):
-            fam = PowerLawWeights(1.0, 5.0, cutoff=n2)
+            fam = PowerLawWeights(1.0, 5.0)
             sols = family_table(dirichlet_cfg, fam, np.arange(n1 + 1, n2 + 1))
             return float(np.abs(assemble_P(sols, grid, Boundary.DIRICHLET).component(0, 0)).max())
 
@@ -125,7 +126,7 @@ class TestSeriesAssemblyAgainstEinsum:
     @pytest.mark.parametrize("N,points", [(8, 21), (40, 21)], ids=["N<G", "N>G"])
     def test_assemble_P(self, boundary, N, points):
         cfg = WaveConfig(boundary, alpha=0.2, beta=1.5, R=0.7)
-        sols = solve_family(cfg, PowerLawWeights(2.0, 3.5, cutoff=N), N)
+        sols = solve_family(cfg, PowerLawWeights(2.0, 3.5), N)
         grid = np.linspace(0.0, 1.0, points)
         kf = assemble_P(sols, grid, boundary)
         phi = basis_matrix(boundary, sols.n, grid)
@@ -134,7 +135,7 @@ class TestSeriesAssemblyAgainstEinsum:
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_assemble_P_rectangular(self, rng, boundary):
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
-        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0, cutoff=40), 40)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), 40)
         x1 = rng.random(17)
         x2 = rng.random(9)
         kf = assemble_P(sols, x1, boundary, grid_x2=x2)
@@ -144,9 +145,9 @@ class TestSeriesAssemblyAgainstEinsum:
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("family", [
-        PowerLawWeights(1.0, 2.5, cutoff=40),
+        PowerLawWeights(1.0, 2.5),
         ExplicitWeights({1: ModalWeight(1, 2.0, 0.5, 1.0), 3: ModalWeight(3, 1.0, -0.8, 1.0),
-                         30: ModalWeight(30, 0.3, 0.1, 0.2)}, cutoff=40),
+                         30: ModalWeight(30, 0.3, 0.1, 0.2)}),
     ], ids=["power", "explicit-Q12"])
     @pytest.mark.parametrize("N,points", [(8, 21), (40, 21)], ids=["N<G", "N>G"])
     def test_assemble_Q(self, boundary, family, N, points):
@@ -176,7 +177,7 @@ class TestAssembleK:
         np.testing.assert_allclose(prof.values, expect, atol=1e-14)
 
     def test_dirichlet_profile_vanishes_at_ends(self, dirichlet_cfg):
-        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 3.0, cutoff=24), 24)
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 3.0), 24)
         prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 21))
         assert np.abs(prof.values[0]).max() < 1e-12
         assert np.abs(prof.values[-1]).max() < 1e-12
@@ -184,7 +185,7 @@ class TestAssembleK:
     def test_dirichlet_matches_kernel_derivative_trace(self, dirichlet_cfg):
         # K(x2) = -R^-1 beta dP/dx1 at x1 = 0, rows (2,1) and (2,2); checked
         # by finite differences of the assembled kernel
-        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0, cutoff=8), 8)
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 8)
         grid = np.linspace(0.0, 1.0, 21)
         h = 1e-6
         k_near = assemble_P(sols, np.array([0.0, h, 2 * h]), Boundary.DIRICHLET, grid_x2=grid)
@@ -198,7 +199,7 @@ class TestAssembleK:
 
     def test_neumann_matches_kernel_value_trace(self, neumann_cfg):
         # K(x2) = -R^-1 beta P(1, x2), rows (2,1) and (2,2)
-        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0, cutoff=8), 8)
+        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0), 8)
         grid = np.linspace(0.0, 1.0, 21)
         edge = assemble_P(sols, np.array([1.0]), Boundary.NEUMANN, grid_x2=grid)
         expect = -(neumann_cfg.beta / neumann_cfg.R) * np.stack(
@@ -216,20 +217,17 @@ class TestAssembleK:
 
 class TestAssembleQ:
     def test_non_summable_warning(self, dirichlet_cfg):
-        kf = assemble_Q(PowerLawWeights(1.0, 1.0, cutoff=8), np.linspace(0, 1, 11),
-                        Boundary.DIRICHLET, 8)
-        assert QUAD_WARNING in kf.warnings
-        kf2 = assemble_Q(PowerLawWeights(1.0, 1.5, cutoff=8), np.linspace(0, 1, 11),
-                         Boundary.DIRICHLET, 8)
-        assert kf2.warnings == ()
+        assert summability_warnings(PowerLawWeights(1.0, 1.0)) == (QUAD_WARNING,)
+        assert summability_warnings(PowerLawWeights(1.0, 1.5)) == ()
+        assert summability_warnings(ExplicitWeights({})) == ()
 
     def test_zero_family_zero_field(self):
-        kf = assemble_Q(ExplicitWeights({}, cutoff=8), np.linspace(0, 1, 11),
+        kf = assemble_Q(ExplicitWeights({}), np.linspace(0, 1, 11),
                         Boundary.NEUMANN, 8)
         assert np.all(kf.values == 0.0)
 
     def test_single_mode_product_structure(self):
-        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}, cutoff=1)
+        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)})
         grid = np.linspace(0.0, 1.0, 31)
         kf = assemble_Q(fam, grid, Boundary.DIRICHLET, 1)
         s = np.sin(np.pi * grid)
@@ -241,16 +239,16 @@ class TestPdeResidual:
     @pytest.mark.parametrize("boundary,k", [(Boundary.DIRICHLET, 2), (Boundary.NEUMANN, 1)])
     def test_single_active_mode_residual_vanishes(self, boundary, k):
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.2, R=0.8)
-        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)}, cutoff=6)
+        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)})
         sols = solve_family(cfg, fam, 6)
         grid = np.linspace(0.0, 1.0, 201)
-        fields = pde_residual(cfg, sols, fam, grid)
+        fields = pde_residual(cfg, sols, grid)
         assert fields.max_abs() <= 1e-10
 
     def test_zero_weights_zero_residual(self, dirichlet_cfg):
-        fam = ExplicitWeights({}, cutoff=4)
+        fam = ExplicitWeights({})
         sols = solve_family(dirichlet_cfg, fam, 4)
-        fields = pde_residual(dirichlet_cfg, sols, fam, np.linspace(0, 1, 51))
+        fields = pde_residual(dirichlet_cfg, sols, np.linspace(0, 1, 51))
         assert fields.max_abs() == 0.0
 
     def test_two_mode_cross_term_formula(self, dirichlet_cfg):
@@ -258,12 +256,11 @@ class TestPdeResidual:
         -gamma^2 sum_{m != n} m n pi^2 P12^m P21^n sin(m pi x1) sin(n pi x2)."""
         fam = ExplicitWeights(
             {1: ModalWeight(1, 1.0, 0.0, 1.0), 3: ModalWeight(3, 0.5, 0.0, 0.5)},
-            cutoff=3,
         )
         sols = solve_family(dirichlet_cfg, fam, 3)
         p12 = dict(zip(sols.n.tolist(), sols.p12))
         grid = np.linspace(0.0, 1.0, 201)
-        fields = pde_residual(dirichlet_cfg, sols, fam, grid)
+        fields = pde_residual(dirichlet_cfg, sols, grid)
         g2 = dirichlet_cfg.gamma_sq
         expect = np.zeros((201, 201))
         for m in (1, 3):
@@ -277,20 +274,20 @@ class TestPdeResidual:
         np.testing.assert_allclose(fields.r11, expect, atol=1e-10)
 
     def test_diagonal_coefficients_match_modal_residuals(self, neumann_cfg):
-        fam = PowerLawWeights(1.0, 4.0, cutoff=6)
+        fam = PowerLawWeights(1.0, 4.0)
         sols = solve_family(neumann_cfg, fam, 6)
-        modes, mats = residual_coefficient_matrices(neumann_cfg, sols, fam)
+        modes, mats = residual_coefficient_matrices(neumann_cfg, sols)
         for m, key in zip(mats, range(4)):
             np.testing.assert_allclose(
                 np.diag(m), sols.residuals[:, key], atol=1e-14
             )
 
     def test_diagonal_extraction_by_quadrature(self, dirichlet_cfg):
-        fam = PowerLawWeights(1.0, 5.0, cutoff=12)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 12)
         npts = 1001
         grid = np.linspace(0.0, 1.0, npts)
-        fields = pde_residual(dirichlet_cfg, sols, fam, grid)
+        fields = pde_residual(dirichlet_cfg, sols, grid)
         wq = simpson_weights(npts, grid[1] - grid[0])
         phi = basis_matrix(Boundary.DIRICHLET, sols.n, grid)
         pw = projection_weight(Boundary.DIRICHLET, sols.n)
@@ -313,19 +310,19 @@ class TestPdeResidual:
         npts = max(401, 20 * N + 1)
         grid = np.linspace(0.0, 1.0, npts)
         wq = simpson_weights(npts, grid[1] - grid[0])
-        fields = pde_residual(cfg, sols, fam, grid)
+        fields = pde_residual(cfg, sols, grid)
         proj = basis_matrix(boundary, sols.n, grid) * wq / projection_weight(boundary, sols.n)[:, None]
         ref = np.stack([np.diag(proj @ f @ proj.T)
                         for f in (fields.r11, fields.r12, fields.r21, fields.r22)])
-        got = pde_residual_diagonal(cfg, sols, fam, grid, wq)
+        got = pde_residual_diagonal(cfg, sols, grid, wq)
         assert got.shape == (4, len(sols))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
     def test_duplicate_modes_rejected(self, dirichlet_cfg):
-        fam = PowerLawWeights(1.0, 5.0, cutoff=2)
+        fam = PowerLawWeights(1.0, 5.0)
         sol = family_table(dirichlet_cfg, fam, [1])
         with pytest.raises(ValueError, match="more than once"):
-            pde_residual(dirichlet_cfg, sol[[0, 0]], fam, np.linspace(0, 1, 11))
+            pde_residual(dirichlet_cfg, sol[[0, 0]], np.linspace(0, 1, 11))
 
 
 class TestDecayFit:
@@ -346,7 +343,7 @@ class TestDecayFit:
     def test_dirichlet_r5_component_exponents(self, dirichlet_cfg):
         r = 5
         ns = np.arange(50, 501)
-        t = family_table(dirichlet_cfg, PowerLawWeights(1.0, r, cutoff=500), ns)
+        t = family_table(dirichlet_cfg, PowerLawWeights(1.0, r), ns)
         p12, p22, p11 = t.p12, t.p22, t.p11
         # P12 ~ q / (2 pi^2 n^(r+2)): derivation in test_criterion_4 (test_acceptance.py)
         assert abs(decay_fit(ns, p12) - (-(r + 2))) < 0.1
@@ -357,7 +354,7 @@ class TestDecayFit:
         # P22 and P11 follow the -r/2 and 2-r/2 rates
         r = 7
         ns = np.arange(50, 501)
-        t = family_table(neumann_cfg, PowerLawWeights(1.0, r, cutoff=500), ns)
+        t = family_table(neumann_cfg, PowerLawWeights(1.0, r), ns)
         p12, p22, p11 = t.p12, t.p22, t.p11
         assert abs(decay_fit(ns, p22) - (-3.5)) < 0.1
         assert abs(decay_fit(ns, p11) - (-1.5)) < 0.1
@@ -378,7 +375,7 @@ class TestConvergenceReport:
     ])
     def test_dirichlet_verdicts(self, dirichlet_cfg, r, expect):
         rep = convergence_report(
-            dirichlet_cfg, PowerLawWeights(1.0, r, cutoff=64), [16, 32, 64],
+            dirichlet_cfg, PowerLawWeights(1.0, r), [16, 32, 64],
             fit_window=(50, 150),
         )
         for name, verdict in expect.items():
@@ -389,14 +386,14 @@ class TestConvergenceReport:
     ])
     def test_neumann_p11_threshold(self, neumann_cfg, r, p11):
         rep = convergence_report(
-            neumann_cfg, PowerLawWeights(1.0, r, cutoff=64), [16, 32, 64],
+            neumann_cfg, PowerLawWeights(1.0, r), [16, 32, 64],
             fit_window=(50, 150),
         )
         assert rep["P11"].verdict == p11
 
     def test_dirichlet_r3_k_convergent(self, dirichlet_cfg):
         rep = convergence_report(
-            dirichlet_cfg, PowerLawWeights(1.0, 3.0, cutoff=64), [16, 32, 64],
+            dirichlet_cfg, PowerLawWeights(1.0, 3.0), [16, 32, 64],
             fit_window=(50, 150),
         )
         assert rep["K"].verdict == "convergent"
@@ -404,7 +401,7 @@ class TestConvergenceReport:
 
     def test_convergent_series_cauchy_decreasing(self, dirichlet_cfg):
         rep = convergence_report(
-            dirichlet_cfg, PowerLawWeights(1.0, 5.0, cutoff=128), [16, 32, 64, 128],
+            dirichlet_cfg, PowerLawWeights(1.0, 5.0), [16, 32, 64, 128],
             fit_window=(50, 150),
         )
         for name in ("Q", "K", "P11"):
@@ -412,4 +409,4 @@ class TestConvergenceReport:
 
     def test_requires_power_law(self, dirichlet_cfg):
         with pytest.raises(TypeError):
-            convergence_report(dirichlet_cfg, ExplicitWeights({}, cutoff=4), [8, 16])
+            convergence_report(dirichlet_cfg, ExplicitWeights({}), [8, 16])

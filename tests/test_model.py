@@ -18,6 +18,7 @@ from wavelqr.model import (
     weight_arrays,
     weight_family_from_dict,
 )
+from wavelqr.riccati import solve_family
 
 
 class TestWaveConfig:
@@ -123,24 +124,27 @@ class TestWeights:
             ModalWeight(1, -1.0, 0.0, 1.0)
 
     def test_power_law_example_dirichlet(self):
-        fam = PowerLawWeights(q=1.0, r=5.0, cutoff=64)
+        fam = PowerLawWeights(q=1.0, r=5.0)
         q11, q12, q22 = weight_arrays(fam, [2])
         assert q11[0] == q22[0] == 1.0 / 32.0 and q12[0] == 0.0
 
     def test_power_law_example_neumann_mean_mode(self):
-        fam = PowerLawWeights(q=3.0, r=2.0, cutoff=64)
+        fam = PowerLawWeights(q=3.0, r=2.0)
         q11, _, q22 = weight_arrays(fam, [0])
         assert q11[0] == q22[0] == 3.0
 
-    def test_beyond_cutoff_is_zero(self):
-        fam = PowerLawWeights(q=1.0, r=5.0, cutoff=8)
-        assert not np.any(weight_arrays(fam, [9]))
-        exp = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}, cutoff=4)
-        assert not np.any(weight_arrays(exp, [5]))
-        assert not np.any(weight_arrays(exp, [2]))
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_power_law_weighs_every_mode_up_to_N(self, boundary):
+        # N is the only truncation: every mode of the table gets q / n^r,
+        # modes above 64 included
+        t = solve_family(WaveConfig(boundary), PowerLawWeights(1.0, 5.0), 128)
+        expect = 1.0 / np.float_power(np.maximum(t.n, 1), 5.0)
+        assert t.n.max() == 128
+        assert np.array_equal(t.q11, expect) and np.array_equal(t.q22, expect)
+        assert (t.p11 > 0).all() and (t.p22 > 0).all()
 
     def test_generated_weights_are_psd(self):
-        fam = PowerLawWeights(q=2.5, r=3.0, cutoff=100)
+        fam = PowerLawWeights(q=2.5, r=3.0)
         q11, q12, q22 = weight_arrays(fam, mode_range(Boundary.NEUMANN, 100))
         assert np.all(q11 >= 0) and np.all(q22 >= 0) and np.all(q11 * q22 - q12**2 >= 0)
 
@@ -149,15 +153,20 @@ class TestWeights:
         # the scalar form is Python's float **, which calls libm pow;
         # np.power rounds differently in a few percent of these modes
         ns = np.arange(0, 10**5 + 1)
-        q11, q12, q22 = weight_arrays(PowerLawWeights(q=q, r=r, cutoff=10**5), ns)
+        q11, q12, q22 = weight_arrays(PowerLawWeights(q=q, r=r), ns)
         expect = np.array([q] + [q / float(n) ** r for n in range(1, 10**5 + 1)])
         assert np.array_equal(q11, expect) and np.array_equal(q22, expect)
         assert not q12.any()
 
     def test_weight_arrays_explicit_and_cutoff(self):
-        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.5, 2.0), 5: ModalWeight(5, 3.0, 0.0, 1.0)}, cutoff=4)
+        # absent modes weigh nothing; the mode count N of solve_family is the
+        # only cutoff, so an entry above N has no row
+        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.5, 2.0), 5: ModalWeight(5, 3.0, 0.0, 1.0)})
         q11, q12, q22 = weight_arrays(fam, [0, 1, 2, 5])
-        np.testing.assert_array_equal(np.stack([q11, q12, q22]), [[0, 1, 0, 0], [0, 0.5, 0, 0], [0, 2, 0, 0]])
+        np.testing.assert_array_equal(np.stack([q11, q12, q22]), [[0, 1, 0, 3], [0, 0.5, 0, 0], [0, 2, 0, 1]])
+        t = solve_family(WaveConfig(Boundary.DIRICHLET), fam, 4)
+        assert t.n.tolist() == [1, 2, 3, 4]
+        np.testing.assert_array_equal(t.q11, [1, 0, 0, 0])
 
     def test_explicit_entries_keyed_consistently(self):
         with pytest.raises(ValueError, match="carries mode index"):
@@ -262,13 +271,13 @@ class TestConfigParsing:
 
     def test_power_family_from_dict(self):
         fam = weight_family_from_dict(
-            {"type": "power", "q": 2.0, "r": 3.0}, cutoff=32, boundary=Boundary.DIRICHLET
+            {"type": "power", "q": 2.0, "r": 3.0}, boundary=Boundary.DIRICHLET
         )
-        assert isinstance(fam, PowerLawWeights) and fam.cutoff == 32
+        assert fam == PowerLawWeights(q=2.0, r=3.0)
 
     def test_list_family_from_dict(self):
         fam = weight_family_from_dict(
-            {"type": "list", "entries": [{"n": 1, "Q11": 1.0, "Q22": 2.0}]}, cutoff=8,
+            {"type": "list", "entries": [{"n": 1, "Q11": 1.0, "Q22": 2.0}]},
             boundary=Boundary.DIRICHLET,
         )
         q11, q12, q22 = weight_arrays(fam, [1])
@@ -276,4 +285,4 @@ class TestConfigParsing:
 
     def test_unknown_family_type(self):
         with pytest.raises(ValueError, match="power"):
-            weight_family_from_dict({"type": "diag"}, cutoff=8, boundary=Boundary.NEUMANN)
+            weight_family_from_dict({"type": "diag"}, boundary=Boundary.NEUMANN)

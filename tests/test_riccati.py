@@ -134,7 +134,7 @@ class TestClosedForm:
             np.testing.assert_allclose(kleinman, P, atol=1e-8 * scale)
 
     def test_solve_family_modes(self, neumann_cfg):
-        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
+        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0), 5)
         assert sols.n.tolist() == [0, 1, 2, 3, 4, 5]
 
 
@@ -174,7 +174,7 @@ class TestModalTable:
         assert rel.max() <= 1e-8
 
     def test_views_and_slices(self, neumann_cfg):
-        t = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0, cutoff=5), 5)
+        t = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0), 5)
         assert len(t) == 6 and len(t[:3]) == 3 and list(t[1:].n) == [1, 2, 3, 4, 5]
         assert list(t[t.n % 2 == 0].n) == [0, 2, 4]
         # a sub-table row holds what a one-row solve of the same weight gives
@@ -308,6 +308,14 @@ class TestOracle:
         with pytest.raises(OracleError):
             are_oracle(F, G, np.array([[q[0], q[1]], [q[1], q[2]]]), np.array([[cfg.R]]))
 
+    @pytest.mark.parametrize("boundary,n", [(Boundary.DIRICHLET, 2), (Boundary.NEUMANN, 3)])
+    def test_sign_iteration_stops_at_first_non_finite_iterate(self, boundary, n):
+        # the iterates of an undamped mode with Q = 0 overflow after about 22
+        # steps; the oracle stops there instead of running to the iteration limit
+        F, G = modal_matrices(WaveConfig(boundary), n)
+        with pytest.raises(OracleError, match="overflowed"):
+            are_oracle(F, G, np.zeros((2, 2)), np.array([[1.0]]))
+
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_batched_oracle_solves_observed_edge_cases(self, boundary):
         """Damped modes n >= 1 with zero weights have P = 0, and an undamped
@@ -327,7 +335,7 @@ class TestOracle:
         """q / n^r down to 1e-22 at n = 2048 is observed: the modes still solve."""
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         ns = np.array(mode_range(boundary, 2048))
-        amp = weight_arrays(PowerLawWeights(0.1, 6.5, cutoff=2048), ns)[0]
+        amp = weight_arrays(PowerLawWeights(0.1, 6.5), ns)[0]
         o11, o12, o22 = oracle_solve_modes(cfg, ns, amp, 0.0, amp)
         t = modal_table(cfg, ns, amp, np.zeros_like(amp), amp)
         scale = 1.0 + np.abs(t.matrices).max(axis=(1, 2))
@@ -365,13 +373,13 @@ class TestModalGain:
 class TestCoupledTruncatedAre:
     def test_all_zero_weights_damped(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=1.0)
-        ca = coupled_truncated_are(cfg, ExplicitWeights({}, cutoff=3), 3)
+        ca = coupled_truncated_are(cfg, solve_family(cfg, ExplicitWeights({}), 3))
         np.testing.assert_allclose(ca.P_big, 0.0, atol=1e-12)
         assert ca.dev_P_fro <= 1e-12
 
     def test_all_zero_weights_undamped_raises(self, dirichlet_cfg):
         with pytest.raises(OracleError):
-            coupled_truncated_are(dirichlet_cfg, ExplicitWeights({}, cutoff=3), 3)
+            coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, ExplicitWeights({}), 3))
 
     @pytest.mark.parametrize(
         "boundary,k",
@@ -383,8 +391,8 @@ class TestCoupledTruncatedAre:
         # Under Neumann actuation the mean mode must be the active one: its
         # rigid displacement never decays on its own.
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=1.0)
-        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}, cutoff=4)
-        ca = coupled_truncated_are(cfg, fam, 4)
+        fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)})
+        ca = coupled_truncated_are(cfg, solve_family(cfg, fam, 4))
         sol = one_mode(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
         i = ca.modes.index(k)
         block = ca.P_big[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
@@ -397,19 +405,19 @@ class TestCoupledTruncatedAre:
         # the mean mode carries an integrator; leaving it unweighted makes
         # the coupled optimal loop only marginally stable
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.3, beta=1.0, R=1.0)
-        fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)}, cutoff=4)
+        fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)})
         with pytest.raises(OracleError):
-            coupled_truncated_are(cfg, fam, 4)
+            coupled_truncated_are(cfg, solve_family(cfg, fam, 4))
 
     def test_deviation_regression_dirichlet(self, dirichlet_cfg):
-        ca = coupled_truncated_are(dirichlet_cfg, PowerLawWeights(1.0, 5.0, cutoff=4), 4)
+        ca = coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4))
         np.testing.assert_allclose(ca.dev_P_fro, 0.6337634296056578, rtol=1e-6)
         np.testing.assert_allclose(ca.dev_P_max, 0.37439606705414996, rtol=1e-6)
         np.testing.assert_allclose(ca.dev_K_fro, 0.7486282861520073, rtol=1e-6)
 
     def test_big_solution_is_exact_are_solution(self, dirichlet_cfg):
-        fam = PowerLawWeights(1.0, 5.0, cutoff=4)
-        ca = coupled_truncated_are(dirichlet_cfg, fam, 4)
+        fam = PowerLawWeights(1.0, 5.0)
+        ca = coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, fam, 4))
         A, B, Qb = _coupled_plant(dirichlet_cfg, fam, 4)
         res = A.T @ ca.P_big + ca.P_big @ A - ca.P_big @ B @ B.T @ ca.P_big + Qb
         assert np.max(np.abs(res)) < 1e-9
@@ -436,8 +444,8 @@ class TestCoupledTruncatedAre:
 def _solved_weakly_damped_plant(boundary, alpha, N):
     """coupled_truncated_are at q=1, r=5, beta=R=1, checked for residual and stability."""
     cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
-    fam = PowerLawWeights(1.0, 5.0, cutoff=N)
-    ca = coupled_truncated_are(cfg, fam, N)
+    fam = PowerLawWeights(1.0, 5.0)
+    ca = coupled_truncated_are(cfg, solve_family(cfg, fam, N))
     A, B, Qb = _coupled_plant(cfg, fam, N)
     R = np.array([[cfg.R]])
     assert _care_residual(A, B, Qb, R, ca.P_big) <= TOL_ORACLE
@@ -449,7 +457,7 @@ def _coupled_plant(cfg, fam, N):
     """(A, B, Q) of the truncated coupled plant in pairing-weighted coordinates."""
     from wavelqr.spectrum import coupled_loop_parts
 
-    modes, A, B, _ = coupled_loop_parts(cfg, solve_family(cfg, fam, N), N)
+    modes, A, B, _ = coupled_loop_parts(cfg, solve_family(cfg, fam, N))
     B = B * np.repeat(projection_weight(cfg.boundary, modes), 2)[:, None]
     q11, q12, q22 = weight_arrays(fam, modes)
     Qb = np.zeros_like(A)

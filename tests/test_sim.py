@@ -36,9 +36,9 @@ from wavelqr.sim import (
 from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
-def no_gains(cfg):
-    """The empty table: every mode runs without feedback."""
-    return modal_table(cfg, [], [], [], [])
+def no_gains(cfg, N):
+    """The zero-weight table of the modes up to N: no mode has feedback."""
+    return solve_family(cfg, ExplicitWeights({}), N)
 
 
 def band_limited(boundary):
@@ -144,8 +144,8 @@ def closed_loops(boundary, params, N):
     """Per-mode (k, 2, 2) closed loops and the coupled (2N)^2 loop of a sweep config."""
     alpha, beta, R, q, r = params
     cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
-    sols = solve_family(cfg, PowerLawWeights(q, r, cutoff=N), N)
-    _, A, B, Krow = coupled_loop_parts(cfg, sols, N)
+    sols = solve_family(cfg, PowerLawWeights(q, r), N)
+    _, A, B, Krow = coupled_loop_parts(cfg, sols)
     return closed_loop_matrices(cfg, sols.n, sols.k1, sols.k2), A + B @ Krow
 
 
@@ -215,21 +215,21 @@ class TestExponentials:
 class TestSimulateDecoupled:
     def test_zero_weights_damped_cost_zero(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=1.0)
-        fam = ExplicitWeights({}, cutoff=3)
+        fam = ExplicitWeights({})
         sols = solve_family(cfg, fam, 3)
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3), np.ones((3, 2)))
-        res = simulate_decoupled(cfg, fam, sols, st, 2.0, 0.01)
+        res = simulate_decoupled(cfg, sols, st, 2.0, 0.01)
         assert np.all(res.cost == 0.0)
         ref = target_solution(cfg, st, 2.0, 0.01)
         np.testing.assert_allclose(res.states, ref.states, atol=1e-12)
 
     def test_exact_propagation(self, dirichlet_cfg):
-        fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)}, cutoff=2)
+        fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)})
         sols = solve_family(dirichlet_cfg, fam, 2)
         a0 = np.array([[0.5, -0.2], [1.0, 0.4]])
         st = ModalState(Boundary.DIRICHLET, (1, 2), a0)
         dt = 0.01
-        res = simulate_decoupled(dirichlet_cfg, fam, sols, st, 1.0, dt)
+        res = simulate_decoupled(dirichlet_cfg, sols, st, 1.0, dt)
         k = 37
         A = closed_loop_matrices(dirichlet_cfg, sols.n, sols.k1, sols.k2)
         for i in range(len(sols)):
@@ -244,29 +244,27 @@ class TestSimulateDecoupled:
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
         w = ModalWeight(n, 1.0, 0.0, 1.0)
         sol = one_mode(cfg, w)
-        fam = ExplicitWeights({n: w}, cutoff=n)
         st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
         T = decay_horizon(cfg, sol, 1e-8)
         mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
         mu_mag = max(abs(mu[0, 0]), 1.0)
         dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-        res = simulate_decoupled(cfg, fam, sol, st, T, dt)
+        res = simulate_decoupled(cfg, sol, st, T, dt)
         pred = predicted_cost(st, sol).per_mode
         assert abs(res.total_cost - pred) <= 1e-3 * pred
 
     def test_dt_validation(self, dirichlet_cfg):
-        fam = ExplicitWeights({}, cutoff=1)
+        fam = ExplicitWeights({})
         sols = solve_family(dirichlet_cfg, fam, 1)
         st = ModalState(Boundary.DIRICHLET, (1,), np.ones((1, 2)))
         with pytest.raises(ValueError):
-            simulate_decoupled(dirichlet_cfg, fam, sols, st, 1.0, 0.0)
+            simulate_decoupled(dirichlet_cfg, sols, st, 1.0, 0.0)
 
 
 class TestSimulateCoupled:
     def test_zero_gains_match_open_loop(self, dirichlet_cfg):
-        fam = ExplicitWeights({}, cutoff=4)
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3, 4), np.ones((4, 2)))
-        res = simulate_coupled_modal(dirichlet_cfg, fam, no_gains(dirichlet_cfg), st, 4, 2.0, 0.01)
+        res = simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 2.0, 0.01)
         ref = target_solution(dirichlet_cfg, st, 2.0, 0.01)
         np.testing.assert_allclose(res.states, ref.states, atol=1e-10)
         assert np.all(res.u_record == 0.0)
@@ -276,49 +274,46 @@ class TestSimulateCoupled:
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N = 4
         w = ModalWeight(k, 1.0, 0.0, 1.0)
-        fam = ExplicitWeights({k: w}, cutoff=N)
-        sol = one_mode(cfg, w)
+        sols = solve_family(cfg, ExplicitWeights({k: w}), N)
         modes = tuple(mode_range(boundary, N))
         a0 = np.zeros((len(modes), 2))
         i = modes.index(k)
         a0[i] = [1.0, -0.3]
         st = ModalState(boundary, modes, a0)
-        res_c = simulate_coupled_modal(cfg, fam, sol, st, N, 2.0, 0.005)
+        res_c = simulate_coupled_modal(cfg, sols, st, 2.0, 0.005)
         st1 = ModalState(boundary, (k,), a0[i : i + 1])
-        res_d = simulate_decoupled(cfg, fam, sol, st1, 2.0, 0.005)
+        res_d = simulate_decoupled(cfg, sols[sols.n == k], st1, 2.0, 0.005)
         np.testing.assert_allclose(res_c.states[:, i], res_d.states[:, 0], atol=1e-10)
 
     def test_driven_modes_respond(self, dirichlet_cfg):
         # modes with zero gain still feel the shared control through their
         # true input vectors
-        fam = ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}, cutoff=3)
-        sol = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
+        sols = solve_family(dirichlet_cfg, ExplicitWeights({1: ModalWeight(1, 1.0, 0.0, 1.0)}), 3)
         modes = (1, 2, 3)
         a0 = np.zeros((3, 2))
         a0[0] = [1.0, 0.0]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(dirichlet_cfg, fam, sol, st, 3, 1.0, 0.005)
+        res = simulate_coupled_modal(dirichlet_cfg, sols, st, 1.0, 0.005)
         assert np.abs(res.states[-1, 1:]).max() > 1e-4
 
     def test_terminal_energy_regression(self, dirichlet_cfg):
-        fam = PowerLawWeights(1.0, 5.0, cutoff=8)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 8)
         modes = tuple(range(1, 9))
         a0 = np.zeros((8, 2))
         for i in range(8):
             a0[i] = [1.0 / (i + 1) ** 2, 0.5 / (i + 1) ** 2]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(dirichlet_cfg, fam, sols, st, 8, 10.0, 0.002)
+        res = simulate_coupled_modal(dirichlet_cfg, sols, st, 10.0, 0.002)
         stT = ModalState(Boundary.DIRICHLET, modes, res.states[-1], t=10.0)
         ratio = modal_energy(stT) / modal_energy(st)
         assert ratio < 1.0
         np.testing.assert_allclose(ratio, 0.08132684984988023, rtol=1e-6)
 
     def test_mode_mismatch_rejected(self, dirichlet_cfg):
-        fam = ExplicitWeights({}, cutoff=4)
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="modes"):
-            simulate_coupled_modal(dirichlet_cfg, fam, no_gains(dirichlet_cfg), st, 4, 1.0, 0.01)
+            simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 1.0, 0.01)
 
 
 class TestSimulateFd:
@@ -362,7 +357,7 @@ class TestSimulateFd:
 
     def test_dirichlet_boundary_tracks_control(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
-        fam = PowerLawWeights(1.0, 5.0, cutoff=8)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 8)
         x = np.linspace(0, 1, 101)
         prof = assemble_K(sols, dirichlet_cfg, x)
@@ -384,14 +379,14 @@ class TestSimulateFd:
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N, M = 8, 400
         z1, z2 = band_limited(boundary)
-        fam = PowerLawWeights(1.0, 5.0, cutoff=N)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, cfg, x)
         rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, boundary)
-        rm = simulate_coupled_modal(cfg, fam, sols, st0, N, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(cfg, sols, st0, t_end, t_end / 2500)
 
         a_fd = project_grid_state(boundary, st0.modes, x,
                                   rf.states[-1][:, 0], rf.states[-1][:, 1])
@@ -409,14 +404,14 @@ class TestSimulateFd:
         N, M = 8, 400
         z1 = lambda x: np.sin(5 * np.pi * x) + 0.5 * np.sin(7 * np.pi * x)
         z2 = lambda x: 0.4 * np.sin(6 * np.pi * x)
-        fam = PowerLawWeights(1.0, 5.0, cutoff=N)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, dirichlet_cfg, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, fam, sols, st0, N, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(dirichlet_cfg, sols, st0, t_end, t_end / 2500)
         f_m = reconstruct_field(
             ModalState(Boundary.DIRICHLET, st0.modes, rm.states[-1], t=t_end), x
         )
@@ -427,22 +422,23 @@ class TestSimulateFd:
     def test_fd_cost_matches_modal_cost(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
         N, M = 8, 400
-        fam = PowerLawWeights(1.0, 5.0, cutoff=N)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, dirichlet_cfg, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, fam, sols, st0, N,
-                                    rf.times[-1], rf.times[-1] / 2500)
+        rm = simulate_coupled_modal(dirichlet_cfg, sols, st0, rf.times[-1], rf.times[-1] / 2500)
         np.testing.assert_allclose(rf.total_cost, rm.total_cost, rtol=1e-3)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("family", [
-        PowerLawWeights(1.0, 5.0, cutoff=8),
-        PowerLawWeights(2.0, 3.0, cutoff=3),
+        PowerLawWeights(1.0, 5.0),
+        # weights that stop at mode 3 < N
+        ExplicitWeights({n: ModalWeight(n, 2.0 / max(n, 1) ** 3, 0.0, 2.0 / max(n, 1) ** 3)
+                         for n in range(4)}),
         ExplicitWeights({1: ModalWeight(1, 2.0, 0.5, 1.0), 2: ModalWeight(2, 1.0, -0.8, 1.0),
-                         6: ModalWeight(6, 0.3, 0.1, 0.2)}, cutoff=8),
+                         6: ModalWeight(6, 0.3, 0.1, 0.2)}),
     ], ids=["power", "cutoff<N", "explicit-Q12"])
     def test_modal_cost_matches_dense_double_quadrature(self, boundary, family):
         """The state cost summed over the N modes equals the double trapezoid
@@ -469,7 +465,7 @@ class TestSimulateFd:
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
         N, M = 4, 64
         z1f, z2f = band_limited(boundary)
-        fam = PowerLawWeights(1.0, 5.0, cutoff=N)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
         prof = assemble_K(sols, cfg, x)
@@ -491,7 +487,7 @@ class TestSimulateFd:
                 np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-7 / dt)
 
     def test_gain_profile_grid_mismatch_rejected(self, dirichlet_cfg):
-        fam = PowerLawWeights(1.0, 5.0, cutoff=4)
+        fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 4)
         prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 33))
         z1, z2 = band_limited(Boundary.DIRICHLET)
@@ -501,7 +497,7 @@ class TestSimulateFd:
 
 class TestPredictedCost:
     def test_zero_solution(self, dirichlet_cfg):
-        sols = solve_family(dirichlet_cfg, ExplicitWeights({}, cutoff=2), 2)
+        sols = solve_family(dirichlet_cfg, ExplicitWeights({}), 2)
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.ones((2, 2)))
         pred = predicted_cost(st, sols)
         assert pred.per_mode == 0.0 and pred.field == 0.0
@@ -510,7 +506,7 @@ class TestPredictedCost:
     def test_field_frame_matches_double_quadrature(self, boundary):
         cfg = WaveConfig(boundary, alpha=0.1, beta=1.0, R=1.0)
         N = 6
-        fam = PowerLawWeights(1.0, 4.0, cutoff=N)
+        fam = PowerLawWeights(1.0, 4.0)
         sols = solve_family(cfg, fam, N)
         z1, z2 = band_limited(boundary)
         st = project_initial(z1, z2, N, boundary)
@@ -538,11 +534,11 @@ class TestPredictedCost:
 
 class TestTableInputs:
     def test_missing_mode_equals_zero_row(self):
-        """A table missing a mode gives, bit for bit, the numbers of the full
-        table with that mode's solution and gains set to zero."""
+        """The gain kernel of a table missing a mode is, bit for bit, that of
+        the full table with the mode's solution and gains set to zero; the
+        simulators and the cost prediction refuse such a table."""
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.4, beta=1.3, R=0.6)
-        fam = PowerLawWeights(1.0, 3.0, cutoff=6)
-        table = solve_family(cfg, fam, 6)
+        table = solve_family(cfg, PowerLawWeights(1.0, 3.0), 6)
         st = project_initial(*band_limited(Boundary.NEUMANN), 6, Boundary.NEUMANN)
         x = np.linspace(0.0, 1.0, 41)
         keep = table.n != 3
@@ -550,12 +546,20 @@ class TestTableInputs:
                                    for c in ("p11", "p12", "p22", "k1", "k2")})
         sols = table[keep]
         assert np.array_equal(assemble_K(sols, cfg, x).values, assemble_K(zeroed, cfg, x).values)
-        assert predicted_cost(st, sols) == predicted_cost(st, zeroed)
-        a = simulate_decoupled(cfg, fam, sols, st, 0.5, 0.01)
-        b = simulate_decoupled(cfg, fam, zeroed, st, 0.5, 0.01)
-        assert np.array_equal(a.states, b.states) and np.array_equal(a.cost, b.cost)
-        # the missing mode evolves open loop: no gain, no control
-        assert np.all(a.u_record[:, 3] == 0.0)
+        with pytest.raises(ValueError, match="modes"):
+            simulate_decoupled(cfg, sols, st, 0.5, 0.01)
+
+    @pytest.mark.parametrize("modes", [(1, 2), (1, 2, 3, 4, 5), (2, 1, 3, 4)],
+                             ids=["fewer", "more", "reordered"])
+    def test_mode_mismatch_raises_everywhere(self, dirichlet_cfg, modes):
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4)
+        st = ModalState(Boundary.DIRICHLET, modes, np.ones((len(modes), 2)))
+        with pytest.raises(ValueError, match="modes"):
+            simulate_decoupled(dirichlet_cfg, sols, st, 0.5, 0.01)
+        with pytest.raises(ValueError, match="modes"):
+            simulate_coupled_modal(dirichlet_cfg, sols, st, 0.5, 0.01)
+        with pytest.raises(ValueError, match="modes"):
+            predicted_cost(st, sols)
 
 
 class TestEnergies:
@@ -571,6 +575,6 @@ class TestEnergies:
         )
 
     def test_decay_horizon_marginal_raises(self, dirichlet_cfg):
-        sols = solve_family(dirichlet_cfg, ExplicitWeights({}, cutoff=2), 2)
+        sols = solve_family(dirichlet_cfg, ExplicitWeights({}), 2)
         with pytest.raises(ValueError, match="stable"):
             decay_horizon(dirichlet_cfg, sols)

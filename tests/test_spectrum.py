@@ -4,6 +4,7 @@ import pytest
 from conftest import one_mode, sweep_configs
 from wavelqr.model import (
     Boundary,
+    ExplicitWeights,
     ModalWeight,
     PowerLawWeights,
     WaveConfig,
@@ -170,7 +171,7 @@ class TestClosedLoop:
         # feedback threshold for the gain series is r > 2; just above it the
         # per-mode damping decays with the mode number
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
-        fam = PowerLawWeights(q=1.0, r=2.5, cutoff=200)
+        fam = PowerLawWeights(q=1.0, r=2.5)
         mu, _ = mu_pair(cfg, solve_family(cfg, fam, 200))
         damp = np.abs(mu.real.max(axis=1)).tolist()
         peak = int(np.argmax(damp))
@@ -193,8 +194,8 @@ def assert_spectra_match(got, expect, tol):
 class TestCoupledSpectrum:
     def test_zero_gains_give_open_loop(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.4)
-        no_gains = modal_table(cfg, [], [], [], [])
-        ev, absc = coupled_spectrum(cfg, no_gains, 5)
+        no_gains = solve_family(cfg, ExplicitWeights({}), 5)
+        ev, absc = coupled_spectrum(cfg, no_gains)
         expect = open_loop_spectrum(cfg, mode_range(cfg.boundary, 5)).ravel()
         assert_spectra_match(ev, expect, 1e-10)
         np.testing.assert_allclose(absc, expect.real.max(), atol=1e-12)
@@ -203,18 +204,19 @@ class TestCoupledSpectrum:
     def test_single_active_gain_block_triangular(self, boundary):
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N, k = 6, 3
-        t = one_mode(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
-        ev, _ = coupled_spectrum(cfg, t, N)
+        t = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
+        ev, _ = coupled_spectrum(cfg, t)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
-        expect = np.concatenate([mu_pair(cfg, t)[0][0], open_loop_spectrum(cfg, others).ravel()])
+        expect = np.concatenate([mu_pair(cfg, t[t.n == k])[0][0],
+                                 open_loop_spectrum(cfg, others).ravel()])
         assert_spectra_match(ev, expect, 1e-8)
 
     def test_diagonal_blocks_exact(self):
         for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
             cfg = WaveConfig(boundary, alpha=0.1, beta=1.5, R=0.5)
-            fam = PowerLawWeights(q=1.0, r=3.0, cutoff=6)
+            fam = PowerLawWeights(q=1.0, r=3.0)
             sols = solve_family(cfg, fam, 6)
-            modes, A, B, Krow = coupled_loop_parts(cfg, sols, 6)
+            modes, A, B, Krow = coupled_loop_parts(cfg, sols)
             A = A + B @ Krow
             F, G = modal_matrices(cfg, modes)
             for i in range(len(modes)):
@@ -225,17 +227,17 @@ class TestCoupledSpectrum:
     def test_coupling_blocks_follow_true_inputs(self, dirichlet_cfg):
         from wavelqr.model import true_modal_input
 
-        fam = PowerLawWeights(q=1.0, r=5.0, cutoff=3)
+        fam = PowerLawWeights(q=1.0, r=5.0)
         sols = solve_family(dirichlet_cfg, fam, 3)
-        modes, A, B, Krow = coupled_loop_parts(dirichlet_cfg, sols, 3)
+        modes, A, B, Krow = coupled_loop_parts(dirichlet_cfg, sols)
         g_true, _ = true_modal_input(dirichlet_cfg, modes)
         for i in range(len(modes)):
             np.testing.assert_allclose(B[2 * i : 2 * i + 2, 0], g_true[i])
 
     def test_abscissa_regression_dirichlet_r5(self, dirichlet_cfg):
-        fam = PowerLawWeights(q=1.0, r=5.0, cutoff=8)
+        fam = PowerLawWeights(q=1.0, r=5.0)
         sols = solve_family(dirichlet_cfg, fam, 8)
-        _, absc = coupled_spectrum(dirichlet_cfg, sols, 8)
+        _, absc = coupled_spectrum(dirichlet_cfg, sols)
         np.testing.assert_allclose(absc, -0.06391980679316855, rtol=1e-6)
         permode = mu_pair(dirichlet_cfg, sols)[0].real.max()
         np.testing.assert_allclose(permode, -0.06947497512348247, rtol=1e-6)
