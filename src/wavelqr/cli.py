@@ -7,7 +7,9 @@ randomness (grid sampling in verify) is seeded from the config.
 """
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,12 +34,12 @@ from .model import (
     finite_value,
     integer_value,
     modal_matrices,
-    mode_range,
     wave_config_from_dict,
     weight_family_from_dict,
 )
 from .quad import simpson_weights
 from .riccati import (
+    ModalTable,
     OracleError,
     negative_root_matrices,
     oracle_solve_modes,
@@ -202,20 +204,208 @@ def fmt(x) -> str:
     return "%.17g" % float(x)
 
 
+# write_csv formats a block of rows as one (bytes per row, rows) uint8 array:
+# each cell owns a fixed run of byte rows (a slot), NUL where its text is
+# shorter, and the block is written as block.T.tobytes().translate(None,
+# b"\0").  A number's slot is its sign, a "0.000" prefix, 18 digit-or-point
+# bytes, "e+ddd" and the separator.  Python's "%.17g" runs bignum dtoa for
+# every number; here each number is scaled to 17 integer digits in
+# double-double arithmetic, exact enough to round as dtoa does except at
+# near-ties, which fmt formats.
+_NUMBER_SLOT = 30
+_BLOCK_VALUES = 1 << 15  # cells per block: bounds the temporaries
+_TIE = 2.0**-30  # a scaled value this close to k + 1/2 is left to fmt
+
+
+@functools.cache
+def _pow10(E):
+    """(hi, lo, b) with 10**(16 - E) ~ (hi + lo) * 2**b and hi in [1, 2).
+
+    hi + lo carries 10**(16 - E) to about 2**-106 relative.  Built from
+    Python ints: a 110-bit integer q with q * 2**shift ~ 10**k, rounded to
+    a double and a double remainder.
+    """
+    k = 16 - E
+    power = 10 ** abs(k)
+    if k >= 0:
+        shift = max(0, power.bit_length() - 110)
+        q = power >> shift
+    else:
+        shift = -(power.bit_length() + 110)
+        q = (1 << -shift) // power
+    top = q.bit_length() - 1
+    h = float(q)
+    return math.ldexp(h, -top), math.ldexp(float(q - int(h)), -top), top + shift
+
+
+def _split(a):
+    """Dekker's split of a into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _scaled(m, ex, E):
+    """(p, t) with p + t = m * 2**ex * 10**(16 - E), p the rounded product.
+
+    A Dekker TwoProduct of m and hi, plus m * lo: the pair carries the
+    product to about 2**-100 relative.  m lies in [0.5, 1), so nothing
+    overflows; the power-of-two scale is applied last and is exact.
+    """
+    first = int(E.min())
+    hi, lo, b = np.array([_pow10(e) for e in range(first, int(E.max()) + 1)]).T
+    i = E - first
+    h = hi[i]
+    p = m * h
+    m1, m2 = _split(m)
+    h1, h2 = _split(h)
+    t = (((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2) + m * lo[i]
+    scale = ((ex + b.astype(np.int64)[i] + 1023) << 52).view(np.float64)  # 2**(ex + b)
+    return p * scale, t * scale
+
+
+def _number_slots(x, out):
+    """Write "%.17g" % v for each float v of x into its slot out[:, ...].
+
+    out is a zeroed uint8 view of shape (_NUMBER_SLOT - 1,) + x.shape.
+    Returns the flat indices of x left to fmt: non-finite values, and
+    values whose digits after the 17th lie within _TIE of a rounding tie.
+    """
+    x = x.ravel()
+    if not x.size:
+        return np.empty(0, np.intp)
+    zero = x == 0
+    regular = np.isfinite(x) & ~zero
+    # stand-ins for 0, inf and nan that keep the arithmetic finite
+    a = np.fmin(np.abs(x), np.finfo(float).max) + zero
+    m, ex = np.frexp(a)
+    E = np.floor(np.log10(a)).astype(np.int64)
+    p, t = _scaled(m, ex, E)
+    # log10 can miss the decade next to a power of ten; decide it from the
+    # unrounded pair, so that p + t lies in [1e16, 1e17) up to rounding
+    low = (p < 1e16) | ((p == 1e16) & (t < 0))
+    high = (p > 1e17) | ((p == 1e17) & (t >= 0))
+    fix = np.flatnonzero(low | high)
+    if fix.size:
+        E[fix] += high[fix].astype(np.int64) - low[fix]
+        p[fix], t[fix] = _scaled(m[fix], ex[fix], E[fix])
+    # p >= 1e16 > 2**53 is an integer, so t holds the whole fraction
+    whole = np.floor(t)
+    frac = t - whole
+    D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    carry = D >= 10**17  # 99999999999999999.5 and up round to 1e17
+    D -= carry * (9 * 10**16)
+    E += carry
+    D *= regular  # zero: D = 0, E = 0 prints as "0"
+    E *= regular
+
+    # the 17 digits, from two uint32 halves
+    digits = []
+    top = D // 10**8
+    for part, count in ((top, 9), (D - top * 10**8, 8)):
+        part = part.astype(np.uint32)
+        half = []
+        for _ in range(count):
+            q = part // 10
+            half.append((part - q * 10).astype(np.uint8))
+            part = q
+        digits += half[::-1]
+    # nd: significant digits once trailing zeros are dropped
+    nd = np.zeros(len(x), np.uint8)
+    nonzero_tail = np.zeros(len(x), bool)
+    for d in digits[::-1]:
+        nonzero_tail |= d != 0
+        nd += nonzero_tail
+
+    sci = (E < -4) | (E > 16)
+    fixed_neg = ~sci & (E < 0)
+    fixed_pos = ~sci & (E >= 0)
+    # digits shown, the digit the point follows (17: no point among the
+    # digits), and the point if any digit follows it
+    shown = np.maximum(nd, (E + 1) * fixed_pos).astype(np.uint8)
+    point_after = (E * fixed_pos + 17 * fixed_neg).astype(np.uint8)
+    point = (nd > point_after + 1) * np.uint8(46)
+    chars = [(shown > i) * (48 + d) for i, d in enumerate(digits)] + [np.zeros_like(point)]
+
+    ae = np.abs(E).astype(np.uint16)
+    ae_tens = ae // 10
+    rows = [
+        np.signbit(x) * np.uint8(45),
+        fixed_neg * np.uint8(48),
+        fixed_neg * np.uint8(46),
+        (fixed_neg & (E <= -2)) * np.uint8(48),
+        (fixed_neg & (E <= -3)) * np.uint8(48),
+        (fixed_neg & (E <= -4)) * np.uint8(48),
+    ]
+    # slot s holds digit s before the point, the point, then digit s - 1
+    for s in range(18):
+        before = point_after >= s
+        row = before * chars[s]
+        if s:
+            at = point_after == s - 1
+            row += at * point + ~(before | at) * chars[s - 1]
+        rows.append(row)
+    rows += [
+        sci * np.uint8(101),
+        sci * (43 + 2 * (E < 0)),
+        (ae >= 100) * (48 + ae_tens // 10),
+        sci * (48 + ae_tens % 10),
+        sci * (48 + ae - 10 * ae_tens),
+    ]
+    for k, row in enumerate(rows):
+        out[k] = row.reshape(out.shape[1:])
+    return np.flatnonzero(~(regular | zero) | (regular & (np.abs(frac - 0.5) < _TIE)))
+
+
+def _text_slots(values):
+    """uint8 (width, len(values)) slots of str(v) for each value, NUL-padded."""
+    cells = [str(v).encode() for v in values]
+    if any(b"\0" in c for c in cells):
+        raise ValueError("a CSV text cell contains a NUL character")
+    width = max(map(len, cells), default=0) or 1
+    return np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width).T
+
+
+def _csv_block(columns, text):
+    """The bytes of equal-length columns as CSV rows."""
+    rows = len(columns[0])
+    numeric = np.array([c for c, t in zip(columns, text) if not t], float).reshape(-1, rows)
+    slots = np.zeros((len(numeric), _NUMBER_SLOT, rows), np.uint8)
+    slots[:, -1] = ord(",")
+    for j in _number_slots(numeric, slots[:, :-1].swapaxes(0, 1)):
+        col, row = divmod(j, rows)
+        cell = fmt(numeric[col, row]).encode()
+        slots[col, :-1, row] = 0
+        slots[col, : len(cell), row] = np.frombuffer(cell, np.uint8)
+    pieces, numeric_slots = [], iter(slots)
+    for c, t in zip(columns, text):
+        if t:
+            pieces += [_text_slots(c.tolist()), np.full((1, rows), ord(","), np.uint8)]
+        else:
+            pieces.append(next(numeric_slots))
+    block = np.concatenate(pieces)
+    block[-1] = ord("\n")
+    return block.T.tobytes().translate(None, b"\0")
+
+
 def write_csv(path: Path, header: list[str], columns) -> None:
     """Write equal-length columns as CSV rows.
 
-    A str or object column is written as its values are; any other column
-    is converted to float and written with fmt's "%.17g", one precomputed
-    row format per file.
+    A str or object column is written as str() of its values; any other
+    column is converted to float and written as fmt writes it ("%.17g").
+    The numbers are formatted by _number_slots a block of rows at a time,
+    and the bytes equal those of one fmt call per number.
     """
     columns = [np.asarray(c) for c in columns]
     text = [c.dtype.kind in "OSU" for c in columns]
-    row_format = ",".join("%s" if t else "%.17g" for t in text)
-    values = [c.tolist() if t else c.astype(float).tolist() for c, t in zip(columns, text)]
-    lines = [",".join(header)]
-    lines += [row_format % row for row in zip(*values)]
-    path.write_text("\n".join(lines) + "\n")
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError("CSV columns differ in length")
+    rows = len(columns[0]) if columns else 0
+    step = max(1, _BLOCK_VALUES // max(1, len(columns)))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, rows, step):
+            fh.write(_csv_block([c[start:start + step] for c in columns], text))
 
 
 def _jsonable(obj):
@@ -410,8 +600,8 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     return 0
 
 
-def _initial_state(rc: RunConfig) -> ModalState:
-    modes = tuple(mode_range(rc.wave.boundary, rc.N))
+def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
+    modes = tuple(sols.n.tolist())
     if rc.sim.initial_modes is not None:
         given = np.reshape(rc.sim.initial_modes[: len(modes)], (-1, 2))
         a = np.zeros((len(modes), 2))
@@ -425,14 +615,14 @@ def _initial_state(rc: RunConfig) -> ModalState:
 
 def cmd_simulate(rc: RunConfig, out: Path) -> int:
     cfg = rc.wave
-    if not list(mode_range(cfg.boundary, rc.N)):
+    sols = solve_family(cfg, rc.family, rc.N)
+    if not len(sols):
         raise ConfigError("simulate needs at least one mode; increase N")
     if rc.sim.M < MIN_FD_INTERVALS:
         raise ConfigError(f"sim.M must be >= {MIN_FD_INTERVALS}, got {rc.sim.M}")
     if not 0 < rc.sim.cfl <= 1:
         raise ConfigError(f"sim.cfl must lie in (0, 1], got {rc.sim.cfl}")
-    sols = solve_family(cfg, rc.family, rc.N)
-    state0 = _initial_state(rc)
+    state0 = _initial_state(rc, sols)
 
     dec = simulate_decoupled(cfg, sols, state0, rc.sim.T, rc.sim.dt)
     cou = simulate_coupled_modal(cfg, sols, state0, rc.sim.T, rc.sim.dt)

@@ -53,7 +53,6 @@ class GainProfile:
     grid_x: np.ndarray
     values: np.ndarray  # (len(grid_x), 2)
     boundary: Boundary
-    n_used: int
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
     sign = gain_expansion_sign(cfg.boundary, sols.n)
     coeff = sign[:, None] * np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
     values = basis_matrix(cfg.boundary, sols.n, grid).T @ coeff
-    return GainProfile(grid, values, cfg.boundary, int(sols.n.max(initial=0)))
+    return GainProfile(grid, values, cfg.boundary)
 
 
 def summability_warnings(family: WeightFamily) -> tuple[str, ...]:

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wavelqr
+from wavelqr import cli
 from wavelqr.cli import (
     COMMANDS,
     ConfigError,
@@ -517,7 +520,9 @@ class TestFormatting:
         special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 0.1, 1.0 / 3.0, 1e16, 1e-5,
                             np.inf, -np.inf, np.nan, 2.0**53 + 2.0, -7.0])
         random = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
-        for floats in (special, random):
+        # one row, and more rows than one block of write_csv holds
+        long = np.resize(np.concatenate([special, random]), 3 * cli._BLOCK_VALUES // 5 + 7)
+        for floats in (special, random, special[-1:], long):
             k = len(floats)
             columns = [
                 floats,
@@ -546,3 +551,80 @@ class TestFormatting:
         for _ in range(200):
             x = float(rng.standard_normal() * 10.0 ** rng.integers(-12, 12))
             assert float(fmt(x)) == x
+
+
+def csv_fields(x):
+    """The fields write_csv writes for the floats x, as one block of rows."""
+    return cli._csv_block([np.asarray(x, dtype=float)], [False]).decode().splitlines()
+
+
+class TestBlockFormatter:
+    """The vectorized "%.17g" of write_csv against fmt, one number at a time."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert csv_fields(values) == [fmt(v) for v in values]
+
+    def test_powers_of_ten_and_neighbours(self):
+        p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+        x = np.concatenate([x, -x])
+        assert csv_fields(x) == [fmt(v) for v in x]
+        # the decade of 1e-304's lower neighbour comes from the unrounded
+        # product, not from its rounded 17 digits (which carry to 1e16)
+        assert csv_fields([9.9999999999999997e-305]) == ["9.9999999999999997e-305"]
+
+    def test_random_bit_patterns(self, tmp_path, rng):
+        x = rng.integers(0, 2**64, 10**6, dtype=np.uint64, endpoint=False).view(np.float64)
+        write_csv(tmp_path / "t.csv", ["x"], [x])
+        expect = "x\n" + ("%.17g\n" * len(x)) % tuple(x.tolist())  # fmt, in one call
+        assert (tmp_path / "t.csv").read_text() == expect
+
+    def test_integers_near_two_to_the_53(self):
+        x = 2.0**53 + np.arange(-2000.0, 2001.0)
+        x = np.concatenate([x, -x, 2.0 * x, 10.0 * x, x / 16.0])
+        assert csv_fields(x) == [fmt(v) for v in x]
+
+    def test_powers_of_ten_accuracy(self):
+        from fractions import Fraction
+
+        for E in range(-325, 310):  # one decade past each end of the doubles
+            h, l, e = cli._pow10(E)
+            exact = Fraction(10) ** (16 - E)
+            approx = (Fraction(h) + Fraction(l)) * Fraction(2) ** int(e)
+            assert 1.0 <= h < 2.0 and abs(l) <= 2.0**-52
+            assert abs(approx / exact - 1) < Fraction(1, 2**104), E
+
+    def test_text_only_columns(self, tmp_path):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [["x", "yy"], np.array([b"z", b""])])
+        assert (tmp_path / "t.csv").read_text() == "a,b\nx,b'z'\nyy,b''\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="length"):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+def test_every_artifact_field_is_fmt_of_its_value(tmp_path, boundary):
+    """Every numeric CSV field of every command is fmt of the float it reads as."""
+    doc = json.loads((Path(__file__).parent.parent / "demos" / "config_example.json").read_text())
+    doc["boundary"] = boundary
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for cmd in COMMANDS:
+        assert main([cmd, "--config", str(path), "--out", str(out)]) == 0, cmd
+    csvs = sorted(out.glob("*.csv"))
+    assert len(csvs) == 10
+    for csv in csvs:
+        fields = set(csv.read_text().replace("\n", ",").split(",")[:-1])
+        numeric = []
+        for field in fields:
+            try:
+                numeric.append((field, float(field)))
+            except ValueError:  # header and text columns
+                pass
+        assert numeric, csv.name
+        bad = [field for field, value in numeric if fmt(value) != field]
+        assert not bad, (csv.name, bad[:5])

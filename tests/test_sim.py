@@ -494,6 +494,11 @@ class TestSimulateFd:
         with pytest.raises(ValueError, match="grid"):
             simulate_fd(dirichlet_cfg, prof, z1, z2, 64, 1.0)
 
+    def test_family_without_mode_count_rejected(self, dirichlet_cfg):
+        z1, z2 = band_limited(Boundary.DIRICHLET)
+        with pytest.raises(ValueError, match="mode count N"):
+            simulate_fd(dirichlet_cfg, None, z1, z2, 64, 1.0, family=PowerLawWeights(1.0, 5.0))
+
 
 class TestPredictedCost:
     def test_zero_solution(self, dirichlet_cfg):
