@@ -42,10 +42,8 @@ from .kernels import (
 )
 from .sim import (
     ModalState,
-    FieldState,
     SimResult,
     project_initial,
-    target_solution,
     simulate_decoupled,
     simulate_coupled_modal,
     simulate_fd,
@@ -82,10 +80,8 @@ __all__ = [
     "decay_fit",
     "convergence_report",
     "ModalState",
-    "FieldState",
     "SimResult",
     "project_initial",
-    "target_solution",
     "simulate_decoupled",
     "simulate_coupled_modal",
     "simulate_fd",

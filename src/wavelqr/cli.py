@@ -1,9 +1,11 @@
 """Batch front door: config ingestion, command dispatch, file emission.
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numerical
-failure.  Output files are byte-deterministic for a fixed config: floats are
-serialized with 17 significant digits, JSON keys are sorted, and the only
-randomness (grid sampling in verify) is seeded from the config.
+Exit codes: 0 success, 1 verification failure, 2 config error (including an
+output directory that cannot be written), 3 numerical failure.  Output files
+are byte-deterministic for a fixed config: CSV floats are written with 17
+significant digits, JSON floats as their shortest round-trip repr, JSON keys
+are sorted, and the only randomness (grid sampling in verify) is seeded from
+the config.
 """
 
 import argparse
@@ -409,16 +411,13 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def _jsonable(obj):
-    if isinstance(obj, float):
-        return float(fmt(obj))
+    """obj with numpy scalars made Python numbers, which json can write."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(fmt(float(obj)))
-    if isinstance(obj, np.integer):
-        return int(obj)
+    if isinstance(obj, (np.floating, np.integer)):
+        return obj.item()
     return obj
 
 
@@ -443,11 +442,9 @@ def cmd_synth(rc: RunConfig, out: Path) -> int:
     return 0
 
 
-def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
+def _verify_checks(rc: RunConfig) -> dict:
     cfg = rc.wave
     t = solve_family(cfg, rc.family, rc.N)
-    if corrupt is not None:
-        t = corrupt(t)
     modes = t.n.tolist()
     P = np.stack([t.p11, t.p12, t.p22])  # (3, k)
 
@@ -538,8 +535,8 @@ def _verify_checks(rc: RunConfig, corrupt=None) -> dict:
     }
 
 
-def cmd_verify(rc: RunConfig, out: Path, corrupt=None) -> int:
-    report = _verify_checks(rc, corrupt=corrupt)
+def cmd_verify(rc: RunConfig, out: Path) -> int:
+    report = _verify_checks(rc)
     write_json(out / "verify.json", report)
     return 0 if report["passed"] else 1
 
@@ -629,9 +626,9 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
 
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)
-    f0 = reconstruct_field(state0, x)
+    z1, z2 = reconstruct_field(state0, x)
     fd = simulate_fd(
-        cfg, prof, lambda xx: np.interp(xx, x, f0.z1), lambda xx: np.interp(xx, x, f0.z2),
+        cfg, prof, lambda xx: np.interp(xx, x, z1), lambda xx: np.interp(xx, x, z2),
         rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N,
     )
 
@@ -656,7 +653,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     )
 
     pred = predicted_cost(state0, sols)
-    final_modal = ModalState(cfg.boundary, state0.modes, cou.states[-1], t=cou.times[-1])
+    final_modal = ModalState(cfg.boundary, state0.modes, cou.states[-1])
     summary = {
         "predicted_cost_per_mode": pred.per_mode,
         "predicted_cost_field": pred.field,
@@ -749,6 +746,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](rc, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # --out names a file, or a directory that cannot be written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (
         OracleError, SimulationError, ArithmeticError, ValueError, np.linalg.LinAlgError,

@@ -7,7 +7,7 @@ truncated series are evaluated analytically, term by term, never by
 numerical differentiation of sampled kernels.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class KernelField:
     grid_x1: np.ndarray
     grid_x2: np.ndarray
     values: np.ndarray  # (len(grid_x1), len(grid_x2), 2, 2)
-    boundary: Boundary
-
-    def component(self, i: int, j: int) -> np.ndarray:
-        return self.values[:, :, i, j]
 
 
 @dataclass(frozen=True)
@@ -52,19 +48,16 @@ class GainProfile:
 
     grid_x: np.ndarray
     values: np.ndarray  # (len(grid_x), 2)
-    boundary: Boundary
 
 
 @dataclass(frozen=True)
 class ResidualFields:
     """Pointwise defect of the four kernel Riccati PDE components."""
 
-    grid: np.ndarray
     r11: np.ndarray
     r12: np.ndarray
     r21: np.ndarray
     r22: np.ndarray
-    modes: tuple[int, ...]
 
     def max_abs(self) -> float:
         return float(
@@ -105,7 +98,7 @@ def assemble_P(sols: ModalTable, grid, boundary: Boundary, grid_x2=None) -> Kern
     phi1 = basis_matrix(boundary, sols.n, grid_x1)
     phi2 = basis_matrix(boundary, sols.n, grid_x2)
     values = _series_values(phi1, phi2, sols.p11, sols.p12, sols.p22)
-    return KernelField(grid_x1, grid_x2, values, boundary)
+    return KernelField(grid_x1, grid_x2, values)
 
 
 def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
@@ -122,7 +115,7 @@ def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
     sign = gain_expansion_sign(cfg.boundary, sols.n)
     coeff = sign[:, None] * np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
     values = basis_matrix(cfg.boundary, sols.n, grid).T @ coeff
-    return GainProfile(grid, values, cfg.boundary)
+    return GainProfile(grid, values)
 
 
 def summability_warnings(family: WeightFamily) -> tuple[str, ...]:
@@ -140,7 +133,7 @@ def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> Kernel
     modes = list(mode_range(boundary, N))
     phi = basis_matrix(boundary, modes, grid)
     values = _series_values(phi, phi, *weight_arrays(family, modes))
-    return KernelField(grid, grid, values, boundary)
+    return KernelField(grid, grid, values)
 
 
 def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
@@ -189,11 +182,9 @@ def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> ResidualFields:
     surviving residual is exactly the cross-frequency part of the quadratic
     right-hand side.
     """
-    grid = np.asarray(grid, dtype=float)
     modes, mats = residual_coefficient_matrices(cfg, sols)
     phi = basis_matrix(cfg.boundary, modes, grid)
-    fields = [phi.T @ m @ phi for m in mats]
-    return ResidualFields(grid, *fields, modes=tuple(int(n) for n in modes))
+    return ResidualFields(*(phi.T @ m @ phi for m in mats))
 
 
 def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, grid, weights) -> np.ndarray:
@@ -241,16 +232,6 @@ class SeriesReport:
     cauchy_diffs: tuple[float, ...]
     cauchy_decreasing: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "threshold": self.threshold,
-            "fitted_exponent": self.fitted_exponent,
-            "verdict": self.verdict,
-            "cauchy_diffs": list(self.cauchy_diffs),
-            "cauchy_decreasing": self.cauchy_decreasing,
-        }
-
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -271,7 +252,7 @@ class ConvergenceReport:
         return {
             "boundary": self.boundary.value,
             "r": self.r,
-            "series": [s.as_dict() for s in self.series],
+            "series": [asdict(s) for s in self.series],
         }
 
 
@@ -313,9 +294,9 @@ def convergence_report(
     prev = None
     for N in N_list:
         sols = solve_family(cfg, family, N)
-        qf = assemble_Q(family, grid, cfg.boundary, N).component(0, 0)
+        qf = assemble_Q(family, grid, cfg.boundary, N).values[:, :, 0, 0]
         kf = np.abs(assemble_K(sols, cfg, grid).values).max(axis=1)
-        pf = assemble_P(sols, grid, cfg.boundary).component(0, 0)
+        pf = assemble_P(sols, grid, cfg.boundary).values[:, :, 0, 0]
         cur = (qf, kf, pf)
         if prev is not None:
             diffs["Q"].append(float(np.abs(cur[0] - prev[0]).max()))

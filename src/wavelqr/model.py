@@ -84,14 +84,6 @@ class ModalWeight:
                 f"Q11={self.q11}, Q12={self.q12}, Q22={self.q22}"
             )
 
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.q11, self.q12], [self.q12, self.q22]])
-
-    @property
-    def is_zero(self) -> bool:
-        return self.q11 == 0.0 and self.q12 == 0.0 and self.q22 == 0.0
-
 
 @dataclass(frozen=True)
 class PowerLawWeights:

@@ -21,13 +21,6 @@ def trapezoid_weights(npts: int, h: float) -> np.ndarray:
     return w
 
 
-def simpson_integrate(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
-    """Integrate sampled values with composite Simpson along one axis."""
-    npts = values.shape[axis]
-    w = simpson_weights(npts, h)
-    return np.tensordot(values, w, axes=([axis], [0]))
-
-
 def running_quadrature(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral of a sampled function of time.
 

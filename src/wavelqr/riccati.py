@@ -146,17 +146,16 @@ def _closed_form_arrays(w2, c, alpha, q11, q22, q12):
     return p11, p12, p22
 
 
-def residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22, p21=None):
-    """The four modal ARE components, vectorized; zero at a solution.
+def residual_arrays(w2, c, alpha, q11, q22, q12, p11, p12, p22):
+    """The four modal ARE components of a symmetric P, vectorized; zero at a solution.
 
-    w2 = n^2 pi^2 and c = G[1]^2 / R (frequency_sq, input_gain_sq).  P21
-    defaults to P12; a distinct P21 makes the middle two components differ.
+    w2 = n^2 pi^2 and c = G[1]^2 / R (frequency_sq, input_gain_sq).  The
+    middle two are one equation and its transpose, with the quadratic term's
+    factors in the order of each.
     """
-    if p21 is None:
-        p21 = p12
     r11 = -2.0 * w2 * p12 + q11 - c * p12 * p12
     r12 = p11 - alpha * p12 - w2 * p22 + q12 - c * p12 * p22
-    r21 = p11 - alpha * p21 - w2 * p22 + q12 - c * p22 * p21
+    r21 = p11 - alpha * p12 - w2 * p22 + q12 - c * p22 * p12
     r22 = 2.0 * p12 - 2.0 * alpha * p22 + q22 - c * p22 * p22
     return r11, r12, r21, r22
 
@@ -237,7 +236,7 @@ def _strictly_stable(A: np.ndarray) -> bool:
     return bool(np.all(ev.real < -1e-12 * (1.0 + np.abs(ev))))
 
 
-def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
+def are_oracle(F, G, Q, R) -> np.ndarray:
     """Stabilizing PSD solution of F'P + PF - PGR^-1G'P + Q = 0.
 
     Runs the Newton iteration Z <- (mu Z + Z^-1 / mu) / 2 for the matrix sign
@@ -247,8 +246,8 @@ def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
     [W12; W22 + I] P = -[W11 + I; W21] in the least-squares sense.  A
     Hamiltonian eigenvalue on the imaginary axis stops the iteration from
     converging and raises OracleError, at the first non-finite iterate if
-    one overflows, as does a P that fails the residual, semidefiniteness or
-    closed-loop stability check.
+    one overflows, as does a P that fails the residual or semidefiniteness
+    bound TOL_ORACLE or the closed-loop stability check.
     """
     F = np.atleast_2d(np.asarray(F, dtype=float))
     Q = np.atleast_2d(np.asarray(Q, dtype=float))
@@ -292,9 +291,9 @@ def are_oracle(F, G, Q, R, tol: float = TOL_ORACLE) -> np.ndarray:
     P = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
     P = 0.5 * (P + P.T)
     # the stabilizing solution is the PSD one with a stable closed loop
-    if _care_residual(F, G, Q, R, P) > tol:
+    if _care_residual(F, G, Q, R, P) > TOL_ORACLE:
         raise OracleError("oracle residual above tolerance")
-    if np.min(np.linalg.eigvalsh(P)) < -tol * (1.0 + np.max(np.abs(P))):
+    if np.min(np.linalg.eigvalsh(P)) < -TOL_ORACLE * (1.0 + np.max(np.abs(P))):
         raise OracleError("oracle solution is not positive semidefinite")
     if not _strictly_stable(F - S @ P):
         raise OracleError("oracle solution does not stabilize the closed loop")

@@ -232,6 +232,16 @@ class TestConfigParsing:
     def test_main_missing_file_is_2(self, tmp_path):
         assert main(["synth", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config())
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        (tmp_path / "o" / "modes.csv").mkdir(parents=True)  # an artifact path taken
+        for out in (not_a_dir, tmp_path / "o"):
+            assert main(["synth", "--config", str(path), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot write output: ") and "Traceback" not in err
+
 
 class TestSynth:
     def test_row_count_and_residuals(self, tmp_path):
@@ -279,16 +289,19 @@ class TestVerify:
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
 
-    def test_corrupted_solution_fails_residual_check(self, tmp_path):
+    def test_corrupted_solution_fails_residual_check(self, tmp_path, monkeypatch):
         rc = load_config(write_config(tmp_path, base_config()))
         (tmp_path / "o").mkdir()
+        solve = cli.solve_family
 
-        def corrupt(table):
+        def corrupted(*args):
+            table = solve(*args)
             p11 = table.p11.copy()
             p11[0] += 0.5
             return dataclasses.replace(table, p11=p11)
 
-        code = cmd_verify(rc, tmp_path / "o", corrupt=corrupt)
+        monkeypatch.setattr(cli, "solve_family", corrupted)
+        code = cmd_verify(rc, tmp_path / "o")
         assert code == 1
         report = json.loads((tmp_path / "o" / "verify.json").read_text())
         assert report["passed"] is False

@@ -99,7 +99,8 @@ class TestAssembleP:
         def tail_sup(n1, n2):
             fam = PowerLawWeights(1.0, 5.0)
             sols = family_table(dirichlet_cfg, fam, np.arange(n1 + 1, n2 + 1))
-            return float(np.abs(assemble_P(sols, grid, Boundary.DIRICHLET).component(0, 0)).max())
+            kf = assemble_P(sols, grid, Boundary.DIRICHLET)
+            return float(np.abs(kf.values[:, :, 0, 0]).max())
 
         d1 = tail_sup(128, 256)
         d2 = tail_sup(256, 512)
@@ -231,8 +232,8 @@ class TestAssembleQ:
         grid = np.linspace(0.0, 1.0, 31)
         kf = assemble_Q(fam, grid, Boundary.DIRICHLET, 1)
         s = np.sin(np.pi * grid)
-        np.testing.assert_allclose(kf.component(0, 0), np.outer(s, s), atol=1e-15)
-        np.testing.assert_allclose(kf.component(0, 1), 0.0, atol=1e-15)
+        np.testing.assert_allclose(kf.values[:, :, 0, 0], np.outer(s, s), atol=1e-15)
+        np.testing.assert_allclose(kf.values[:, :, 0, 1], 0.0, atol=1e-15)
 
 
 class TestPdeResidual:

@@ -51,10 +51,10 @@ def row_scale(t: ModalTable) -> np.ndarray:
 
 
 def residuals(cfg, w: ModalWeight, P) -> tuple:
-    """The four modal ARE components at an arbitrary 2x2 P; P21 is P[1, 0]."""
+    """The four modal ARE components at a symmetric 2x2 P."""
     return residual_arrays(
         frequency_sq(w.n), input_gain_sq(cfg, w.n), cfg.alpha, w.q11, w.q22, w.q12,
-        P[0, 0], P[0, 1], P[1, 1], p21=P[1, 0],
+        P[0, 0], P[0, 1], P[1, 1],
     )
 
 
@@ -126,7 +126,7 @@ class TestClosedForm:
             w = ModalWeight(n, q11, q12, q22)
             t = one_mode(cfg, w)
             F, G = modal_matrices(cfg, n)
-            P = are_oracle(F, G, w.matrix, np.array([[cfg.R]]))
+            P = are_oracle(F, G, np.array([[q11, q12], [q12, q22]]), np.array([[cfg.R]]))
             scale = 1.0 + np.max(np.abs(P))
             np.testing.assert_allclose(t.matrices[0], P, atol=1e-8 * scale)
             o11, o12, o22 = oracle_solve_modes(cfg, [n], [q11], [q12], [q22])
@@ -215,14 +215,17 @@ class TestResiduals:
             expect = -2 * n2pi2 * eps - n2pi2 * g2 * (2 * t.p12[0] * eps + eps**2)
             np.testing.assert_allclose(delta, expect, rtol=1e-9, atol=1e-12)
 
-    def test_asymmetric_input_splits_r12_r21(self, neumann_cfg):
-        w = ModalWeight(1, 1.0, 0.0, 1.0)
-        P = np.array([[0.5, 0.2], [0.1, 0.3]])
-        r = residuals(neumann_cfg, w, P)
-        assert r[1] != r[2]
-        Psym = np.array([[0.5, 0.2], [0.2, 0.3]])
-        rs = residuals(neumann_cfg, w, Psym)
-        assert rs[1] == rs[2]
+    def test_components_match_matrix_residual(self):
+        """The four components are the entries of F'P + PF - PGR^-1G'P + Q,
+        formed here as matrix products, at a symmetric P that solves nothing."""
+        w = ModalWeight(2, 1.0, 0.4, 0.5)
+        P = np.array([[0.5, 0.2], [0.2, 0.3]])
+        Q = np.array([[w.q11, w.q12], [w.q12, w.q22]])
+        for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
+            cfg = WaveConfig(boundary, alpha=0.3, beta=1.3, R=0.7)
+            F, G = modal_matrices(cfg, w.n)
+            full = F.T @ P + P @ F - np.outer(P @ G, G @ P) / cfg.R + Q
+            np.testing.assert_allclose(residuals(cfg, w, P), full.ravel(), rtol=1e-14, atol=1e-13)
 
 
 class TestNegativeRoot:

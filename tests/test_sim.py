@@ -31,7 +31,6 @@ from wavelqr.sim import (
     simulate_coupled_modal,
     simulate_decoupled,
     simulate_fd,
-    target_solution,
 )
 from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
@@ -39,6 +38,22 @@ from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled
 def no_gains(cfg, N):
     """The zero-weight table of the modes up to N: no mode has feedback."""
     return solve_family(cfg, ExplicitWeights({}), N)
+
+
+def open_loop(cfg, st, T, dt):
+    """simulate_decoupled on the zero-weight table of st's modes: the open-loop
+    target trajectory."""
+    return simulate_decoupled(cfg, no_gains(cfg, max(st.modes)), st, T, dt)
+
+
+def open_loop_reference(cfg, st, times):
+    """States (len(times), k, 2) of expm(F_n t) a_n per mode, by scipy, with
+    F_n = [[0, 1], [-n^2 pi^2, -alpha]] written out here."""
+    out = np.empty((len(times), len(st.modes), 2))
+    for i, n in enumerate(st.modes):
+        F = np.array([[0.0, 1.0], [-((n * np.pi) ** 2), -cfg.alpha]])
+        out[:, i] = [expm(F * t) @ st.a[i] for t in times]
+    return out
 
 
 def band_limited(boundary):
@@ -84,11 +99,11 @@ class TestProjectInitial:
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_round_trip_band_limited(self, boundary):
         z1, z2 = band_limited(boundary)
-        st = project_initial(z1, z2, 8, boundary, n_quad=8193)
+        st = project_initial(z1, z2, 8, boundary)
         x = np.linspace(0.0, 1.0, 257)
-        f = reconstruct_field(st, x)
-        np.testing.assert_allclose(f.z1, z1(x), atol=1e-10)
-        np.testing.assert_allclose(f.z2, z2(x), atol=1e-10)
+        f1, f2 = reconstruct_field(st, x)
+        np.testing.assert_allclose(f1, z1(x), atol=1e-10)
+        np.testing.assert_allclose(f2, z2(x), atol=1e-10)
 
     def test_neumann_mean_mode_weight(self):
         st = project_initial(lambda x: 1.0 + np.cos(np.pi * x), lambda x: 0.0, 3,
@@ -100,27 +115,32 @@ class TestProjectInitial:
 class TestReconstructField:
     def test_zero_state(self):
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
-        f = reconstruct_field(st, np.linspace(0, 1, 11))
-        assert np.all(f.z1 == 0.0) and np.all(f.z2 == 0.0)
+        z1, z2 = reconstruct_field(st, np.linspace(0, 1, 11))
+        assert np.all(z1 == 0.0) and np.all(z2 == 0.0)
 
     def test_single_unit_mode(self):
         a = np.zeros((3, 2))
         a[2, 0] = 1.0
         st = ModalState(Boundary.NEUMANN, (0, 1, 2), a)
         x = np.linspace(0, 1, 33)
-        f = reconstruct_field(st, x)
-        np.testing.assert_allclose(f.z1, np.cos(2 * np.pi * x), atol=1e-15)
+        z1, _ = reconstruct_field(st, x)
+        np.testing.assert_allclose(z1, np.cos(2 * np.pi * x), atol=1e-15)
 
 
 class TestTargetSolution:
+    """The open-loop target trajectory: simulate_decoupled on a zero-weight
+    table, with zero controls and zero cost."""
+
     def test_zero_initial_state(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
-        res = target_solution(dirichlet_cfg, st, 1.0, 0.01)
+        res = open_loop(dirichlet_cfg, st, 1.0, 0.01)
         assert np.all(res.states == 0.0) and np.all(res.cost == 0.0)
+        assert np.all(res.u_record == 0.0)
 
     def test_undamped_energy_constant(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1,), np.array([[1.0, 0.3]]))
-        res = target_solution(dirichlet_cfg, st, 3.0, 0.01)
+        res = open_loop(dirichlet_cfg, st, 3.0, 0.01)
+        assert np.all(res.u_record == 0.0) and np.all(res.cost == 0.0)
         energies = [
             modal_energy(ModalState(Boundary.DIRICHLET, (1,), res.states[k]))
             for k in range(0, len(res.times), 40)
@@ -135,7 +155,8 @@ class TestTargetSolution:
         period = 2 * np.pi / omega
         nsteps = 400
         st = ModalState(Boundary.DIRICHLET, (1,), np.array([[1.0, 0.3]]))
-        res = target_solution(cfg, st, period, period / nsteps)
+        res = open_loop(cfg, st, period, period / nsteps)
+        assert np.all(res.u_record == 0.0) and np.all(res.cost == 0.0)
         expect = np.exp(-cfg.alpha * period / 2.0) * st.a
         np.testing.assert_allclose(res.states[-1], expect, rtol=1e-9, atol=1e-12)
 
@@ -220,8 +241,8 @@ class TestSimulateDecoupled:
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3), np.ones((3, 2)))
         res = simulate_decoupled(cfg, sols, st, 2.0, 0.01)
         assert np.all(res.cost == 0.0)
-        ref = target_solution(cfg, st, 2.0, 0.01)
-        np.testing.assert_allclose(res.states, ref.states, atol=1e-12)
+        ref = open_loop_reference(cfg, st, res.times)
+        np.testing.assert_allclose(res.states, ref, atol=1e-12)
 
     def test_exact_propagation(self, dirichlet_cfg):
         fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)})
@@ -245,7 +266,7 @@ class TestSimulateDecoupled:
         w = ModalWeight(n, 1.0, 0.0, 1.0)
         sol = one_mode(cfg, w)
         st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
-        T = decay_horizon(cfg, sol, 1e-8)
+        T = decay_horizon(cfg, sol)
         mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
         mu_mag = max(abs(mu[0, 0]), 1.0)
         dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
@@ -265,8 +286,8 @@ class TestSimulateCoupled:
     def test_zero_gains_match_open_loop(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3, 4), np.ones((4, 2)))
         res = simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 2.0, 0.01)
-        ref = target_solution(dirichlet_cfg, st, 2.0, 0.01)
-        np.testing.assert_allclose(res.states, ref.states, atol=1e-10)
+        ref = open_loop_reference(dirichlet_cfg, st, res.times)
+        np.testing.assert_allclose(res.states, ref, atol=1e-10)
         assert np.all(res.u_record == 0.0)
 
     @pytest.mark.parametrize("boundary,k", [(Boundary.DIRICHLET, 2), (Boundary.NEUMANN, 1)])
@@ -305,7 +326,7 @@ class TestSimulateCoupled:
             a0[i] = [1.0 / (i + 1) ** 2, 0.5 / (i + 1) ** 2]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
         res = simulate_coupled_modal(dirichlet_cfg, sols, st, 10.0, 0.002)
-        stT = ModalState(Boundary.DIRICHLET, modes, res.states[-1], t=10.0)
+        stT = ModalState(Boundary.DIRICHLET, modes, res.states[-1])
         ratio = modal_energy(stT) / modal_energy(st)
         assert ratio < 1.0
         np.testing.assert_allclose(ratio, 0.08132684984988023, rtol=1e-6)
@@ -390,9 +411,9 @@ class TestSimulateFd:
 
         a_fd = project_grid_state(boundary, st0.modes, x,
                                   rf.states[-1][:, 0], rf.states[-1][:, 1])
-        f_fd = reconstruct_field(ModalState(boundary, st0.modes, a_fd, t=t_end), x)
-        f_m = reconstruct_field(ModalState(boundary, st0.modes, rm.states[-1], t=t_end), x)
-        for got, ref in ((f_fd.z1, f_m.z1), (f_fd.z2, f_m.z2)):
+        f_fd = reconstruct_field(ModalState(boundary, st0.modes, a_fd), x)
+        f_m = reconstruct_field(ModalState(boundary, st0.modes, rm.states[-1]), x)
+        for got, ref in zip(f_fd, f_m):
             err = np.sqrt(np.trapezoid((got - ref) ** 2, x))
             err /= np.sqrt(np.trapezoid(ref**2, x))
             assert err <= 0.02
@@ -412,11 +433,9 @@ class TestSimulateFd:
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
         rm = simulate_coupled_modal(dirichlet_cfg, sols, st0, t_end, t_end / 2500)
-        f_m = reconstruct_field(
-            ModalState(Boundary.DIRICHLET, st0.modes, rm.states[-1], t=t_end), x
-        )
-        err = np.sqrt(np.trapezoid((rf.states[-1][:, 0] - f_m.z1) ** 2, x))
-        err /= np.sqrt(np.trapezoid(f_m.z1**2, x))
+        zm, _ = reconstruct_field(ModalState(Boundary.DIRICHLET, st0.modes, rm.states[-1]), x)
+        err = np.sqrt(np.trapezoid((rf.states[-1][:, 0] - zm) ** 2, x))
+        err /= np.sqrt(np.trapezoid(zm**2, x))
         assert err <= 0.02
 
     def test_fd_cost_matches_modal_cost(self, dirichlet_cfg):
@@ -452,7 +471,7 @@ class TestSimulateFd:
         q = assemble_Q(family, x, boundary, N).values
         zw = res.states * trapezoid_weights(M + 1, 1.0 / M)[None, :, None]
         state_cost = np.einsum("tia,ijab,tjb->t", zw, q, zw)
-        ref = running_quadrature(state_cost + cfg.R * res.u_record**2, res.metadata["dt"])
+        ref = running_quadrature(state_cost + cfg.R * res.u_record**2, res.times[1])
         assert ref[-1] > 0
         np.testing.assert_allclose(res.cost, ref, rtol=1e-12, atol=0)
 
@@ -471,7 +490,7 @@ class TestSimulateFd:
         prof = assemble_K(sols, cfg, x)
         res = simulate_fd(cfg, prof, z1f, z2f, M, 0.5, cfl=0.9)
         h = 1.0 / M
-        dt = res.metadata["dt"]
+        dt = res.times[1]
         w = res.states[:, :, 0]
         v = res.states[:, :, 1]
         for k in range(1, len(res.times) - 1):
@@ -574,9 +593,8 @@ class TestEnergies:
         z1, z2 = band_limited(Boundary.DIRICHLET)
         st = project_initial(z1, z2, 8, Boundary.DIRICHLET)
         x = np.linspace(0.0, 1.0, 2001)
-        f = reconstruct_field(st, x)
         np.testing.assert_allclose(
-            modal_energy(st), field_energy(x, f.z1, f.z2), rtol=1e-4
+            modal_energy(st), field_energy(x, *reconstruct_field(st, x)), rtol=1e-4
         )
 
     def test_decay_horizon_marginal_raises(self, dirichlet_cfg):
