@@ -359,6 +359,17 @@ def _number_slots(x, out):
     return np.flatnonzero(~(regular | zero) | (regular & (np.abs(frac - 0.5) < _TIE)))
 
 
+def _formatted(x):
+    """(_NUMBER_SLOT, len(x)) uint8 slots of "%.17g," for the 1-D floats x."""
+    slots = np.zeros((_NUMBER_SLOT, len(x)), np.uint8)
+    slots[-1] = ord(",")
+    for j in _number_slots(x, slots[:-1]):
+        cell = fmt(x[j]).encode()
+        slots[:-1, j] = 0
+        slots[: len(cell), j] = np.frombuffer(cell, np.uint8)
+    return slots
+
+
 def _text_slots(values):
     """uint8 (width, len(values)) slots of str(v) for each value, NUL-padded."""
     cells = [str(v).encode() for v in values]
@@ -369,22 +380,35 @@ def _text_slots(values):
 
 
 def _csv_block(columns, text):
-    """The bytes of equal-length columns as CSV rows."""
-    rows = len(columns[0])
-    numeric = np.array([c for c, t in zip(columns, text) if not t], float).reshape(-1, rows)
-    slots = np.zeros((len(numeric), _NUMBER_SLOT, rows), np.uint8)
-    slots[:, -1] = ord(",")
-    for j in _number_slots(numeric, slots[:, :-1].swapaxes(0, 1)):
-        col, row = divmod(j, rows)
-        cell = fmt(numeric[col, row]).encode()
-        slots[col, :-1, row] = 0
-        slots[col, : len(cell), row] = np.frombuffer(cell, np.uint8)
-    pieces, numeric_slots = [], iter(slots)
+    """The bytes of equal-length columns as CSV rows.
+
+    A 2-D column is the (_NUMBER_SLOT, rows) slots of numbers formatted
+    beforehand.  Numeric columns with the same bits share one formatting,
+    a column of one bit pattern is formatted once and broadcast, and what
+    is left goes through one _formatted call.  Bits, not float equality,
+    decide: -0.0 and 0.0 print differently.
+    """
+    rows = columns[0].shape[-1]
+    numeric = [c for c, t in zip(columns, text) if not t and c.ndim == 1]
+    values = np.array(numeric, float).reshape(-1, rows)
+    bits = values.view(np.int64)
+    constant = (bits == bits[:, :1]).all(axis=1)
+    owner = {}  # bits of a column -> the first numeric column holding them
+    source = [owner.setdefault(b.tobytes(), i) for i, b in enumerate(bits)]
+    full = [i for i in owner.values() if not constant[i]]
+    once = [i for i in owner.values() if constant[i]]
+    slots = _formatted(np.concatenate([values[full].ravel(), values[once, :1].ravel()]))
+    shared = {i: slots[:, k * rows:(k + 1) * rows] for k, i in enumerate(full)}
+    for k, i in enumerate(once, len(full) * rows):
+        shared[i] = np.broadcast_to(slots[:, k:k + 1], (_NUMBER_SLOT, rows))
+    pieces, sources = [], iter(source)
     for c, t in zip(columns, text):
         if t:
             pieces += [_text_slots(c.tolist()), np.full((1, rows), ord(","), np.uint8)]
+        elif c.ndim == 2:
+            pieces.append(c)
         else:
-            pieces.append(next(numeric_slots))
+            pieces.append(shared[next(sources)])
     block = np.concatenate(pieces)
     block[-1] = ord("\n")
     return block.T.tobytes().translate(None, b"\0")
@@ -395,9 +419,17 @@ def write_csv(path: Path, header: list[str], columns) -> None:
 
     A str or object column is written as str() of its values; any other
     column is converted to float and written as fmt writes it ("%.17g").
-    The numbers are formatted by _number_slots a block of rows at a time,
-    and the bytes equal those of one fmt call per number.
+    A column given as a tuple (values, index) is the floats values[index],
+    and each of values is formatted once per call.  The numbers are
+    formatted by _number_slots a block of rows at a time, and the bytes
+    equal those of one fmt call per number.
     """
+    columns = list(columns)
+    tables = {}
+    for i, c in enumerate(columns):
+        if isinstance(c, tuple):
+            values, columns[i] = c
+            tables[i] = _formatted(np.asarray(values, float))
     columns = [np.asarray(c) for c in columns]
     text = [c.dtype.kind in "OSU" for c in columns]
     if len({len(c) for c in columns}) > 1:
@@ -407,7 +439,10 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         for start in range(0, rows, step):
-            fh.write(_csv_block([c[start:start + step] for c in columns], text))
+            block = [c[start:start + step] for c in columns]
+            for i, table in tables.items():
+                block[i] = table[:, block[i]]
+            fh.write(_csv_block(block, text))
 
 
 def _jsonable(obj):
@@ -557,8 +592,13 @@ def cmd_spectrum(rc: RunConfig, out: Path) -> int:
 
 
 def _grid_columns(x1, x2, *planes):
-    """CSV columns of (len(x1), len(x2)) value planes, x2 varying fastest."""
-    return [np.repeat(x1, len(x2)), np.tile(x2, len(x1)), *(p.ravel() for p in planes)]
+    """CSV columns of (len(x1), len(x2)) value planes, x2 varying fastest.
+
+    The grid columns are gathered: write_csv formats each grid value once.
+    """
+    i1, i2 = np.arange(len(x1)), np.arange(len(x2))
+    return [(x1, np.repeat(i1, len(x2))), (x2, np.tile(i2, len(x1))),
+            *(p.ravel() for p in planes)]
 
 
 def _kernel_columns(field):

@@ -375,8 +375,6 @@ class CoupledAre:
     modes: tuple[int, ...]
     P_big: np.ndarray
     K_big: np.ndarray
-    P_diag: np.ndarray
-    K_diag: np.ndarray
     dev_P_fro: float
     dev_P_max: float
     dev_K_fro: float
@@ -409,8 +407,6 @@ def coupled_truncated_are(cfg: WaveConfig, t: ModalTable) -> CoupledAre:
         modes=tuple(modes.tolist()),
         P_big=P_big,
         K_big=K_big,
-        P_diag=P_diag,
-        K_diag=K_diag,
         dev_P_fro=float(np.linalg.norm(dev_P)),
         dev_P_max=float(np.max(np.abs(dev_P))),
         dev_K_fro=float(np.linalg.norm(K_big - K_diag)),

@@ -442,6 +442,8 @@ def simulate_fd(
     # lap0(z1n) is the next step's lap0(z1): the only entry written after it
     # is the Dirichlet z1n[0], which lap0 does not read
     damp = 1.0 + 0.5 * cfg.alpha * dt
+    z2n1 = (0.5 * dt) * lap_u / damp
+    denom = 1.0 - float(k2w @ z2n1)
     lap = lap0(z1)
     for k in range(1, nsteps + 1):
         acc = lap + lap_u * u - cfg.alpha * z2
@@ -451,8 +453,6 @@ def simulate_fd(
         lap = lap0(z1n)
         # z2n = z2n0 + u_next * z2n1, u_next = (k1w z1n + k2w z2n0)/(1 - k2w z2n1)
         z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp
-        z2n1 = (0.5 * dt) * lap_u / damp
-        denom = 1.0 - float(k2w @ z2n1)
         u_next = (float(k1w @ z1n) + float(k2w @ z2n0)) / denom
         z2 = z2n0 + u_next * z2n1
         if dirichlet:
@@ -463,7 +463,7 @@ def simulate_fd(
             z2[-1] = 0.0
         z1 = z1n
         u = u_next
-        if not np.all(np.isfinite(z1)):
+        if not np.isfinite(z1).all():
             raise SimulationError(
                 f"finite-difference solution became non-finite at step {k} (t={k * dt:.6g}); "
                 f"M={M}, cfl={cfl}"

@@ -555,6 +555,37 @@ class TestFormatting:
         assert (tmp_path / "t.csv").read_text() == "x,n,boundary\n"
         assert self.per_float_join(["x", "n", "boundary"], columns) == "x,n,boundary\n"
 
+    def test_gathered_shared_and_constant_columns(self, tmp_path, rng):
+        """Each reuse rule of write_csv against one fmt call per number."""
+        # 2**-25 = 2.98023223876953125e-8 and its multiple by 3 end in an
+        # exact tie at the 18th digit, which _number_slots leaves to fmt
+        ties = np.array([2.0**-25, 3.0 * 2.0**-25, 0.1, -(2.0**-25), -0.0, 0.0])
+        out = np.zeros((cli._NUMBER_SLOT - 1, len(ties)), np.uint8)
+        assert len(cli._number_slots(ties, out)) == 3
+        grid = np.linspace(0.0, 1.0, 13)
+        header = ["x", "tie", "y", "y_again", "neg_zero", "zero", "nan", "inf", "tag", "y_last"]
+        step = cli._BLOCK_VALUES // len(header)
+        for rows in (0, 1, 2, 3 * step + 7):  # the last crosses three block boundaries
+            gi = rng.permutation(rows) % len(grid)
+            ti = np.arange(rows)[::-1] % len(ties)
+            y = rng.standard_normal(rows)
+            columns = [
+                (grid, gi),
+                (ties, ti),
+                y,
+                y.copy(),
+                np.full(rows, -0.0),
+                np.zeros(rows),
+                np.full(rows, np.nan),
+                np.full(rows, -np.inf),
+                np.array(["stable", "marginal"] * rows, dtype=object)[:rows],
+                y,
+            ]
+            path = tmp_path / "t.csv"
+            write_csv(path, header, columns)
+            plain = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
+            assert path.read_text() == self.per_float_join(header, plain)
+
     def test_seventeen_significant_digits(self):
         x = 1.0 / 3.0
         assert fmt(x) == "0.33333333333333331"
@@ -617,6 +648,45 @@ class TestBlockFormatter:
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="length"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])
+
+
+EXPLICIT_WEIGHTS = {"type": "list", "entries": [
+    {"n": n, "Q11": 1.0 / n**2, "Q12": 0.3 / n**3, "Q22": 2.0 / n**4} for n in range(1, 7)]}
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("weights", ["power", "explicit"])
+def test_kernel_files_match_per_row_rendering(tmp_path, boundary, weights):
+    """kernels' grid-shaped files equal one fmt call per number of the assembled fields.
+
+    Under the power law Q12 is one bit pattern and Q22 equals Q11; the
+    explicit weights make Q12 vary and Q22 differ, so no Q column is shared.
+    """
+    from wavelqr.kernels import assemble_P, assemble_Q, pde_residual
+    from wavelqr.riccati import solve_family
+
+    doc = base_config(boundary=boundary, N=6, grid_points=21)
+    if weights == "explicit":
+        doc["weights"] = EXPLICIT_WEIGHTS
+    path = write_config(tmp_path, doc)
+    assert main(["kernels", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    rc = load_config(path)
+    grid = np.linspace(0.0, 1.0, 21)
+    sols = solve_family(rc.wave, rc.family, rc.N)
+    q = assemble_Q(rc.family, grid, rc.wave.boundary, rc.N).values
+    same_q = np.array_equal(q[..., 0, 0].view(np.int64), q[..., 1, 1].view(np.int64))
+    assert same_q == (weights == "power")
+    assert (len(np.unique(q[..., 0, 1].view(np.int64))) == 1) == (weights == "power")
+    fields = pde_residual(rc.wave, sols, grid)
+    planes = {
+        "kernel_P.csv": assemble_P(sols, grid, rc.wave.boundary).values.reshape(21, 21, 4),
+        "kernel_Q.csv": q.reshape(21, 21, 4),
+        "pde_residual.csv": np.stack([fields.r11, fields.r12, fields.r21, fields.r22], -1),
+    }
+    for name, values in planes.items():
+        text = (tmp_path / "o" / name).read_text()
+        columns = [np.repeat(grid, 21), np.tile(grid, 21), *values.reshape(-1, 4).T]
+        assert text == TestFormatting.per_float_join(text.split("\n", 1)[0].split(","), columns)
 
 
 @pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
