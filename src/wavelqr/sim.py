@@ -371,6 +371,9 @@ def simulate_fd(
     at most N + 1 modes, so the quadrature is evaluated through the
     trapezoid projections c_n = sum_i w_i phi_n(x_i) z(x_i) as
     sum_n c_n' Q^n c_n, which is the same sum regrouped.
+
+    The steps write into one (steps + 1, 2, M + 1) buffer, z1 and z2 of each
+    step contiguous; states is its (steps + 1, M + 1, 2) transposed view.
     """
     if M < MIN_FD_INTERVALS:
         raise ValueError(f"need at least {MIN_FD_INTERVALS} grid intervals, got M={M}")
@@ -396,27 +399,33 @@ def simulate_fd(
     dirichlet = cfg.boundary == Boundary.DIRICHLET
     beta = cfg.beta
 
-    def lap0(w):
-        # discrete Laplacian with the control contribution split off: the
-        # actuated entry (Dirichlet value at x=0, u part of the Neumann
-        # ghost at x=1) is excluded here and carried by lap_u * u
-        out = np.empty_like(w)
-        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
+    hh = h * h
+
+    def lap0(w, out):
+        # discrete Laplacian, written into out, with the control contribution
+        # split off: the actuated entry (Dirichlet value at x=0, u part of
+        # the Neumann ghost at x=1) is excluded here and carried by lap_u * u
+        inner = out[1:-1]
+        np.multiply(w[1:-1], 2.0, out=inner)
+        np.subtract(w[2:], inner, out=inner)
+        np.add(inner, w[:-2], out=inner)
+        np.divide(inner, hh, out=inner)
         if dirichlet:
-            out[1] = (w[2] - 2.0 * w[1]) / (h * h)
+            out[1] = (w[2] - 2.0 * w[1]) / hh
             out[0] = 0.0
             out[-1] = 0.0
         else:
-            out[0] = 2.0 * (w[1] - w[0]) / (h * h)
-            out[-1] = 2.0 * (w[-2] - w[-1]) / (h * h)
+            out[0] = 2.0 * (w[1] - w[0]) / hh
+            out[-1] = 2.0 * (w[-2] - w[-1]) / hh
         return out
 
-    # d(lap)/du: the actuated stencil entry
+    # d(lap)/du: the actuated stencil entry.  Every other entry is 0.0, so the
+    # steps add the scalar 0.0 * u there (a signed zero, or nan when u is not
+    # finite), which keeps the bits of lap + lap_u * u, and form the actuated
+    # entry alone
+    ia = 1 if dirichlet else M
     lap_u = np.zeros(M + 1)
-    if dirichlet:
-        lap_u[1] = beta / (h * h)
-    else:
-        lap_u[-1] = 2.0 * beta / h
+    lap_u[ia] = beta / hh if dirichlet else 2.0 * beta / h
 
     def control(z1, z2):
         return float(k1w @ z1 + k2w @ z2)
@@ -428,10 +437,12 @@ def simulate_fd(
         z1[0] = beta * u
         z1[-1] = 0.0
 
-    states = np.empty((nsteps + 1, M + 1, 2))
+    # the trajectory, component-major: buf[k, 0] is z1 and buf[k, 1] is z2
+    # at step k, each contiguous, and the steps write into it in place
+    buf = np.empty((nsteps + 1, 2, M + 1))
     u_rec = np.empty(nsteps + 1)
-    states[0, :, 0] = z1
-    states[0, :, 1] = z2
+    buf[0, 0] = z1
+    buf[0, 1] = z2
     u_rec[0] = u
 
     # Kick-drift-kick leapfrog: the position sequence satisfies
@@ -440,52 +451,69 @@ def simulate_fd(
     # The velocity half-kick at t(k+1) couples linearly to u(k+1) through the
     # actuated stencil entry, so the feedback closes as one scalar solve.
     # lap0(z1n) is the next step's lap0(z1): the only entry written after it
-    # is the Dirichlet z1n[0], which lap0 does not read
-    damp = 1.0 + 0.5 * cfg.alpha * dt
-    z2n1 = (0.5 * dt) * lap_u / damp
+    # is the Dirichlet z1n[0], which lap0 does not read.  Every update keeps
+    # the operations and their order of the plain array expressions in the
+    # comments, so the trajectory is the same to the bit.
+    alpha = cfg.alpha
+    half_dt = 0.5 * dt
+    c_acc = half_dt * dt
+    damp = 1.0 + 0.5 * alpha * dt
+    z2n1 = half_dt * lap_u / damp
     denom = 1.0 - float(k2w @ z2n1)
-    lap = lap0(z1)
+    lap_ua = lap_u[ia]
+    z2n1a = z2n1[ia]
+    acc = np.empty(M + 1)
+    tmp = np.empty(M + 1)
+    finite = np.empty(M + 1, dtype=bool)
+    lap, lap_next = lap0(z1, np.empty(M + 1)), np.empty(M + 1)
+    z1, z2 = buf[0, 0], buf[0, 1]
     for k in range(1, nsteps + 1):
-        acc = lap + lap_u * u - cfg.alpha * z2
-        z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
+        z1n, z2n = buf[k, 0], buf[k, 1]
+        # acc = lap + lap_u * u - alpha * z2
+        np.add(lap, 0.0 * u, out=acc)
+        acc[ia] = lap[ia] + lap_ua * u
+        np.subtract(acc, np.multiply(z2, alpha, out=tmp), out=acc)
+        # z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
+        np.add(z1, np.multiply(z2, dt, out=z1n), out=z1n)
+        np.add(z1n, np.multiply(acc, c_acc, out=tmp), out=z1n)
         if dirichlet:
             z1n[-1] = 0.0
-        lap = lap0(z1n)
+        lap, lap_next = lap0(z1n, lap_next), lap
+        # z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp, into z2n; x / 1.0 is x
+        np.add(z2, np.multiply(np.add(acc, lap, out=tmp), half_dt, out=tmp), out=z2n)
+        if damp != 1.0:
+            np.divide(z2n, damp, out=z2n)
         # z2n = z2n0 + u_next * z2n1, u_next = (k1w z1n + k2w z2n0)/(1 - k2w z2n1)
-        z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp
-        u_next = (float(k1w @ z1n) + float(k2w @ z2n0)) / denom
-        z2 = z2n0 + u_next * z2n1
+        u_next = (float(k1w @ z1n) + float(k2w @ z2n)) / denom
+        z2n0a = z2n[ia]
+        np.add(z2n, 0.0 * u_next, out=z2n)
+        z2n[ia] = z2n0a + u_next * z2n1a
         if dirichlet:
             # boundary records follow the actuation data, not the stencil
-            old = z1[0]
             z1n[0] = beta * u_next
-            z2[0] = (z1n[0] - old) / dt
-            z2[-1] = 0.0
-        z1 = z1n
-        u = u_next
-        if not np.isfinite(z1).all():
+            z2n[0] = (z1n[0] - z1[0]) / dt
+            z2n[-1] = 0.0
+        if np.count_nonzero(np.isfinite(z1n, out=finite)) < M + 1:
             raise SimulationError(
                 f"finite-difference solution became non-finite at step {k} (t={k * dt:.6g}); "
                 f"M={M}, cfl={cfl}"
             )
-        states[k, :, 0] = z1
-        states[k, :, 1] = z2
-        u_rec[k] = u
+        u = u_rec[k] = u_next
+        z1, z2 = z1n, z2n
 
     if family is not None:
         modes = mode_range(cfg.boundary, N)
         q11, q12, q22 = weight_arrays(family, modes)
         proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
-        # one contiguous copy of a component at a time: 3/2 of the states
-        # at peak, and the same products as from separate trajectories
-        c1 = np.ascontiguousarray(states[:, :, 0]) @ proj
-        c2 = np.ascontiguousarray(states[:, :, 1]) @ proj
+        c1 = buf[:, 0] @ proj
+        c2 = buf[:, 1] @ proj
         state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
     else:
         state_cost = np.zeros(nsteps + 1)
     integrand = state_cost + cfg.R * u_rec**2
     cost = running_quadrature(integrand, dt)
 
+    states = buf.transpose(0, 2, 1)  # (nsteps + 1, M + 1, 2)
     return SimResult(times=dt * np.arange(nsteps + 1), states=states, u_record=u_rec, cost=cost)
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from wavelqr.model import (
     WaveConfig,
     mode_range,
     projection_weight,
+    weight_arrays,
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
 from wavelqr.riccati import modal_table, solve_family
@@ -75,6 +77,93 @@ def project_grid_state(boundary, modes, x, z1, z2):
     pw = projection_weight(boundary, modes)
     a = np.stack([(phi @ (wq * z1)) / pw, (phi @ (wq * z2)) / pw], axis=1)
     return a
+
+
+def reference_fd(cfg, gain_profile, w0, w1, M, T, cfl=0.9, family=None, N=None):
+    """(states, u_record, cost) of simulate_fd by its plain array step loop:
+    one fresh array per operation, states stored point-major, and the cost
+    projections taken from contiguous copies of each component."""
+    h = 1.0 / M
+    dt = cfl * h
+    nsteps = int(np.ceil(T / dt - 1e-12))
+    nsteps += nsteps % 2
+    x = np.linspace(0.0, 1.0, M + 1)
+    Kx = np.zeros((M + 1, 2)) if gain_profile is None else gain_profile.values
+    wq = trapezoid_weights(M + 1, h)
+    k1w = wq * Kx[:, 0]
+    k2w = wq * Kx[:, 1]
+    dirichlet = cfg.boundary == Boundary.DIRICHLET
+    beta = cfg.beta
+
+    def lap0(w):
+        out = np.empty_like(w)
+        out[1:-1] = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (h * h)
+        if dirichlet:
+            out[1] = (w[2] - 2.0 * w[1]) / (h * h)
+            out[0] = 0.0
+            out[-1] = 0.0
+        else:
+            out[0] = 2.0 * (w[1] - w[0]) / (h * h)
+            out[-1] = 2.0 * (w[-2] - w[-1]) / (h * h)
+        return out
+
+    lap_u = np.zeros(M + 1)
+    if dirichlet:
+        lap_u[1] = beta / (h * h)
+    else:
+        lap_u[-1] = 2.0 * beta / h
+
+    def control(z1, z2):
+        return float(k1w @ z1 + k2w @ z2)
+
+    z1 = np.asarray(w0(x), dtype=float) * np.ones_like(x)
+    z2 = np.asarray(w1(x), dtype=float) * np.ones_like(x)
+    u = control(z1, z2)
+    if dirichlet:
+        z1[0] = beta * u
+        z1[-1] = 0.0
+
+    states = np.empty((nsteps + 1, M + 1, 2))
+    u_rec = np.empty(nsteps + 1)
+    states[0, :, 0] = z1
+    states[0, :, 1] = z2
+    u_rec[0] = u
+
+    damp = 1.0 + 0.5 * cfg.alpha * dt
+    z2n1 = (0.5 * dt) * lap_u / damp
+    denom = 1.0 - float(k2w @ z2n1)
+    lap = lap0(z1)
+    for k in range(1, nsteps + 1):
+        acc = lap + lap_u * u - cfg.alpha * z2
+        z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
+        if dirichlet:
+            z1n[-1] = 0.0
+        lap = lap0(z1n)
+        z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp
+        u_next = (float(k1w @ z1n) + float(k2w @ z2n0)) / denom
+        z2 = z2n0 + u_next * z2n1
+        if dirichlet:
+            old = z1[0]
+            z1n[0] = beta * u_next
+            z2[0] = (z1n[0] - old) / dt
+            z2[-1] = 0.0
+        z1 = z1n
+        u = u_next
+        states[k, :, 0] = z1
+        states[k, :, 1] = z2
+        u_rec[k] = u
+
+    if family is not None:
+        modes = mode_range(cfg.boundary, N)
+        q11, q12, q22 = weight_arrays(family, modes)
+        proj = (basis_matrix(cfg.boundary, modes, x) * wq).T
+        c1 = np.ascontiguousarray(states[:, :, 0]) @ proj
+        c2 = np.ascontiguousarray(states[:, :, 1]) @ proj
+        state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
+    else:
+        state_cost = np.zeros(nsteps + 1)
+    cost = running_quadrature(state_cost + cfg.R * u_rec**2, dt)
+    return states, u_rec, cost
 
 
 class TestProjectInitial:
@@ -347,8 +436,59 @@ class TestSimulateFd:
 
     def test_nan_input_aborts_with_diagnostic(self, dirichlet_cfg):
         z1 = lambda x: np.where(x < 0.5, np.nan, 0.0)
-        with pytest.raises(SimulationError, match="non-finite"):
+        with pytest.raises(SimulationError, match=r"non-finite at step 1 \(t="):
             simulate_fd(dirichlet_cfg, None, z1, lambda x: 0.0, 64, 1.0)
+
+    def test_nan_input_aborts_with_diagnostic_neumann(self, neumann_cfg):
+        z1 = lambda x: np.where(x < 0.5, np.nan, 0.0)
+        with pytest.raises(SimulationError, match=r"non-finite at step 1 \(t="):
+            simulate_fd(neumann_cfg, None, z1, lambda x: 0.0, 64, 1.0)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("feedback", ["open", "gain", "gain+family"])
+    def test_bit_identical_to_reference_loop(self, boundary, alpha, feedback):
+        """states, u_record and cost equal the plain array step loop to the
+        bit, signed zeros included: the initial data hold -0.0 entries, and
+        the control changes sign."""
+        cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8)
+        M, N = 96, 8
+        f1, f2 = band_limited(boundary)
+        z1 = lambda x: np.where(x < 0.6, f1(x), -0.0)
+        z2 = lambda x: np.where(x > 0.3, f2(x), -0.0)
+        fam = ExplicitWeights({1: ModalWeight(1, 2.0, 0.5, 1.0),
+                               2: ModalWeight(2, 1.0, -0.8, 1.0),
+                               6: ModalWeight(6, 0.3, 0.1, 0.2)})
+        prof = None
+        if feedback != "open":
+            x = np.linspace(0.0, 1.0, M + 1)
+            prof = assemble_K(solve_family(cfg, PowerLawWeights(1.0, 5.0), N), cfg, x)
+        kw = dict(family=fam, N=N) if feedback == "gain+family" else {}
+        res = simulate_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
+        states, u_rec, cost = reference_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
+        assert np.any(np.signbit(states[0]) & (states[0] == 0.0))
+        if prof is not None:
+            assert u_rec.min() < 0.0 < u_rec.max()
+        assert res.states.shape == states.shape
+        for got, ref in ((res.states, states), (res.u_record, u_rec), (res.cost, cost)):
+            np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                          ref.view(np.int64))
+
+    def test_traced_peak_is_the_trajectory(self, dirichlet_cfg):
+        """At the reference sizes, simulate_fd allocates little beyond its
+        trajectory: the cost projections read the states in place."""
+        fam = PowerLawWeights(1.0, 5.0)
+        N, M = 32, 400
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), dirichlet_cfg, x)
+        z1, z2 = band_limited(Boundary.DIRICHLET)
+        tracemalloc.start()
+        try:
+            res = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, family=fam, N=N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * res.states.nbytes
 
     def test_open_loop_energy_drift_undamped(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
