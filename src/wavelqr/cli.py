@@ -10,6 +10,7 @@ the config.
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -50,6 +51,7 @@ from .riccati import (
 from .sim import (
     MIN_FD_INTERVALS,
     ModalState,
+    SimResult,
     SimulationError,
     field_energy,
     modal_energy,
@@ -650,6 +652,16 @@ def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
     return ModalState(rc.wave.boundary, modes, a)
 
 
+def _modal_rows(res: SimResult, stride: int) -> list:
+    """The CSV columns of a modal run, every stride-th row, as copies that do
+    not keep the full trajectory alive."""
+    u = res.u_record[::stride]
+    if u.ndim > 1:  # one control per mode: the row records their sum
+        u = u.sum(axis=1)
+    states = res.states[::stride].reshape(len(u), -1)
+    return [np.array(c) for c in (res.times[::stride], u, *states.T, res.cost[::stride])]
+
+
 def cmd_simulate(rc: RunConfig, out: Path) -> int:
     cfg = rc.wave
     sols = solve_family(cfg, rc.family, rc.N)
@@ -660,9 +672,17 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     if not 0 < rc.sim.cfl <= 1:
         raise ConfigError(f"sim.cfl must lie in (0, 1], got {rc.sim.cfl}")
     state0 = _initial_state(rc, sols)
+    stride = rc.sim.csv_stride
 
+    # keep only what the artifacts read of each modal trajectory, so that
+    # neither is alive during the finite-difference run
     dec = simulate_decoupled(cfg, sols, state0, rc.sim.T, rc.sim.dt)
+    dec_rows, dec_cost = _modal_rows(dec, stride), dec.total_cost
+    del dec
     cou = simulate_coupled_modal(cfg, sols, state0, rc.sim.T, rc.sim.dt)
+    cou_rows, cou_cost = _modal_rows(cou, stride), cou.total_cost
+    terminal_energy_coupled = modal_energy(ModalState(cfg.boundary, state0.modes, cou.states[-1]))
+    del cou
 
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)
@@ -672,19 +692,9 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
         rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N,
     )
 
-    stride = rc.sim.csv_stride
-    for name, res in (("decoupled", dec), ("coupled", cou)):
-        u = res.u_record[::stride]
-        if u.ndim > 1:  # one control per mode: the row records their sum
-            u = u.sum(axis=1)
-        states = res.states[::stride].reshape(len(u), -1)
-        header = ["t", "u"]
-        for n in state0.modes:
-            header += [f"a{n}_1", f"a{n}_2"]
-        header += ["cost"]
-        write_csv(out / f"sim_{name}.csv", header,
-                  [res.times[::stride], u, *states.T, res.cost[::stride]])
-
+    header = ["t", "u"] + [f"a{n}_{i}" for n in state0.modes for i in (1, 2)] + ["cost"]
+    write_csv(out / "sim_decoupled.csv", header, dec_rows)
+    write_csv(out / "sim_coupled.csv", header, cou_rows)
     write_csv(
         out / "sim_fd.csv",
         ["t", "u"] + [f"z1_{i}" for i in range(rc.sim.M + 1)] + ["cost"],
@@ -693,17 +703,16 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     )
 
     pred = predicted_cost(state0, sols)
-    final_modal = ModalState(cfg.boundary, state0.modes, cou.states[-1])
     summary = {
         "predicted_cost_per_mode": pred.per_mode,
         "predicted_cost_field": pred.field,
-        "decoupled_cost": dec.total_cost,
-        "coupled_cost": cou.total_cost,
+        "decoupled_cost": dec_cost,
+        "coupled_cost": cou_cost,
         "fd_cost": fd.total_cost,
-        "coupled_over_field_prediction": cou.total_cost / pred.field if pred.field else None,
+        "coupled_over_field_prediction": cou_cost / pred.field if pred.field else None,
         "fd_over_field_prediction": fd.total_cost / pred.field if pred.field else None,
         "initial_energy": modal_energy(state0),
-        "terminal_energy_coupled": modal_energy(final_modal),
+        "terminal_energy_coupled": terminal_energy_coupled,
         "terminal_energy_fd": field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1]),
     }
     write_json(out / "simulate_summary.json", summary)
@@ -799,4 +808,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # Move every object the imports made into the permanent generation, so
+    # no collection during the command, and not the interpreter's last one
+    # at exit, walks them again.  Only a script run gets here: callers that
+    # import the library keep their collector as it is.
+    gc.freeze()
     sys.exit(main())

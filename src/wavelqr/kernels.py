@@ -148,7 +148,9 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
     """
     modes, p11, p12, p22 = sols.n, sols.p11, sols.p12, sols.p22
     q11, q12, q22 = sols.q11, sols.q12, sols.q22
-    if len(np.unique(modes)) != len(modes):
+    # np.sort, not np.unique: numpy's unique imports numpy.ma for a check
+    # that a plain array never needs
+    if np.any(np.diff(np.sort(modes)) == 0):
         raise ValueError("solution table holds some mode more than once")
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq

@@ -18,7 +18,7 @@ propagator by Pade scaling and squaring (expm_pade).
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 
@@ -419,10 +419,12 @@ def simulate_fd(
             out[-1] = 2.0 * (w[-2] - w[-1]) / hh
         return out
 
-    # d(lap)/du: the actuated stencil entry.  Every other entry is 0.0, so the
-    # steps add the scalar 0.0 * u there (a signed zero, or nan when u is not
-    # finite), which keeps the bits of lap + lap_u * u, and form the actuated
-    # entry alone
+    # d(lap)/du: the actuated stencil entry.  Every other entry is 0.0, and
+    # the steps form the actuated entry alone, without adding 0.0 * u
+    # elsewhere.  On a finite trajectory those zeros change no bit: a -0.0
+    # Laplacian entry needs z1 = +0.0 there, so z1 + dt z2 is not -0.0 and
+    # absorbs a zero acceleration of either sign; and where z2 = -0.0,
+    # acc = lap - alpha (-0.0) is not -0.0, so neither is the new z2.
     ia = 1 if dirichlet else M
     lap_u = np.zeros(M + 1)
     lap_u[ia] = beta / hh if dirichlet else 2.0 * beta / h
@@ -453,7 +455,8 @@ def simulate_fd(
     # lap0(z1n) is the next step's lap0(z1): the only entry written after it
     # is the Dirichlet z1n[0], which lap0 does not read.  Every update keeps
     # the operations and their order of the plain array expressions in the
-    # comments, so the trajectory is the same to the bit.
+    # comments, less the zero terms above, so the trajectory is the same to
+    # the bit.
     alpha = cfg.alpha
     half_dt = 0.5 * dt
     c_acc = half_dt * dt
@@ -470,9 +473,8 @@ def simulate_fd(
     for k in range(1, nsteps + 1):
         z1n, z2n = buf[k, 0], buf[k, 1]
         # acc = lap + lap_u * u - alpha * z2
-        np.add(lap, 0.0 * u, out=acc)
-        acc[ia] = lap[ia] + lap_ua * u
-        np.subtract(acc, np.multiply(z2, alpha, out=tmp), out=acc)
+        np.subtract(lap, np.multiply(z2, alpha, out=tmp), out=acc)
+        acc[ia] = (lap[ia] + lap_ua * u) - tmp[ia]
         # z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
         np.add(z1, np.multiply(z2, dt, out=z1n), out=z1n)
         np.add(z1n, np.multiply(acc, c_acc, out=tmp), out=z1n)
@@ -485,9 +487,7 @@ def simulate_fd(
             np.divide(z2n, damp, out=z2n)
         # z2n = z2n0 + u_next * z2n1, u_next = (k1w z1n + k2w z2n0)/(1 - k2w z2n1)
         u_next = (float(k1w @ z1n) + float(k2w @ z2n)) / denom
-        z2n0a = z2n[ia]
-        np.add(z2n, 0.0 * u_next, out=z2n)
-        z2n[ia] = z2n0a + u_next * z2n1a
+        z2n[ia] = z2n[ia] + u_next * z2n1a
         if dirichlet:
             # boundary records follow the actuation data, not the stencil
             z1n[0] = beta * u_next
@@ -500,6 +500,15 @@ def simulate_fd(
             )
         u = u_rec[k] = u_next
         z1, z2 = z1n, z2n
+    # A non-finite control reaches z1 at its own step under Dirichlet
+    # actuation (z1[0] = beta u) and at the next step under Neumann
+    # actuation (through the ghost point), so only the last control can
+    # pass the check above.
+    if not isfinite(u):
+        raise SimulationError(
+            f"finite-difference control became non-finite at step {nsteps} "
+            f"(t={nsteps * dt:.6g}); M={M}, cfl={cfl}"
+        )
 
     if family is not None:
         modes = mode_range(cfg.boundary, N)

@@ -340,19 +340,32 @@ class TestVerify:
         assert main(["verify", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+def small_configs():
+    """Two configs on which every command runs in a fraction of a second."""
+    sizes = dict(
+        sim={"T": 0.5, "dt": 0.01, "M": 50, "cfl": 0.9, "csv_stride": 10},
+        converge={"N_list": [8, 16], "fit_lo": 50, "fit_hi": 80},
+    )
+    return {
+        "dirichlet": base_config(N=6, grid_points=21, **sizes),
+        # more modes than grid points, and the str columns of spectrum.csv
+        # and damping_profiles.csv
+        "neumann": base_config(boundary="neumann", alpha=0.2, N=24, grid_points=21, **sizes),
+    }
+
+
+def run_python(*args):
+    """A fresh interpreter that imports wavelqr from the tree under test."""
+    src = str(Path(wavelqr.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
 class TestDeterminism:
     def test_all_commands_byte_identical(self, tmp_path):
-        sizes = dict(
-            sim={"T": 0.5, "dt": 0.01, "M": 50, "cfl": 0.9, "csv_stride": 10},
-            converge={"N_list": [8, 16], "fit_lo": 50, "fit_hi": 80},
-        )
-        docs = {
-            "dirichlet": base_config(N=6, grid_points=21, **sizes),
-            # more modes than grid points, and the str columns of spectrum.csv
-            # and damping_profiles.csv
-            "neumann": base_config(boundary="neumann", alpha=0.2, N=24, grid_points=21, **sizes),
-        }
-        for label, doc in docs.items():
+        for label, doc in small_configs().items():
             path = write_config(tmp_path, doc, name=f"{label}.json")
             a, b = tmp_path / label / "a", tmp_path / label / "b"
             for cmd in COMMANDS:
@@ -412,6 +425,30 @@ class TestOtherCommands:
         header_fd, rows_fd = read_csv(tmp_path / "o" / "sim_fd.csv")
         assert len(header_fd) == 2 + 101 + 1
         np.array([[float(v) for v in r] for r in rows_fd])
+
+    def test_modal_trajectories_freed_before_fd_run(self, tmp_path, monkeypatch):
+        """simulate keeps only the strided CSV rows and the totals of its two
+        modal runs: when the finite-difference run starts, less than one modal
+        state trajectory is traced."""
+        doc = base_config(N=64, sim={"T": 1.0, "dt": 0.001, "M": 100, "cfl": 0.9,
+                                     "csv_stride": 10})
+        path = write_config(tmp_path, doc)
+        at_start = []
+        simulate_fd = cli.simulate_fd
+
+        def traced_fd(*args, **kwargs):
+            at_start.append(tracemalloc.get_traced_memory()[0])
+            return simulate_fd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_fd", traced_fd)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        modal_states_nbytes = (1000 + 1) * 64 * 2 * 8  # (T / dt + 1) x N x 2 floats
+        assert at_start[0] < modal_states_nbytes
 
     def test_converge_json(self, tmp_path):
         path = write_config(tmp_path, base_config())
@@ -482,20 +519,24 @@ class TestOtherCommands:
 _COLD_START_SCRIPT = """
 import importlib.abc, json, sys
 
+BLOCKED = ("scipy", "numpy.ma")
 
-class BlockScipy(importlib.abc.MetaPathFinder):
+
+class Block(importlib.abc.MetaPathFinder):
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if any(name == b or name.startswith(b + ".") for b in BLOCKED):
             raise ImportError(f"{name} is blocked")
         return None
 
 
-sys.meta_path.insert(0, BlockScipy())
-try:
-    import scipy  # noqa: F401
-    blocked = False
-except ImportError:
-    blocked = True
+sys.meta_path.insert(0, Block())
+blocked = {}
+for name in BLOCKED:
+    try:
+        importlib.import_module(name)
+        blocked[name] = False
+    except ImportError:
+        blocked[name] = True
 import wavelqr.cli
 config, out = sys.argv[1:]
 codes = {cmd: wavelqr.cli.main([cmd, "--config", config, "--out", out])
@@ -506,18 +547,62 @@ print(json.dumps({"blocked": blocked, "codes": codes}))
 
 class TestColdStart:
     def test_no_command_needs_scipy(self, tmp_path):
-        # a fresh interpreter in which importing scipy raises ImportError
+        # a fresh interpreter in which importing scipy or numpy.ma raises
+        # ImportError: numpy.ma costs every command that loads it 12-15 ms,
+        # and np.unique is one way to load it
         path = write_config(tmp_path, base_config())
-        src = str(Path(wavelqr.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", _COLD_START_SCRIPT, str(path), str(tmp_path / "o")],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        proc = run_python("-c", _COLD_START_SCRIPT, str(path), str(tmp_path / "o"))
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result["blocked"] is True
+        assert result["blocked"] == {"scipy": True, "numpy.ma": True}
         assert result["codes"] == {cmd: 0 for cmd in COMMANDS}
+
+
+_RUN_AS_SCRIPT = """
+import gc, json, runpy, sys
+
+before = gc.get_freeze_count()
+sys.argv = ["wavelqr", *sys.argv[1:]]
+try:
+    runpy.run_module("wavelqr.cli", run_name="__main__")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([before, gc.get_freeze_count(), code]))
+"""
+
+
+class TestScriptPath:
+    """python -m wavelqr.cli, the entry point that freezes the collector."""
+
+    def test_artifacts_match_main(self, tmp_path):
+        for label, doc in small_configs().items():
+            path = write_config(tmp_path, doc, name=f"{label}.json")
+            a, b = tmp_path / label / "main", tmp_path / label / "script"
+            for cmd in COMMANDS:
+                code = main([cmd, "--config", str(path), "--out", str(a)])
+                proc = run_python("-m", "wavelqr.cli", cmd, "--config", str(path), "--out", str(b))
+                assert (proc.returncode, proc.stderr) == (code, ""), (label, cmd)
+            names = [p.name for p in sorted(a.iterdir())]
+            assert names == [p.name for p in sorted(b.iterdir())]
+            for name in names:
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (label, name)
+
+    def test_config_error_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(N=-3))
+        assert main(["synth", "--config", str(path)]) == 2
+        proc = run_python("-m", "wavelqr.cli", "synth", "--config", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr == capsys.readouterr().err
+        assert proc.stderr == "config error: N must be nonnegative, got -3\n"
+
+    def test_entry_point_freezes_import_time_objects(self, tmp_path):
+        path = write_config(tmp_path, base_config())
+        proc = run_python("-c", _RUN_AS_SCRIPT, "synth", "--config", str(path),
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        before, after, code = json.loads(proc.stdout)
+        assert (before, code) == (0, 0)
+        assert after > 0
 
 
 class TestFormatting:

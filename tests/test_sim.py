@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import one_mode, sweep_configs
-from wavelqr.kernels import assemble_K, assemble_P, assemble_Q, basis_matrix
+from wavelqr.kernels import GainProfile, assemble_K, assemble_P, assemble_Q, basis_matrix
 from wavelqr.model import (
     Boundary,
     ExplicitWeights,
@@ -443,6 +443,19 @@ class TestSimulateFd:
         z1 = lambda x: np.where(x < 0.5, np.nan, 0.0)
         with pytest.raises(SimulationError, match=r"non-finite at step 1 \(t="):
             simulate_fd(neumann_cfg, None, z1, lambda x: 0.0, 64, 1.0)
+
+    def test_non_finite_last_control_aborts_neumann(self, neumann_cfg):
+        """A Neumann control reaches z1 one step late, through the ghost point,
+        so the last control is checked on its own: here it overflows at step
+        2 of 2, while every z1 stays finite."""
+        M = 64
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = GainProfile(x, np.stack([np.full(M + 1, 1e150), np.zeros(M + 1)], axis=1))
+        with np.errstate(over="ignore"), pytest.raises(
+            SimulationError, match=r"control became non-finite at step 2 \(t="
+        ):
+            simulate_fd(neumann_cfg, prof, lambda x: np.cos(np.pi * x), lambda x: 0.0 * x,
+                        M, 2 * 0.9 / M)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
