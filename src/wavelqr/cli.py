@@ -689,8 +689,11 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     z1, z2 = reconstruct_field(state0, x)
     fd = simulate_fd(
         cfg, prof, lambda xx: np.interp(xx, x, z1), lambda xx: np.interp(xx, x, z2),
-        rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N,
+        rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N, stride=stride,
     )
+    # fd keeps every stride-th step, then the last one; the CSV takes the
+    # strided rows and the terminal energy the last
+    fd_rows = fd.states[: len(fd.times[::stride]), :, 0]
 
     header = ["t", "u"] + [f"a{n}_{i}" for n in state0.modes for i in (1, 2)] + ["cost"]
     write_csv(out / "sim_decoupled.csv", header, dec_rows)
@@ -698,8 +701,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     write_csv(
         out / "sim_fd.csv",
         ["t", "u"] + [f"z1_{i}" for i in range(rc.sim.M + 1)] + ["cost"],
-        [fd.times[::stride], fd.u_record[::stride], *fd.states[::stride, :, 0].T,
-         fd.cost[::stride]],
+        [fd.times[::stride], fd.u_record[::stride], *fd_rows.T, fd.cost[::stride]],
     )
 
     pred = predicted_cost(state0, sols)

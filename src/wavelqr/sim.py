@@ -39,6 +39,11 @@ from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_p
 #: fewest grid intervals simulate_fd accepts
 MIN_FD_INTERVALS = 32
 
+#: rows of trajectory simulate_fd steps into before it projects them for the
+#: cost; the last block takes the remainder, so it holds FD_BLOCK to
+#: 2 FD_BLOCK - 1 rows
+FD_BLOCK = 256
+
 #: expm_2x2 sums the power series of cosh and sinh(q)/q in q^2 for
 #: |q^2| <= this radius; there its first omitted term, 1/20!, is below 1e-18
 _SERIES_RADIUS = 1.0
@@ -74,10 +79,16 @@ class ModalState:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Trajectory record: states, control samples and accumulated cost."""
+    """Trajectory record: states, control samples and accumulated cost.
+
+    times, u_record and cost hold one entry per step.  states holds one row
+    per step too, except from simulate_fd with stride > 1: there it holds
+    steps 0, stride, 2 stride, ... and then the last step, so states[-1] is
+    always the final state.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (nt, n_modes_or_points, 2)
+    states: np.ndarray  # (rows, n_modes_or_points, 2)
     u_record: np.ndarray
     cost: np.ndarray  # running accumulated criterion
 
@@ -355,6 +366,7 @@ def simulate_fd(
     cfl: float = 0.9,
     family: WeightFamily | None = None,
     N: int | None = None,
+    stride: int = 1,
 ) -> SimResult:
     """Leapfrog finite-difference integration with boundary-injected feedback.
 
@@ -372,8 +384,23 @@ def simulate_fd(
     trapezoid projections c_n = sum_i w_i phi_n(x_i) z(x_i) as
     sum_n c_n' Q^n c_n, which is the same sum regrouped.
 
-    The steps write into one (steps + 1, 2, M + 1) buffer, z1 and z2 of each
-    step contiguous; states is its (steps + 1, M + 1, 2) transposed view.
+    The steps write into blocks of FD_BLOCK rows of shape (2, M + 1), z1 and
+    z2 of each step contiguous; the last block takes the remainder, so a
+    trajectory of fewer than 2 FD_BLOCK rows is one block.  Each block is
+    projected for the cost once filled, and only the rows kept are copied
+    out: steps 0, stride, 2 stride, ... and then the last step, whether or
+    not stride divides the step count.  states is the (kept, M + 1, 2)
+    transposed view of those rows; times, u_record and cost keep one entry
+    per step.  With stride 1 the blocks are slices of the returned buffer
+    itself, and the trajectory takes 16 (M + 1) (steps + 1) bytes; with
+    stride > 1 it takes at most 16 (M + 1) (kept + 2 FD_BLOCK - 1).
+
+    The stepping does not depend on the blocks, so states and u_record are
+    the same to the bit for every stride.  The cost projections are one
+    matrix product per block.  BLAS may round a product over a block in
+    other last bits than one over the whole trajectory, so the cost of a
+    trajectory of 2 FD_BLOCK rows or more may differ in its last bits from
+    a one-product quadrature; it does not depend on stride.
     """
     if M < MIN_FD_INTERVALS:
         raise ValueError(f"need at least {MIN_FD_INTERVALS} grid intervals, got M={M}")
@@ -381,6 +408,8 @@ def simulate_fd(
         raise ValueError(f"CFL number must lie in (0, 1], got {cfl}")
     if family is not None and N is None:
         raise ValueError("a weight family needs the mode count N of its Q kernel")
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
     h = 1.0 / M
     dt = cfl * h
     nsteps = _steps_for(T, dt)
@@ -439,12 +468,39 @@ def simulate_fd(
         z1[0] = beta * u
         z1[-1] = 0.0
 
-    # the trajectory, component-major: buf[k, 0] is z1 and buf[k, 1] is z2
-    # at step k, each contiguous, and the steps write into it in place
-    buf = np.empty((nsteps + 1, 2, M + 1))
-    u_rec = np.empty(nsteps + 1)
-    buf[0, 0] = z1
-    buf[0, 1] = z2
+    # The trajectory, component-major: rows[j, 0] is z1 and rows[j, 1] is z2
+    # at step start + j of the current block, each contiguous.  With stride
+    # 1 each block is a slice of kept; else every block reuses the front of
+    # one buffer as long as the last block.
+    nrows = nsteps + 1
+    starts = range(0, max(nrows - FD_BLOCK, 0) + 1, FD_BLOCK)
+    if stride == 1:
+        kept = block = np.empty((nrows, 2, M + 1))
+    else:
+        kept = np.empty((-(-nrows // stride) + (nsteps % stride != 0), 2, M + 1))
+        block = np.empty((nrows - starts[-1], 2, M + 1))
+    u_rec = np.empty(nrows)
+    state_cost = np.zeros(nrows)
+    if family is not None:
+        modes = mode_range(cfg.boundary, N)
+        q11, q12, q22 = weight_arrays(family, modes)
+        proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
+
+    def finish(rows, start):
+        # the state cost of a filled block, and its kept rows copied out
+        if family is not None:
+            c1 = rows[:, 0] @ proj
+            c2 = rows[:, 1] @ proj
+            state_cost[start:start + len(rows)] = (
+                (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
+            )
+        if stride > 1:
+            first = -(-start // stride)  # first kept step at or after start
+            picked = rows[first * stride - start::stride]
+            kept[first:first + len(picked)] = picked
+
+    block[0, 0] = z1
+    block[0, 1] = z2
     u_rec[0] = u
 
     # Kick-drift-kick leapfrog: the position sequence satisfies
@@ -456,7 +512,9 @@ def simulate_fd(
     # is the Dirichlet z1n[0], which lap0 does not read.  Every update keeps
     # the operations and their order of the plain array expressions in the
     # comments, less the zero terms above, so the trajectory is the same to
-    # the bit.
+    # the bit.  A block's first step reads the previous block's last row,
+    # which with stride > 1 is the shared buffer's row len(rows) - 1, not
+    # the row 0 it writes.
     alpha = cfg.alpha
     half_dt = 0.5 * dt
     c_acc = half_dt * dt
@@ -469,37 +527,42 @@ def simulate_fd(
     tmp = np.empty(M + 1)
     finite = np.empty(M + 1, dtype=bool)
     lap, lap_next = lap0(z1, np.empty(M + 1)), np.empty(M + 1)
-    z1, z2 = buf[0, 0], buf[0, 1]
-    for k in range(1, nsteps + 1):
-        z1n, z2n = buf[k, 0], buf[k, 1]
-        # acc = lap + lap_u * u - alpha * z2
-        np.subtract(lap, np.multiply(z2, alpha, out=tmp), out=acc)
-        acc[ia] = (lap[ia] + lap_ua * u) - tmp[ia]
-        # z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
-        np.add(z1, np.multiply(z2, dt, out=z1n), out=z1n)
-        np.add(z1n, np.multiply(acc, c_acc, out=tmp), out=z1n)
-        if dirichlet:
-            z1n[-1] = 0.0
-        lap, lap_next = lap0(z1n, lap_next), lap
-        # z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp, into z2n; x / 1.0 is x
-        np.add(z2, np.multiply(np.add(acc, lap, out=tmp), half_dt, out=tmp), out=z2n)
-        if damp != 1.0:
-            np.divide(z2n, damp, out=z2n)
-        # z2n = z2n0 + u_next * z2n1, u_next = (k1w z1n + k2w z2n0)/(1 - k2w z2n1)
-        u_next = (float(k1w @ z1n) + float(k2w @ z2n)) / denom
-        z2n[ia] = z2n[ia] + u_next * z2n1a
-        if dirichlet:
-            # boundary records follow the actuation data, not the stencil
-            z1n[0] = beta * u_next
-            z2n[0] = (z1n[0] - z1[0]) / dt
-            z2n[-1] = 0.0
-        if np.count_nonzero(np.isfinite(z1n, out=finite)) < M + 1:
-            raise SimulationError(
-                f"finite-difference solution became non-finite at step {k} (t={k * dt:.6g}); "
-                f"M={M}, cfl={cfl}"
-            )
-        u = u_rec[k] = u_next
-        z1, z2 = z1n, z2n
+    z1, z2 = block[0, 0], block[0, 1]
+    for start, end in zip(starts, [*starts[1:], nrows]):
+        rows = kept[start:end] if stride == 1 else block[:end - start]
+        for k in range(max(start, 1), end):
+            z1n, z2n = rows[k - start, 0], rows[k - start, 1]
+            # acc = lap + lap_u * u - alpha * z2
+            np.subtract(lap, np.multiply(z2, alpha, out=tmp), out=acc)
+            acc[ia] = (lap[ia] + lap_ua * u) - tmp[ia]
+            # z1n = z1 + dt * z2 + 0.5 * dt * dt * acc
+            np.add(z1, np.multiply(z2, dt, out=z1n), out=z1n)
+            np.add(z1n, np.multiply(acc, c_acc, out=tmp), out=z1n)
+            if dirichlet:
+                z1n[-1] = 0.0
+            lap, lap_next = lap0(z1n, lap_next), lap
+            # z2n0 = (z2 + 0.5 * dt * (acc + lap)) / damp, into z2n; x / 1.0 is x
+            np.add(z2, np.multiply(np.add(acc, lap, out=tmp), half_dt, out=tmp), out=z2n)
+            if damp != 1.0:
+                np.divide(z2n, damp, out=z2n)
+            # z2n = z2n0 + u_next * z2n1, u_next = (k1w z1n + k2w z2n0)/(1 - k2w z2n1)
+            u_next = (float(k1w @ z1n) + float(k2w @ z2n)) / denom
+            z2n[ia] = z2n[ia] + u_next * z2n1a
+            if dirichlet:
+                # boundary records follow the actuation data, not the stencil
+                z1n[0] = beta * u_next
+                z2n[0] = (z1n[0] - z1[0]) / dt
+                z2n[-1] = 0.0
+            if np.count_nonzero(np.isfinite(z1n, out=finite)) < M + 1:
+                raise SimulationError(
+                    f"finite-difference solution became non-finite at step {k} "
+                    f"(t={k * dt:.6g}); M={M}, cfl={cfl}"
+                )
+            u = u_rec[k] = u_next
+            z1, z2 = z1n, z2n
+        finish(rows, start)
+    if nsteps % stride:
+        kept[-1] = rows[-1]
     # A non-finite control reaches z1 at its own step under Dirichlet
     # actuation (z1[0] = beta u) and at the next step under Neumann
     # actuation (through the ghost point), so only the last control can
@@ -510,20 +573,11 @@ def simulate_fd(
             f"(t={nsteps * dt:.6g}); M={M}, cfl={cfl}"
         )
 
-    if family is not None:
-        modes = mode_range(cfg.boundary, N)
-        q11, q12, q22 = weight_arrays(family, modes)
-        proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
-        c1 = buf[:, 0] @ proj
-        c2 = buf[:, 1] @ proj
-        state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
-    else:
-        state_cost = np.zeros(nsteps + 1)
     integrand = state_cost + cfg.R * u_rec**2
     cost = running_quadrature(integrand, dt)
 
-    states = buf.transpose(0, 2, 1)  # (nsteps + 1, M + 1, 2)
-    return SimResult(times=dt * np.arange(nsteps + 1), states=states, u_record=u_rec, cost=cost)
+    states = kept.transpose(0, 2, 1)  # (rows kept, M + 1, 2)
+    return SimResult(times=dt * np.arange(nrows), states=states, u_record=u_rec, cost=cost)
 
 
 def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:

@@ -341,7 +341,7 @@ class TestVerify:
 
 
 def small_configs():
-    """Two configs on which every command runs in a fraction of a second."""
+    """Three configs on which every command runs in a fraction of a second."""
     sizes = dict(
         sim={"T": 0.5, "dt": 0.01, "M": 50, "cfl": 0.9, "csv_stride": 10},
         converge={"N_list": [8, 16], "fit_lo": 50, "fit_hi": 80},
@@ -351,6 +351,13 @@ def small_configs():
         # more modes than grid points, and the str columns of spectrum.csv
         # and damping_profiles.csv
         "neumann": base_config(boundary="neumann", alpha=0.2, N=24, grid_points=21, **sizes),
+        # a finite-difference run of 890 steps, several blocks, whose last
+        # step is not a multiple of the CSV stride
+        "neumann-long": base_config(
+            boundary="neumann", alpha=0.1, N=4, grid_points=21,
+            sim={"T": 25.0, "dt": 0.05, "M": 32, "cfl": 0.9, "csv_stride": 7},
+            converge=sizes["converge"],
+        ),
     }
 
 
@@ -449,6 +456,34 @@ class TestOtherCommands:
         assert code == 0
         modal_states_nbytes = (1000 + 1) * 64 * 2 * 8  # (T / dt + 1) x N x 2 floats
         assert at_start[0] < modal_states_nbytes
+
+    def test_fd_run_keeps_strided_rows_only(self, tmp_path, monkeypatch):
+        """simulate asks the finite-difference run for the CSV rows only:
+        during that run, traced memory stays well below one full trajectory."""
+        doc = base_config(sim={"T": 10.0, "dt": 0.005, "M": 200, "cfl": 0.9,
+                               "csv_stride": 10})
+        path = write_config(tmp_path, doc)
+        growth = []
+        simulate_fd = cli.simulate_fd
+
+        def traced_fd(*args, **kwargs):
+            at_start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = simulate_fd(*args, **kwargs)
+            growth.append(tracemalloc.get_traced_memory()[1] - at_start)
+            return res
+
+        monkeypatch.setattr(cli, "simulate_fd", traced_fd)
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        trajectory_nbytes = (2224 + 1) * 2 * (200 + 1) * 8  # T / (cfl / M) steps
+        assert growth[0] < 0.4 * trajectory_nbytes
+        _, rows = read_csv(tmp_path / "o" / "sim_fd.csv")
+        assert len(rows) == 2224 // 10 + 1
 
     def test_converge_json(self, tmp_path):
         path = write_config(tmp_path, base_config())

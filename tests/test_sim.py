@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from wavelqr.model import (
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
+    FD_BLOCK,
     ModalState,
     SimulationError,
     decay_horizon,
@@ -502,6 +504,74 @@ class TestSimulateFd:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * res.states.nbytes
+
+    @pytest.mark.parametrize("stride", [0, -3, 2.0, 2.5, True, "2", None])
+    def test_stride_must_be_positive_integer(self, dirichlet_cfg, stride):
+        z1, z2 = band_limited(Boundary.DIRICHLET)
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            simulate_fd(dirichlet_cfg, None, z1, z2, 64, 1.0, stride=stride)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def stepped(boundary, nsteps, stride):
+        """simulate_fd with gain and cost on M=40 for exactly nsteps steps (an
+        even count), with the given stride, or by reference_fd for stride 0."""
+        cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=0.8)
+        M, N, cfl = 40, 6, 0.9
+        fam = PowerLawWeights(1.0, 3.0)
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = assemble_K(solve_family(cfg, fam, N), cfg, x)
+        T = (nsteps - 0.5) * cfl / M
+        args = (cfg, prof, *band_limited(boundary), M, T, cfl)
+        if stride == 0:
+            return reference_fd(*args, family=fam, N=N)
+        return simulate_fd(*args, family=fam, N=N, stride=stride)
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    # rows = nsteps + 1 is odd, since the step count is even: one short
+    # block, one block of FD_BLOCK + 45 rows, the largest single block
+    # (2 FD_BLOCK - 1 rows), the first two-block trajectory (2 FD_BLOCK + 1)
+    # and four blocks
+    @pytest.mark.parametrize("nsteps", [100, FD_BLOCK + 44, 2 * FD_BLOCK - 2, 2 * FD_BLOCK,
+                                        4 * FD_BLOCK + 60])
+    @pytest.mark.parametrize("stride", [2, 5, 7, FD_BLOCK, 10**6])
+    def test_strided_rows_match_stride_one(self, boundary, nsteps, stride):
+        """With stride > 1 the kept rows are steps 0, stride, 2 stride, ...
+        and the last step, each equal to the bit to that row of the stride-1
+        run and of the plain array step loop; times, u_record and cost are
+        those of the stride-1 run to the bit."""
+        res = self.stepped(boundary, nsteps, stride)
+        full = self.stepped(boundary, nsteps, 1)
+        ref_states, ref_u, _ = self.stepped(boundary, nsteps, 0)
+        assert len(full.times) == nsteps + 1
+        kept = list(range(0, nsteps + 1, stride))
+        if kept[-1] != nsteps:
+            kept.append(nsteps)
+        assert res.states.shape == (len(kept), 41, 2)
+        for got, want in ((res.states, full.states[kept]), (res.states, ref_states[kept]),
+                          (full.states, ref_states), (res.u_record, full.u_record),
+                          (res.u_record, ref_u), (res.times, full.times),
+                          (res.cost, full.cost)):
+            np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
+                                          np.ascontiguousarray(want).view(np.int64))
+
+    def test_strided_traced_peak_is_kept_rows_and_one_block(self, dirichlet_cfg):
+        """With stride 10, simulate_fd holds the kept rows and one block of
+        at most 2 FD_BLOCK - 1 rows, far below the whole trajectory."""
+        fam = PowerLawWeights(1.0, 5.0)
+        N, M = 32, 400
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), dirichlet_cfg, x)
+        z1, z2 = band_limited(Boundary.DIRICHLET)
+        tracemalloc.start()
+        try:
+            res = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 10.0, family=fam, N=N, stride=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_nbytes = 2 * (M + 1) * 8
+        assert peak <= 1.1 * (res.states.nbytes + (2 * FD_BLOCK - 1) * row_nbytes)
+        assert peak <= 0.25 * len(res.times) * row_nbytes
 
     def test_open_loop_energy_drift_undamped(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
