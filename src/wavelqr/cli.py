@@ -263,9 +263,16 @@ def _scaled(m, ex, E):
     p = m * h
     m1, m2 = _split(m)
     h1, h2 = _split(h)
-    t = (((m1 * h1 - p) + m1 * h2 + m2 * h1) + m2 * h2) + m * lo[i]
+    # t = (((m1 h1 - p) + m1 h2 + m2 h1) + m2 h2) + m lo, one operation at a time
+    t = m1 * h1
+    t -= p
+    for u, v in ((m1, h2), (m2, h1), (m2, h2), (m, lo[i])):
+        t += np.multiply(u, v, out=h)
+    del m1, m2, h1, h2, h
     scale = ((ex + b.astype(np.int64)[i] + 1023) << 52).view(np.float64)  # 2**(ex + b)
-    return p * scale, t * scale
+    p *= scale
+    t *= scale
+    return p, t
 
 
 def _number_slots(x, out):
@@ -274,6 +281,7 @@ def _number_slots(x, out):
     out is a zeroed uint8 view of shape (_NUMBER_SLOT - 1,) + x.shape.
     Returns the flat indices of x left to fmt: non-finite values, and
     values whose digits after the 17th lie within _TIE of a rounding tie.
+    Each scratch array of len(x) floats or integers is dropped once used.
     """
     x = x.ravel()
     if not x.size:
@@ -284,6 +292,7 @@ def _number_slots(x, out):
     a = np.fmin(np.abs(x), np.finfo(float).max) + zero
     m, ex = np.frexp(a)
     E = np.floor(np.log10(a)).astype(np.int64)
+    del a
     p, t = _scaled(m, ex, E)
     # log10 can miss the decade next to a power of ten; decide it from the
     # unrounded pair, so that p + t lies in [1e16, 1e17) up to rounding
@@ -293,10 +302,17 @@ def _number_slots(x, out):
     if fix.size:
         E[fix] += high[fix].astype(np.int64) - low[fix]
         p[fix], t[fix] = _scaled(m[fix], ex[fix], E[fix])
+    del m, ex, low, high
     # p >= 1e16 > 2**53 is an integer, so t holds the whole fraction
     whole = np.floor(t)
-    frac = t - whole
-    D = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    frac = np.subtract(t, whole, out=t)
+    D = p.astype(np.int64)
+    del p
+    D += whole.astype(np.int64)
+    del whole
+    D += frac > 0.5
+    left = np.flatnonzero(~(regular | zero) | (regular & (np.abs(frac - 0.5) < _TIE)))
+    del frac, t
     carry = D >= 10**17  # 99999999999999999.5 and up round to 1e17
     D -= carry * (9 * 10**16)
     E += carry
@@ -306,7 +322,9 @@ def _number_slots(x, out):
     # the 17 digits, from two uint32 halves
     digits = []
     top = D // 10**8
-    for part, count in ((top, 9), (D - top * 10**8, 8)):
+    halves = ((top, 9), (D - top * 10**8, 8))
+    del D, top
+    for part, count in halves:
         part = part.astype(np.uint32)
         half = []
         for _ in range(count):
@@ -314,6 +332,7 @@ def _number_slots(x, out):
             half.append((part - q * 10).astype(np.uint8))
             part = q
         digits += half[::-1]
+    del halves, part
     # nd: significant digits once trailing zeros are dropped
     nd = np.zeros(len(x), np.uint8)
     nonzero_tail = np.zeros(len(x), bool)
@@ -330,17 +349,20 @@ def _number_slots(x, out):
     point_after = (E * fixed_pos + 17 * fixed_neg).astype(np.uint8)
     point = (nd > point_after + 1) * np.uint8(46)
     chars = [(shown > i) * (48 + d) for i, d in enumerate(digits)] + [np.zeros_like(point)]
+    del digits
 
     ae = np.abs(E).astype(np.uint16)
     ae_tens = ae // 10
-    rows = [
+    shape = out.shape[1:]
+    for k, row in enumerate([
         np.signbit(x) * np.uint8(45),
         fixed_neg * np.uint8(48),
         fixed_neg * np.uint8(46),
         (fixed_neg & (E <= -2)) * np.uint8(48),
         (fixed_neg & (E <= -3)) * np.uint8(48),
         (fixed_neg & (E <= -4)) * np.uint8(48),
-    ]
+    ]):
+        out[k] = row.reshape(shape)
     # slot s holds digit s before the point, the point, then digit s - 1
     for s in range(18):
         before = point_after >= s
@@ -348,17 +370,16 @@ def _number_slots(x, out):
         if s:
             at = point_after == s - 1
             row += at * point + ~(before | at) * chars[s - 1]
-        rows.append(row)
-    rows += [
+        out[6 + s] = row.reshape(shape)
+    for k, row in enumerate([
         sci * np.uint8(101),
         sci * (43 + 2 * (E < 0)),
         (ae >= 100) * (48 + ae_tens // 10),
         sci * (48 + ae_tens % 10),
         sci * (48 + ae - 10 * ae_tens),
-    ]
-    for k, row in enumerate(rows):
-        out[k] = row.reshape(out.shape[1:])
-    return np.flatnonzero(~(regular | zero) | (regular & (np.abs(frac - 0.5) < _TIE)))
+    ], 24):
+        out[k] = row.reshape(shape)
+    return left
 
 
 def _formatted(x):
@@ -653,13 +674,13 @@ def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
 
 
 def _modal_rows(res: SimResult, stride: int) -> list:
-    """The CSV columns of a modal run, every stride-th row, as copies that do
-    not keep the full trajectory alive."""
+    """The CSV columns of a modal run made with this stride: every stride-th
+    row, the states read from the kept rows without a copy."""
     u = res.u_record[::stride]
     if u.ndim > 1:  # one control per mode: the row records their sum
         u = u.sum(axis=1)
-    states = res.states[::stride].reshape(len(u), -1)
-    return [np.array(c) for c in (res.times[::stride], u, *states.T, res.cost[::stride])]
+    states = res.states[:len(u)].reshape(len(u), -1)
+    return [res.times[::stride], u, *states.T, res.cost[::stride]]
 
 
 def cmd_simulate(rc: RunConfig, out: Path) -> int:
@@ -674,16 +695,9 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     state0 = _initial_state(rc, sols)
     stride = rc.sim.csv_stride
 
-    # keep only what the artifacts read of each modal trajectory, so that
-    # neither is alive during the finite-difference run
-    dec = simulate_decoupled(cfg, sols, state0, rc.sim.T, rc.sim.dt)
-    dec_rows, dec_cost = _modal_rows(dec, stride), dec.total_cost
-    del dec
-    cou = simulate_coupled_modal(cfg, sols, state0, rc.sim.T, rc.sim.dt)
-    cou_rows, cou_cost = _modal_rows(cou, stride), cou.total_cost
-    terminal_energy_coupled = modal_energy(ModalState(cfg.boundary, state0.modes, cou.states[-1]))
-    del cou
-
+    # Each run's CSV is written as soon as the run ends, and the run is
+    # freed before the next one starts, so that no two runs' records are
+    # alive at once.  The finite-difference run, the largest, goes first.
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
     prof = assemble_K(sols, cfg, x)
     z1, z2 = reconstruct_field(state0, x)
@@ -694,15 +708,25 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     # fd keeps every stride-th step, then the last one; the CSV takes the
     # strided rows and the terminal energy the last
     fd_rows = fd.states[: len(fd.times[::stride]), :, 0]
-
-    header = ["t", "u"] + [f"a{n}_{i}" for n in state0.modes for i in (1, 2)] + ["cost"]
-    write_csv(out / "sim_decoupled.csv", header, dec_rows)
-    write_csv(out / "sim_coupled.csv", header, cou_rows)
     write_csv(
         out / "sim_fd.csv",
         ["t", "u"] + [f"z1_{i}" for i in range(rc.sim.M + 1)] + ["cost"],
         [fd.times[::stride], fd.u_record[::stride], *fd_rows.T, fd.cost[::stride]],
     )
+    fd_cost = fd.total_cost
+    terminal_energy_fd = field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1])
+    del fd, fd_rows
+
+    header = ["t", "u"] + [f"a{n}_{i}" for n in state0.modes for i in (1, 2)] + ["cost"]
+    dec = simulate_decoupled(cfg, sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
+    write_csv(out / "sim_decoupled.csv", header, _modal_rows(dec, stride))
+    dec_cost = dec.total_cost
+    del dec
+    cou = simulate_coupled_modal(cfg, sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
+    write_csv(out / "sim_coupled.csv", header, _modal_rows(cou, stride))
+    cou_cost = cou.total_cost
+    terminal_energy_coupled = modal_energy(ModalState(cfg.boundary, state0.modes, cou.states[-1]))
+    del cou
 
     pred = predicted_cost(state0, sols)
     summary = {
@@ -710,12 +734,12 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
         "predicted_cost_field": pred.field,
         "decoupled_cost": dec_cost,
         "coupled_cost": cou_cost,
-        "fd_cost": fd.total_cost,
+        "fd_cost": fd_cost,
         "coupled_over_field_prediction": cou_cost / pred.field if pred.field else None,
-        "fd_over_field_prediction": fd.total_cost / pred.field if pred.field else None,
+        "fd_over_field_prediction": fd_cost / pred.field if pred.field else None,
         "initial_energy": modal_energy(state0),
         "terminal_energy_coupled": terminal_energy_coupled,
-        "terminal_energy_fd": field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1]),
+        "terminal_energy_fd": terminal_energy_fd,
     }
     write_json(out / "simulate_summary.json", summary)
     return 0

@@ -14,6 +14,10 @@ matrices, so their only error sources are the mode truncation and the
 time quadrature of the cost.  Both exponentials are computed here in
 numpy: the per-mode 2x2 blocks in closed form (expm_2x2), the coupled
 propagator by Pade scaling and squaring (expm_pade).
+
+All three step their trajectory into blocks of FD_BLOCK rows and keep the
+states of steps 0, stride, 2 stride, ... and of the last step (_stream);
+times, u_record and cost keep one entry per step.
 """
 
 from collections import namedtuple
@@ -39,8 +43,8 @@ from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_p
 #: fewest grid intervals simulate_fd accepts
 MIN_FD_INTERVALS = 32
 
-#: rows of trajectory simulate_fd steps into before it projects them for the
-#: cost; the last block takes the remainder, so it holds FD_BLOCK to
+#: rows of trajectory a simulator steps into before it evaluates them for
+#: the cost; the last block takes the remainder, so it holds FD_BLOCK to
 #: 2 FD_BLOCK - 1 rows
 FD_BLOCK = 256
 
@@ -81,9 +85,9 @@ class ModalState:
 class SimResult:
     """Trajectory record: states, control samples and accumulated cost.
 
-    times, u_record and cost hold one entry per step.  states holds one row
-    per step too, except from simulate_fd with stride > 1: there it holds
-    steps 0, stride, 2 stride, ... and then the last step, so states[-1] is
+    times, u_record and cost hold one entry per step.  states holds the
+    rows of steps 0, stride, 2 stride, ... and then of the last step, for
+    every simulator: one row per step with stride 1, and states[-1] is
     always the final state.
     """
 
@@ -163,6 +167,56 @@ def _check_modes(state0: ModalState, sols: ModalTable) -> None:
         raise ValueError("initial state modes must be the solution table's modes, in order")
 
 
+def _check_stride(stride) -> None:
+    """Refuse a stride that is not an integer >= 1; a bool is not one."""
+    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
+        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+
+
+def _stream(first, nrows: int, stride: int, finish):
+    """(kept, blocks) for stepping a trajectory of nrows rows shaped like first.
+
+    blocks yields (start, rows): rows is a writable block for steps start,
+    start + 1, ..., which the caller fills before it takes the next block;
+    row 0 of the first block already holds first.  Blocks hold FD_BLOCK
+    rows and the last one the remainder, so it holds FD_BLOCK to
+    2 FD_BLOCK - 1 rows, and a trajectory of fewer than 2 FD_BLOCK rows is
+    one block.  Once a block is filled, finish(start, rows) is called, and
+    then the rows kept are copied into kept: steps 0, stride, 2 stride, ...
+    and then the last step, whether or not stride divides the step count.
+
+    With stride 1 each block is a slice of kept itself.  Otherwise every
+    block reuses the front of one buffer as long as the last block, and
+    the rows take at most (kept + 2 FD_BLOCK - 1) rows of memory.  A
+    block's first step reads the previous block's last row, which is then
+    the buffer's row len(previous block) - 1, not the row 0 it writes.
+    """
+    last = nrows - 1
+    starts = range(0, max(nrows - FD_BLOCK, 0) + 1, FD_BLOCK)
+    shape = np.shape(first)
+    if stride == 1:
+        kept = buffer = np.empty((nrows, *shape))
+    else:
+        kept = np.empty((last // stride + 1 + (last % stride != 0), *shape))
+        buffer = np.empty((nrows - starts[-1], *shape))
+
+    def blocks():
+        for start, end in zip(starts, [*starts[1:], nrows]):
+            rows = kept[start:end] if stride == 1 else buffer[:end - start]
+            if start == 0:
+                rows[0] = first
+            yield start, rows
+            finish(start, rows)
+            if stride > 1:
+                i = -(-start // stride)  # first kept step at or after start
+                picked = rows[i * stride - start::stride]
+                kept[i:i + len(picked)] = picked
+        if last % stride:
+            kept[-1] = rows[-1]
+
+    return kept, blocks()
+
+
 def expm_2x2(A) -> np.ndarray:
     """e^A of every matrix of a (k, 2, 2) stack, in closed form.
 
@@ -218,20 +272,33 @@ def _pade_coefficients(m: int) -> list[float]:
     return [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
 
 
-def _extra_squarings(A, m: int) -> int:
-    """ell(A, m) of Al-Mohy & Higham (2009): squarings to add so that the
-    leading backward-error term |c_(2m+1)| ||A^(2m+1)|| / ||A|| stays near
-    unit roundoff, bounded through |A|."""
+def _norm1(X, scratch) -> float:
+    """||X||_1, summed as np.linalg.norm(X, 1) sums it, with |X| formed in scratch."""
+    return np.abs(X, out=scratch).sum(axis=0).max()
+
+
+def _add_identity(X, c):
+    """X + c I in place, to the bit: c 0.0 adds 0.0 off the diagonal, which
+    turns -0.0 into 0.0 and leaves every other entry as it is."""
+    X += 0.0
+    X.reshape(-1)[::len(X) + 1] += c
+    return X
+
+
+def _extra_squarings(absA, m: int) -> int:
+    """ell(A, m) of Al-Mohy & Higham (2009) from absA = |A|: squarings to
+    add so that the leading backward-error term
+    |c_(2m+1)| ||A^(2m+1)|| / ||A|| stays near unit roundoff, bounded
+    through |A|."""
     # the 1-norm of the nonnegative |A|^(2m+1) is the largest entry of
     # 1' |A|^(2m+1), formed exactly by 2m + 1 vector-matrix products
-    absA = np.abs(A)
-    v = np.ones(len(A))
+    v = np.ones(len(absA))
     for _ in range(2 * m + 1):
         v = v @ absA
     if not v.max() > 0:
         return 0
     c = factorial(m) ** 2 / (factorial(2 * m) * factorial(2 * m + 1))
-    alpha = c * v.max() / np.linalg.norm(A, 1)
+    alpha = c * v.max() / absA.sum(axis=0).max()
     return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
 
 
@@ -246,54 +313,83 @@ def expm_pade(A) -> np.ndarray:
     2005).  Scaling by ||A||_1 instead would over-scale the weakly damped
     closed loops, whose norm is far above their spectral radius, and lose
     accuracy in the squarings.
+
+    Besides A, at most six matrices of its size are alive at once: A^2, A^4,
+    A^6 and A^8 (whose buffer takes A^4 A^6 and then A / 2^s at degree 13),
+    one scratch that holds |X| for the norms, and one accumulator.  U and V
+    are summed in place, in the order of the plain expressions, with the
+    identity added on the diagonal; the powers are freed before the solve,
+    which copies its two operands.  The result is the same to the bit as
+    that of the plain expressions.
     """
     A = np.asarray(A, dtype=float)
-    ident = np.eye(len(A))
+    scratch = np.empty_like(A)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
-    d6 = np.linalg.norm(A6, 1) ** (1 / 6)
-    eta = max(np.linalg.norm(A4, 1) ** 0.25, d6)
-    powers = [ident, A2, A4, A6]  # A^0, A^2, A^4, ...
+    d6 = _norm1(A6, scratch) ** (1 / 6)
+    eta = max(_norm1(A4, scratch) ** 0.25, d6)
+    powers = [None, A2, A4, A6]  # powers[k] = A^(2k)
     for m, theta in _PADE_THETA:
         if m == 7:  # degrees 7 and 9 use A^8, and judge by max(d6, d8)
             powers.append(A4 @ A4)
-            d8 = np.linalg.norm(powers[4], 1) ** (1 / 8)
+            d8 = _norm1(powers[4], scratch) ** (1 / 8)
             eta = max(d6, d8)
-        if eta <= theta and _extra_squarings(A, m) == 0:
+        if eta <= theta and _extra_squarings(np.abs(A, out=scratch), m) == 0:
             b = _pade_coefficients(m)
-            half = range(m // 2, -1, -1)
-            U = A @ sum(b[2 * k + 1] * powers[k] for k in half)
-            V = sum(b[2 * k] * powers[k] for k in half)
-            return np.linalg.solve(V - U, V + U)
+            half = range(m // 2, 0, -1)
+            # U = A (b_m A^(m-1) + ... + b_3 A^2 + b_1 I)
+            W = np.multiply(powers[half[0]], b[m])
+            for k in half[1:]:
+                W += np.multiply(powers[k], b[2 * k + 1], out=scratch)
+            U = np.matmul(A, _add_identity(W, b[1]), out=scratch)
+            # V = b_(m-1) A^(m-1) + ... + b_2 A^2 + b_0 I, scaling the powers
+            V = powers[half[0]]
+            V *= b[m - 1]
+            for k in half[1:]:
+                powers[k] *= b[2 * k]
+                V += powers[k]
+            _add_identity(V, b[0])
+            np.subtract(V, U, out=W)
+            V += U
+            del A2, A4, A6, powers, U, scratch
+            return np.linalg.solve(W, V)
 
-    eta = min(eta, max(d8, np.linalg.norm(A4 @ A6, 1) ** 0.1))
+    A8 = powers[4]
+    eta = min(eta, max(d8, _norm1(np.matmul(A4, A6, out=A8), scratch) ** 0.1))
     s = max(int(np.ceil(np.log2(eta / _THETA_13))), 0) if eta > 0 else 0
-    s += _extra_squarings(A / 2.0**s, 13)
-    A, A2, A4, A6 = (X / 2.0 ** (p * s) for p, X in ((1, A), (2, A2), (4, A4), (6, A6)))
+    absA = np.abs(A, out=scratch)
+    absA /= 2.0**s  # |A / 2^s| to the bit: a power of two scales exactly
+    s += _extra_squarings(absA, 13)
+    As = np.divide(A, 2.0**s, out=A8)
+    for p, X in ((2, A2), (4, A4), (6, A6)):
+        X /= 2.0 ** (p * s)
     b = _pade_coefficients(13)
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
-    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
-    X = np.linalg.solve(V - U, V + U)
+    # U = A (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I)
+    W = np.multiply(A6, b[13])
+    W += np.multiply(A4, b[11], out=scratch)
+    W += np.multiply(A2, b[9], out=scratch)
+    T = np.matmul(A6, W, out=scratch)
+    T += np.multiply(A6, b[7], out=W)
+    T += np.multiply(A4, b[5], out=W)
+    T += np.multiply(A2, b[3], out=W)
+    U = np.matmul(As, _add_identity(T, b[1]), out=W)
+    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I
+    T = np.multiply(A6, b[12], out=scratch)
+    T += np.multiply(A4, b[10], out=As)
+    T += np.multiply(A2, b[8], out=As)
+    V = np.matmul(A6, T, out=As)
+    for c, X in ((b[6], A6), (b[4], A4), (b[2], A2)):
+        X *= c
+        V += X
+    _add_identity(V, b[0])
+    np.subtract(V, U, out=scratch)
+    V += U
+    del A2, A4, A6, A8, As, powers, X, U, W, T
+    X = np.linalg.solve(scratch, V)
     for _ in range(s):
         X = X @ X
     return X
-
-
-def _propagate(cfg: WaveConfig, state0: ModalState, k1, k2, nsteps: int, dt: float):
-    """Modal states (nsteps + 1, k, 2) under each mode's own loop F + G K.
-
-    One step is the exact propagator expm((F + G K) dt) of every mode, in
-    closed form (expm_2x2).
-    """
-    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, k1, k2) * dt)
-    a = np.empty((nsteps + 1, len(state0.modes), 2))
-    a[0] = state0.a
-    for k in range(nsteps):
-        a[k + 1] = np.einsum("nij,nj->ni", props, a[k])
-    return a
 
 
 def simulate_decoupled(
@@ -302,24 +398,46 @@ def simulate_decoupled(
     state0: ModalState,
     T: float,
     dt: float,
+    stride: int = 1,
 ) -> SimResult:
     """Every mode under its own closed loop, each with its own control u_n.
 
-    state0 must hold the modes of sols; a zero-weight row has zero gain and
+    state0 must hold the modes of sols.  A zero-weight row has zero gain and
     runs open loop, so a zero-weight table gives the open-loop target
-    trajectory, with zero controls and zero cost.  The running cost integrates sum_n (a_n' Q^n a_n + R u_n^2)
-    by composite Simpson over the sample times; this is the per-mode LQR
-    frame in which the infinite-horizon cost equals a_0' P^n a_0 exactly.
+    trajectory, with zero controls and zero cost.
+
+    One step is the exact propagator expm((F + G K) dt) of every mode, in
+    closed form (expm_2x2).  The running cost integrates
+    sum_n (a_n' Q^n a_n + R u_n^2) by composite Simpson over the sample
+    times; this is the per-mode LQR frame in which the infinite-horizon
+    cost equals a_0' P^n a_0 exactly.  states keeps the rows that stride
+    selects (see _stream); u_record holds the per-mode controls of every
+    step, and like times and cost does not depend on stride.
     """
     _check_modes(state0, sols)
-    nsteps = _steps_for(T, dt)
+    _check_stride(stride)
+    nrows = _steps_for(T, dt) + 1
     gains = np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
     qblocks = _blocks(sols.q11, sols.q12, sols.q22)
-    a = _propagate(cfg, state0, sols.k1, sols.k2, nsteps, dt)
-    u = np.einsum("nj,tnj->tn", gains, a)  # per-mode controls
-    integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * np.sum(u**2, axis=1)
+    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, sols.k1, sols.k2) * dt)
+    u = np.empty((nrows, len(gains)))
+    integrand = np.empty(nrows)
+
+    def finish(start, rows):
+        # the per-mode controls and the cost integrand of a filled block
+        end = start + len(rows)
+        ub = u[start:end] = np.einsum("nj,tnj->tn", gains, rows)
+        integrand[start:end] = (np.einsum("tni,nij,tnj->t", rows, qblocks, rows)
+                                + cfg.R * np.sum(ub**2, axis=1))
+
+    states, blocks = _stream(state0.a, nrows, stride, finish)
+    prev = state0.a
+    for start, rows in blocks:
+        for row in rows[start == 0:]:  # row 0 of block 0 is state0
+            np.einsum("nij,nj->ni", props, prev, out=row)
+            prev = row
     cost = running_quadrature(integrand, dt)
-    return SimResult(times=dt * np.arange(nsteps + 1), states=a, u_record=u, cost=cost)
+    return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
 
 def simulate_coupled_modal(
@@ -328,6 +446,7 @@ def simulate_coupled_modal(
     state0: ModalState,
     T: float,
     dt: float,
+    stride: int = 1,
 ) -> SimResult:
     """System truncated to the modes of sols under the single shared control.
 
@@ -337,23 +456,40 @@ def simulate_coupled_modal(
     every mode is forced through its true input vector.  The accumulated
     cost is the field-frame criterion: the double space quadrature plus
     R u^2.
+
+    states keeps the rows that stride selects (see _stream); times,
+    u_record and cost keep every step.  The controls of a block are one
+    matrix-vector product, which BLAS may round in other last bits than
+    one product over the whole trajectory.
     """
     _check_modes(state0, sols)
-    nsteps = _steps_for(T, dt)
+    _check_stride(stride)
+    nrows = _steps_for(T, dt) + 1
     modes, A, B, Krow = coupled_loop_parts(cfg, sols)
-    d = 2 * len(modes)
-    prop = expm_pade((A + B @ Krow) * dt)
-    s = np.empty((nsteps + 1, d))
-    s[0] = state0.a.reshape(-1)
-    for k in range(nsteps):
-        s[k + 1] = prop @ s[k]
-    a = s.reshape(nsteps + 1, len(modes), 2)
-    u = s @ Krow[0]
+    A += B @ Krow  # the closed loop (A + B Krow) dt, in the buffer of A
+    A *= dt
+    prop = expm_pade(A)
+    del A
+    krow = Krow[0]
     pw2 = projection_weight(cfg.boundary, modes) ** 2
     qblocks = _blocks(sols.q11, sols.q12, sols.q22) * pw2[:, None, None]
-    integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * u**2
+    u = np.empty(nrows)
+    integrand = np.empty(nrows)
+
+    def finish(start, rows):
+        # the controls and the cost integrand of a filled block
+        end = start + len(rows)
+        ub = u[start:end] = rows.reshape(len(rows), -1) @ krow
+        integrand[start:end] = np.einsum("tni,nij,tnj->t", rows, qblocks, rows) + cfg.R * ub**2
+
+    states, blocks = _stream(state0.a, nrows, stride, finish)
+    prev = state0.a.reshape(-1)
+    for start, rows in blocks:
+        for row in rows.reshape(len(rows), -1)[start == 0:]:  # row 0 of block 0 is state0
+            np.dot(prop, prev, out=row)
+            prev = row
     cost = running_quadrature(integrand, dt)
-    return SimResult(times=dt * np.arange(nsteps + 1), states=a, u_record=u, cost=cost)
+    return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
 
 def simulate_fd(
@@ -384,16 +520,14 @@ def simulate_fd(
     trapezoid projections c_n = sum_i w_i phi_n(x_i) z(x_i) as
     sum_n c_n' Q^n c_n, which is the same sum regrouped.
 
-    The steps write into blocks of FD_BLOCK rows of shape (2, M + 1), z1 and
-    z2 of each step contiguous; the last block takes the remainder, so a
-    trajectory of fewer than 2 FD_BLOCK rows is one block.  Each block is
-    projected for the cost once filled, and only the rows kept are copied
-    out: steps 0, stride, 2 stride, ... and then the last step, whether or
-    not stride divides the step count.  states is the (kept, M + 1, 2)
-    transposed view of those rows; times, u_record and cost keep one entry
-    per step.  With stride 1 the blocks are slices of the returned buffer
-    itself, and the trajectory takes 16 (M + 1) (steps + 1) bytes; with
-    stride > 1 it takes at most 16 (M + 1) (kept + 2 FD_BLOCK - 1).
+    The steps write into blocks of rows of shape (2, M + 1), z1 and z2 of
+    each step contiguous (see _stream).  Each block is projected for the
+    cost once filled, and only the rows kept are copied out: steps 0,
+    stride, 2 stride, ... and then the last step.  states is the
+    (kept, M + 1, 2) transposed view of those rows; times, u_record and
+    cost keep one entry per step.  With stride 1 the trajectory takes
+    16 (M + 1) (steps + 1) bytes; with stride > 1 it takes at most
+    16 (M + 1) (kept + 2 FD_BLOCK - 1).
 
     The stepping does not depend on the blocks, so states and u_record are
     the same to the bit for every stride.  The cost projections are one
@@ -408,8 +542,7 @@ def simulate_fd(
         raise ValueError(f"CFL number must lie in (0, 1], got {cfl}")
     if family is not None and N is None:
         raise ValueError("a weight family needs the mode count N of its Q kernel")
-    if isinstance(stride, bool) or not isinstance(stride, (int, np.integer)) or stride < 1:
-        raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+    _check_stride(stride)
     h = 1.0 / M
     dt = cfl * h
     nsteps = _steps_for(T, dt)
@@ -468,17 +601,7 @@ def simulate_fd(
         z1[0] = beta * u
         z1[-1] = 0.0
 
-    # The trajectory, component-major: rows[j, 0] is z1 and rows[j, 1] is z2
-    # at step start + j of the current block, each contiguous.  With stride
-    # 1 each block is a slice of kept; else every block reuses the front of
-    # one buffer as long as the last block.
     nrows = nsteps + 1
-    starts = range(0, max(nrows - FD_BLOCK, 0) + 1, FD_BLOCK)
-    if stride == 1:
-        kept = block = np.empty((nrows, 2, M + 1))
-    else:
-        kept = np.empty((-(-nrows // stride) + (nsteps % stride != 0), 2, M + 1))
-        block = np.empty((nrows - starts[-1], 2, M + 1))
     u_rec = np.empty(nrows)
     state_cost = np.zeros(nrows)
     if family is not None:
@@ -486,21 +609,18 @@ def simulate_fd(
         q11, q12, q22 = weight_arrays(family, modes)
         proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
 
-    def finish(rows, start):
-        # the state cost of a filled block, and its kept rows copied out
+    def finish(start, rows):
+        # the state cost of a filled block
         if family is not None:
             c1 = rows[:, 0] @ proj
             c2 = rows[:, 1] @ proj
             state_cost[start:start + len(rows)] = (
                 (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
             )
-        if stride > 1:
-            first = -(-start // stride)  # first kept step at or after start
-            picked = rows[first * stride - start::stride]
-            kept[first:first + len(picked)] = picked
 
-    block[0, 0] = z1
-    block[0, 1] = z2
+    # The trajectory, component-major: rows[j, 0] is z1 and rows[j, 1] is z2
+    # at step start + j of the current block, each contiguous.
+    kept, blocks = _stream((z1, z2), nrows, stride, finish)
     u_rec[0] = u
 
     # Kick-drift-kick leapfrog: the position sequence satisfies
@@ -512,9 +632,7 @@ def simulate_fd(
     # is the Dirichlet z1n[0], which lap0 does not read.  Every update keeps
     # the operations and their order of the plain array expressions in the
     # comments, less the zero terms above, so the trajectory is the same to
-    # the bit.  A block's first step reads the previous block's last row,
-    # which with stride > 1 is the shared buffer's row len(rows) - 1, not
-    # the row 0 it writes.
+    # the bit.  The first step reads z1 and z2, which row 0 holds a copy of.
     alpha = cfg.alpha
     half_dt = 0.5 * dt
     c_acc = half_dt * dt
@@ -527,10 +645,8 @@ def simulate_fd(
     tmp = np.empty(M + 1)
     finite = np.empty(M + 1, dtype=bool)
     lap, lap_next = lap0(z1, np.empty(M + 1)), np.empty(M + 1)
-    z1, z2 = block[0, 0], block[0, 1]
-    for start, end in zip(starts, [*starts[1:], nrows]):
-        rows = kept[start:end] if stride == 1 else block[:end - start]
-        for k in range(max(start, 1), end):
+    for start, rows in blocks:
+        for k in range(max(start, 1), start + len(rows)):
             z1n, z2n = rows[k - start, 0], rows[k - start, 1]
             # acc = lap + lap_u * u - alpha * z2
             np.subtract(lap, np.multiply(z2, alpha, out=tmp), out=acc)
@@ -560,9 +676,6 @@ def simulate_fd(
                 )
             u = u_rec[k] = u_next
             z1, z2 = z1n, z2n
-        finish(rows, start)
-    if nsteps % stride:
-        kept[-1] = rows[-1]
     # A non-finite control reaches z1 at its own step under Dirichlet
     # actuation (z1[0] = beta u) and at the next step under Neumann
     # actuation (through the ghost point), so only the last control can

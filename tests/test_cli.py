@@ -485,6 +485,45 @@ class TestOtherCommands:
         _, rows = read_csv(tmp_path / "o" / "sim_fd.csv")
         assert len(rows) == 2224 // 10 + 1
 
+    def test_modal_runs_keep_strided_rows_only(self, tmp_path, monkeypatch):
+        """simulate asks both modal runs for the CSV rows only: each run's
+        traced growth stays well below its state trajectory, plus, for the
+        decoupled run, its per-mode controls of every step.  Each run starts
+        with the runs before it freed."""
+        doc = base_config(N=32, sim={"T": 20.0, "dt": 0.002, "M": 64, "cfl": 0.9,
+                                     "csv_stride": 10})
+        path = write_config(tmp_path, doc)
+        growth, at_start = {}, {}
+
+        def traced(name):
+            run = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                at_start[name] = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                res = run(*args, **kwargs)
+                growth[name] = tracemalloc.get_traced_memory()[1] - at_start[name]
+                return res
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        traced("simulate_decoupled")
+        traced("simulate_coupled_modal")
+        tracemalloc.start()
+        try:
+            code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        rows = 10000 + 1  # T / dt steps
+        states_nbytes = rows * 32 * 2 * 8
+        assert growth["simulate_decoupled"] < 0.4 * states_nbytes + rows * 32 * 8
+        assert growth["simulate_coupled_modal"] < 0.4 * states_nbytes
+        assert max(at_start.values()) < 0.1 * states_nbytes
+        for name in ("sim_decoupled.csv", "sim_coupled.csv"):
+            _, csv_rows = read_csv(tmp_path / "o" / name)
+            assert len(csv_rows) == 10000 // 10 + 1
+
     def test_converge_json(self, tmp_path):
         path = write_config(tmp_path, base_config())
         assert main(["converge", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -705,6 +744,21 @@ class TestFormatting:
             write_csv(path, header, columns)
             plain = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
             assert path.read_text() == self.per_float_join(header, plain)
+
+    def test_formatter_scratch_is_bounded(self, rng):
+        """_formatted drops each scratch array of the block once used: a
+        block of 2^15 numbers traces at most 5.5 MiB, its 0.94 MiB of slots
+        included."""
+        x = rng.standard_normal(cli._BLOCK_VALUES) * 10.0 ** rng.integers(-300, 300, cli._BLOCK_VALUES)
+        cli._formatted(x)  # fills the cache of powers of ten
+        tracemalloc.start()
+        try:
+            slots = cli._formatted(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert slots.shape == (cli._NUMBER_SLOT, cli._BLOCK_VALUES)
+        assert peak <= 5.5 * 2**20
 
     def test_seventeen_significant_digits(self):
         x = 1.0 / 3.0

@@ -19,6 +19,7 @@ from wavelqr.model import (
     weight_arrays,
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
+from wavelqr import sim
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
     FD_BLOCK,
@@ -166,6 +167,52 @@ def reference_fd(cfg, gain_profile, w0, w1, M, T, cfl=0.9, family=None, N=None):
         state_cost = np.zeros(nsteps + 1)
     cost = running_quadrature(state_cost + cfg.R * u_rec**2, dt)
     return states, u_rec, cost
+
+
+def modal_steps(T, dt):
+    n = int(np.ceil(T / dt - 1e-12))
+    return n + n % 2
+
+
+def reference_decoupled(cfg, sols, state0, T, dt):
+    """(states, u_record, cost) of simulate_decoupled by its whole-trajectory
+    loop: one einsum step per row, then the controls and the cost integrand
+    of all rows at once."""
+    nsteps = modal_steps(T, dt)
+    gains = np.stack([sols.k1, sols.k2], axis=1)
+    qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
+    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, sols.k1, sols.k2) * dt)
+    a = np.empty((nsteps + 1, len(state0.modes), 2))
+    a[0] = state0.a
+    for k in range(nsteps):
+        a[k + 1] = np.einsum("nij,nj->ni", props, a[k])
+    u = np.einsum("nj,tnj->tn", gains, a)
+    integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * np.sum(u**2, axis=1)
+    return a, u, running_quadrature(integrand, dt)
+
+
+def reference_coupled(cfg, sols, state0, T, dt):
+    """(states, u_record, cost) of simulate_coupled_modal by its
+    whole-trajectory loop: the propagator of the plain expression
+    (A + B Krow) dt, one matrix-vector step per row, then the controls and
+    the cost integrand of all rows at once."""
+    nsteps = modal_steps(T, dt)
+    modes, A, B, Krow = coupled_loop_parts(cfg, sols)
+    prop = expm_pade((A + B @ Krow) * dt)
+    s = np.empty((nsteps + 1, 2 * len(modes)))
+    s[0] = state0.a.reshape(-1)
+    for k in range(nsteps):
+        s[k + 1] = prop @ s[k]
+    a = s.reshape(nsteps + 1, len(modes), 2)
+    u = s @ Krow[0]
+    pw2 = projection_weight(cfg.boundary, modes) ** 2
+    qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
+    integrand = np.einsum("tni,nij,tnj->t", a, qblocks * pw2[:, None, None], a) + cfg.R * u**2
+    return a, u, running_quadrature(integrand, dt)
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
 
 
 class TestProjectInitial:
@@ -318,6 +365,24 @@ class TestExponentials:
                 assert deviation(expm_2x2(A[None])[0], reference(A)) <= tol
             assert deviation(expm_pade(A), reference(A)) <= tol
 
+    @pytest.mark.parametrize("dt, degree", [(0.002, 9), (0.05, 13)])
+    def test_traced_growth_at_most_eight_matrices(self, monkeypatch, dt, degree):
+        """On the (416, 416) fine-grid loop, expm_pade allocates at most eight
+        matrices of its size, at degree 9 and at degree 13 with squarings."""
+        _, coupled = closed_loops(Boundary.DIRICHLET, (0.0, 1.0, 1.0, 1.0, 5.0), 208)
+        A = coupled * dt
+        degrees = []
+        pade = sim._pade_coefficients
+        monkeypatch.setattr(sim, "_pade_coefficients", lambda m: degrees.append(m) or pade(m))
+        tracemalloc.start()
+        try:
+            expm_pade(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert degrees == [degree]
+        assert peak <= 8 * A.nbytes
+
     def test_no_overflow_where_exp_s_underflows(self):
         # s = -800, q = 790: cosh(q) overflows, e^(s+q) = e^-10 does not
         A = np.array([[[-10.0, 0.0], [0.0, -1590.0]]])
@@ -428,6 +493,88 @@ class TestSimulateCoupled:
             simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 1.0, 0.01)
 
 
+class TestModalStride:
+    """simulate_decoupled and simulate_coupled_modal step in blocks and keep
+    every stride-th row, as simulate_fd does."""
+
+    DT = 0.002
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def stepped(simulator, boundary, alpha, nsteps, stride):
+        """A 24-mode run of exactly nsteps steps (an even count) with the given
+        stride, or (states, u_record, cost) of its reference loop for stride 0.
+        The initial data hold a -0.0 pair and a 0.0 pair."""
+        cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), 24)
+        inv_sq = 1.0 / np.arange(1, len(sols) + 1) ** 2
+        a = np.stack([inv_sq, -0.5 * inv_sq], axis=1)
+        a[3] = -0.0
+        a[5] = 0.0
+        st = ModalState(boundary, tuple(sols.n.tolist()), a)
+        T = (nsteps - 0.5) * TestModalStride.DT
+        if stride == 0:
+            ref = reference_decoupled if simulator == "decoupled" else reference_coupled
+            return ref(cfg, sols, st, T, TestModalStride.DT)
+        run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
+        return run(cfg, sols, st, T, TestModalStride.DT, stride=stride)
+
+    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    # rows = nsteps + 1: one short block, the largest single block
+    # (2 FD_BLOCK - 1 rows), the first two-block trajectory and four blocks
+    @pytest.mark.parametrize("nsteps", [100, 2 * FD_BLOCK - 2, 2 * FD_BLOCK, 4 * FD_BLOCK + 60])
+    @pytest.mark.parametrize("stride", [1, 2, 7, 10, 10**6])
+    def test_streamed_run_matches_whole_trajectory_loop(self, simulator, boundary, alpha,
+                                                        nsteps, stride):
+        """The kept rows are steps 0, stride, 2 stride, ... and the last step,
+        each equal to the bit to that row of the whole-trajectory loop, as
+        are times and cost.  The coupled controls are one matrix-vector
+        product per block, which BLAS may round differently from one over
+        the whole trajectory: a few values may move, by at most 16 ulps."""
+        res = self.stepped(simulator, boundary, alpha, nsteps, stride)
+        states, u_rec, cost = self.stepped(simulator, boundary, alpha, nsteps, 0)
+        kept = list(range(0, nsteps + 1, stride))
+        if kept[-1] != nsteps:
+            kept.append(nsteps)
+        assert res.states.shape == (len(kept), *states.shape[1:])
+        assert np.any(np.signbit(res.states[0]) & (res.states[0] == 0.0))
+        for got, want in ((res.states, states[kept]), (res.cost, cost),
+                          (res.times, self.DT * np.arange(nsteps + 1))):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        moved = np.abs(bits(res.u_record) - bits(u_rec))
+        if simulator == "decoupled":
+            assert not moved.any()
+        else:
+            assert np.count_nonzero(moved) <= len(moved) // FD_BLOCK
+            assert moved.max() <= 16
+
+    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
+    def test_strided_traced_peak_is_kept_rows_and_one_block(self, dirichlet_cfg, simulator):
+        """With stride 10, a modal run holds the kept rows, one block of at
+        most 2 FD_BLOCK - 1 rows, its per-step records and its propagator."""
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 32)
+        inv_sq = 1.0 / np.arange(1, 33) ** 2
+        st = ModalState(Boundary.DIRICHLET, tuple(range(1, 33)), np.stack([inv_sq, 0.5 * inv_sq], 1))
+        run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
+        tracemalloc.start()
+        try:
+            res = run(dirichlet_cfg, sols, st, 20.0, 0.002, stride=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = len(res.times)
+        row_nbytes = res.states[0].nbytes
+        # per step: u_record, and the cost integrand, times and cost
+        per_step = res.u_record.nbytes + 3 * rows * 8
+        d = 2 * len(sols)
+        prop = (d * d if simulator == "coupled" else 4 * len(sols)) * 8
+        assert res.states.shape[0] == rows // 10 + 1
+        assert peak <= 1.1 * (res.states.nbytes + (2 * FD_BLOCK - 1) * row_nbytes + per_step) + prop
+        assert peak <= 0.25 * rows * row_nbytes + res.u_record.nbytes
+
+
 class TestSimulateFd:
     def test_cfl_and_grid_validation(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
@@ -507,9 +654,18 @@ class TestSimulateFd:
 
     @pytest.mark.parametrize("stride", [0, -3, 2.0, 2.5, True, "2", None])
     def test_stride_must_be_positive_integer(self, dirichlet_cfg, stride):
+        """The three simulators share one stride check and raise the same error."""
         z1, z2 = band_limited(Boundary.DIRICHLET)
-        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
-            simulate_fd(dirichlet_cfg, None, z1, z2, 64, 1.0, stride=stride)
+        sols = no_gains(dirichlet_cfg, 2)
+        st = ModalState(Boundary.DIRICHLET, (1, 2), np.ones((2, 2)))
+        runs = [
+            lambda: simulate_fd(dirichlet_cfg, None, z1, z2, 64, 1.0, stride=stride),
+            lambda: simulate_decoupled(dirichlet_cfg, sols, st, 1.0, 0.01, stride=stride),
+            lambda: simulate_coupled_modal(dirichlet_cfg, sols, st, 1.0, 0.01, stride=stride),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match=f"stride must be an integer >= 1, got {stride!r}"):
+                run()
 
     @staticmethod
     @lru_cache(maxsize=None)
