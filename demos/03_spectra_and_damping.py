@@ -21,7 +21,7 @@ cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
 family = PowerLawWeights(q=1.0, r=2.5)
 sols = solve_family(cfg, family, 16)
 lam = open_loop_spectrum(cfg, sols.n)
-mu, _ = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
+mu = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
 abscissa = mu.real.max(axis=1)
 
 print("Undamped plant: open-loop eigenvalues are purely imaginary")

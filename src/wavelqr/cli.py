@@ -42,6 +42,7 @@ from .model import (
 )
 from .quad import simpson_weights
 from .riccati import (
+    TOL_RES,
     ModalTable,
     OracleError,
     negative_root_matrices,
@@ -491,7 +492,7 @@ def write_json(path: Path, obj) -> None:
 def cmd_synth(rc: RunConfig, out: Path) -> int:
     """Per-mode table: Riccati entries, gains, leading closed-loop eigenvalue."""
     t = solve_family(rc.wave, rc.family, rc.N)
-    mu, _ = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
+    mu = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
     write_csv(
         out / "modes.csv",
         ["n", "P11", "P12", "P22", "K1", "K2", "ReMu", "ImMu", "residual_max"],
@@ -516,7 +517,7 @@ def _verify_checks(rc: RunConfig) -> dict:
         )
 
     # modal ARE residuals and positive semidefiniteness
-    add("closed_form_residuals", t.rel_residual.max(initial=0.0), 1e-10)
+    add("closed_form_residuals", t.rel_residual.max(initial=0.0), TOL_RES)
     min_eig = t.min_eigenvalue.min() if modes else 0.0
     add("psd_min_eigenvalue", min_eig, -1e-12, larger_is_worse=False)
 
@@ -534,7 +535,7 @@ def _verify_checks(rc: RunConfig) -> dict:
         add("oracle_match", (np.abs(P - oracle) / scale).max(), 1e-8)
 
     # closed-loop trace/determinant identities and conjugacy
-    mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+    mu = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
     mu_plus, mu_minus = mu[:, 0], mu[:, 1]
     tr, det = closed_loop_trace_det(cfg, t.n, t.p12, t.p22)
     # the real part of mu+ mu- written out: numpy's complex product can
@@ -602,7 +603,7 @@ def cmd_verify(rc: RunConfig, out: Path) -> int:
 def cmd_spectrum(rc: RunConfig, out: Path) -> int:
     t = solve_family(rc.wave, rc.family, rc.N)
     lam = open_loop_spectrum(rc.wave, t.n)
-    mu, _ = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
+    mu = closed_loop_spectrum(rc.wave, t.n, t.k1, t.k2)
     write_csv(
         out / "spectrum.csv",
         ["n", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus",
@@ -702,7 +703,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     prof = assemble_K(sols, cfg, x)
     z1, z2 = reconstruct_field(state0, x)
     fd = simulate_fd(
-        cfg, prof, lambda xx: np.interp(xx, x, z1), lambda xx: np.interp(xx, x, z2),
+        cfg, prof, lambda _: z1, lambda _: z2,
         rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N, stride=stride,
     )
     # fd keeps every stride-th step, then the last one; the CSV takes the
@@ -778,7 +779,7 @@ def cmd_compare_boundary(rc: RunConfig, out: Path) -> int:
             "series": rep.as_dict()["series"],
         }
         t = solve_family(cfg, rc.family, rc.N)
-        mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+        mu = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
         names += [boundary.value] * len(t)
         modes.append(t.n)
         abs_re_mu.append(np.abs(mu.real.max(axis=1)))

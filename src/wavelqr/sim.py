@@ -13,7 +13,8 @@ Modal integrators use matrix exponentials of the (block) closed-loop
 matrices, so their only error sources are the mode truncation and the
 time quadrature of the cost.  Both exponentials are computed here in
 numpy: the per-mode 2x2 blocks in closed form (expm_2x2), the coupled
-propagator by Pade scaling and squaring (expm_pade).
+propagator by scaling and squaring with a Pade approximant of degree 3 to
+9 (expm_pade).
 
 All three step their trajectory into blocks of FD_BLOCK rows and keep the
 states of steps 0, stride, 2 stride, ... and of the last step (_stream);
@@ -57,7 +58,6 @@ _SERIES_TERMS = 10
 #: degree-m Pade approximant has backward error at most 2^-53
 _PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
                (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
-_THETA_13 = 4.25
 
 
 class SimulationError(RuntimeError):
@@ -305,22 +305,22 @@ def _extra_squarings(absA, m: int) -> int:
 def expm_pade(A) -> np.ndarray:
     """e^A of a square matrix by scaling and squaring with a [m/m] Pade approximant.
 
-    The degree m in {3, 5, 7, 9, 13} and the scaling 2^-s follow Al-Mohy &
-    Higham (SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1): they are
-    chosen from eta = max(||A^4||^(1/4), ||A^6||^(1/6), ...), with exact
-    1-norms of the even powers the approximant needs anyway.  The
-    approximants are evaluated as in Higham (SIAM J. Matrix Anal. Appl. 26,
-    2005).  Scaling by ||A||_1 instead would over-scale the weakly damped
-    closed loops, whose norm is far above their spectral radius, and lose
-    accuracy in the squarings.
+    The degree m in {3, 5, 7, 9} and the scaling 2^-s follow Al-Mohy &
+    Higham (SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1), up to
+    degree 9: the first degree that fits A is taken, else degree 9 on
+    A / 2^s.  Both are judged by eta = max(||A^4||^(1/4), ||A^6||^(1/6), ...)
+    from exact 1-norms of the even powers the approximant needs anyway; the
+    ||A||_1 rule would over-scale the weakly damped closed loops, whose norm
+    is far above their spectral radius, and lose accuracy in the squarings.
+    The approximant is evaluated as in Higham (SIAM J. Matrix Anal. Appl.
+    26, 2005).
 
     Besides A, at most six matrices of its size are alive at once: A^2, A^4,
-    A^6 and A^8 (whose buffer takes A^4 A^6 and then A / 2^s at degree 13),
-    one scratch that holds |X| for the norms, and one accumulator.  U and V
-    are summed in place, in the order of the plain expressions, with the
-    identity added on the diagonal; the powers are freed before the solve,
-    which copies its two operands.  The result is the same to the bit as
-    that of the plain expressions.
+    A^6, A^8, one scratch for the |X| of the norms and one accumulator.  The
+    scaling multiplies the powers in place, and U after its product with A,
+    by exact powers of two.  U and V are summed in place in the order of the
+    plain expressions, with the identity added on the diagonal, so the
+    result is the same to the bit as theirs.
     """
     A = np.asarray(A, dtype=float)
     scratch = np.empty_like(A)
@@ -330,63 +330,37 @@ def expm_pade(A) -> np.ndarray:
     d6 = _norm1(A6, scratch) ** (1 / 6)
     eta = max(_norm1(A4, scratch) ** 0.25, d6)
     powers = [None, A2, A4, A6]  # powers[k] = A^(2k)
+    s = 0
     for m, theta in _PADE_THETA:
         if m == 7:  # degrees 7 and 9 use A^8, and judge by max(d6, d8)
             powers.append(A4 @ A4)
-            d8 = _norm1(powers[4], scratch) ** (1 / 8)
-            eta = max(d6, d8)
+            eta = max(d6, _norm1(powers[4], scratch) ** (1 / 8))
         if eta <= theta and _extra_squarings(np.abs(A, out=scratch), m) == 0:
-            b = _pade_coefficients(m)
-            half = range(m // 2, 0, -1)
-            # U = A (b_m A^(m-1) + ... + b_3 A^2 + b_1 I)
-            W = np.multiply(powers[half[0]], b[m])
-            for k in half[1:]:
-                W += np.multiply(powers[k], b[2 * k + 1], out=scratch)
-            U = np.matmul(A, _add_identity(W, b[1]), out=scratch)
-            # V = b_(m-1) A^(m-1) + ... + b_2 A^2 + b_0 I, scaling the powers
-            V = powers[half[0]]
-            V *= b[m - 1]
-            for k in half[1:]:
-                powers[k] *= b[2 * k]
-                V += powers[k]
-            _add_identity(V, b[0])
-            np.subtract(V, U, out=W)
-            V += U
-            del A2, A4, A6, powers, U, scratch
-            return np.linalg.solve(W, V)
-
-    A8 = powers[4]
-    eta = min(eta, max(d8, _norm1(np.matmul(A4, A6, out=A8), scratch) ** 0.1))
-    s = max(int(np.ceil(np.log2(eta / _THETA_13))), 0) if eta > 0 else 0
-    absA = np.abs(A, out=scratch)
-    absA /= 2.0**s  # |A / 2^s| to the bit: a power of two scales exactly
-    s += _extra_squarings(absA, 13)
-    As = np.divide(A, 2.0**s, out=A8)
-    for p, X in ((2, A2), (4, A4), (6, A6)):
-        X /= 2.0 ** (p * s)
-    b = _pade_coefficients(13)
-    # U = A (A6 (b13 A6 + b11 A4 + b9 A2) + b7 A6 + b5 A4 + b3 A2 + b1 I)
-    W = np.multiply(A6, b[13])
-    W += np.multiply(A4, b[11], out=scratch)
-    W += np.multiply(A2, b[9], out=scratch)
-    T = np.matmul(A6, W, out=scratch)
-    T += np.multiply(A6, b[7], out=W)
-    T += np.multiply(A4, b[5], out=W)
-    T += np.multiply(A2, b[3], out=W)
-    U = np.matmul(As, _add_identity(T, b[1]), out=W)
-    # V = A6 (b12 A6 + b10 A4 + b8 A2) + b6 A6 + b4 A4 + b2 A2 + b0 I
-    T = np.multiply(A6, b[12], out=scratch)
-    T += np.multiply(A4, b[10], out=As)
-    T += np.multiply(A2, b[8], out=As)
-    V = np.matmul(A6, T, out=As)
-    for c, X in ((b[6], A6), (b[4], A4), (b[2], A2)):
-        X *= c
-        V += X
+            break
+    else:  # no degree fits A: degree 9 on A / 2^s
+        s = int(np.ceil(np.log2(eta / theta))) if eta > theta else 0
+        s += _extra_squarings(np.multiply(np.abs(A, out=scratch), 0.5**s, out=scratch), m)
+        for k in range(1, 5):
+            powers[k] *= 0.5 ** (2 * k * s)
+    b = _pade_coefficients(m)
+    half = range(m // 2, 0, -1)
+    # U = A (b_m A^(m-1) + ... + b_3 A^2 + b_1 I) / 2^s
+    W = np.multiply(powers[half[0]], b[m])
+    for k in half[1:]:
+        W += np.multiply(powers[k], b[2 * k + 1], out=scratch)
+    U = np.matmul(A, _add_identity(W, b[1]), out=scratch)
+    U *= 0.5**s
+    # V = b_(m-1) A^(m-1) + ... + b_2 A^2 + b_0 I, scaling the powers
+    V = powers[half[0]]
+    V *= b[m - 1]
+    for k in half[1:]:
+        powers[k] *= b[2 * k]
+        V += powers[k]
     _add_identity(V, b[0])
-    np.subtract(V, U, out=scratch)
+    np.subtract(V, U, out=W)
     V += U
-    del A2, A4, A6, A8, As, powers, X, U, W, T
-    X = np.linalg.solve(scratch, V)
+    del A2, A4, A6, powers, U, scratch
+    X = np.linalg.solve(W, V)
     for _ in range(s):
         X = X @ X
     return X
@@ -715,7 +689,7 @@ def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:
 
 def decay_horizon(cfg: WaveConfig, sols: ModalTable) -> float:
     """Horizon after which the closed-loop cost tail is below 1e-8 of the cost."""
-    ev, _ = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
+    ev = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
     absc = ev.real.max()
     if absc >= 0:
         raise ValueError("closed loop is not exponentially stable: no finite horizon")

@@ -47,17 +47,17 @@ def closed_loop_matrices(cfg: WaveConfig, n, k1, k2) -> np.ndarray:
     return A
 
 
-def closed_loop_spectrum(cfg: WaveConfig, n, k1, k2) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (k, 2) and eigenvectors (k, 2, 2) of every F + G K, one stacked eig.
+def closed_loop_spectrum(cfg: WaveConfig, n, k1, k2) -> np.ndarray:
+    """Eigenvalues (k, 2) of every F + G K, one stacked eigvals.
 
     Each mode's pair is ordered (+imag first) when either eigenvalue is
     complex and by descending real part otherwise, so column 0 is mu_plus.
     """
-    ev, V = np.linalg.eig(closed_loop_matrices(cfg, n, k1, k2))
+    ev = np.linalg.eigvals(closed_loop_matrices(cfg, n, k1, k2))
     key = np.where((ev.imag != 0).any(axis=1, keepdims=True), ev.imag, ev.real)
     swap = (key[:, 1] > key[:, 0]).astype(int)
     order = np.stack([swap, 1 - swap], axis=1)
-    return np.take_along_axis(ev, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+    return np.take_along_axis(ev, order, axis=1)
 
 
 def closed_loop_trace_det(cfg: WaveConfig, n, p12, p22) -> tuple[np.ndarray, np.ndarray]:

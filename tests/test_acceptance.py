@@ -130,7 +130,7 @@ def test_criterion_3_closed_loop_consistency():
             cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
             amp = np.array([q if m == 0 else q / float(m) ** r for m in n])
             t = modal_table(cfg, n, amp, np.zeros(len(n)), amp)
-            mu, _ = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+            mu = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
             mu_plus, mu_minus = mu[:, 0], mu[:, 1]
             c = input_gain_sq(cfg, n)
             tr = -(alpha + c * t.p22)
@@ -151,7 +151,7 @@ def test_criterion_3_closed_loop_consistency():
             worst_conj = max(worst_conj, *np.abs(mu_minus - mu_plus.conjugate())[conj], 0.0)
     cfg0 = WaveConfig(Boundary.DIRICHLET, alpha=0.0)
     t0 = modal_table(cfg0, [3], [0.0], [0.0], [0.0])
-    marginal, _ = closed_loop_spectrum(cfg0, t0.n, t0.k1, t0.k2)
+    marginal = closed_loop_spectrum(cfg0, t0.n, t0.k1, t0.k2)
     marginal_ok = classify(marginal[0].real.max()) is Stability.MARGINAL
     ok = worst_id <= 1e-10 and stable_ok and marginal_ok and worst_conj <= 1e-12
     report(3, ok, f"identity dev {worst_id:.2e}, conjugacy dev {worst_conj:.2e}, "
@@ -243,7 +243,7 @@ def test_criterion_5_lqr_value_identity():
                 sol = modal_table(cfg, [n], [1.0], [0.0], [1.0])
                 st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
                 T = decay_horizon(cfg, sol)
-                mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+                mu = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
                 mu_mag = max(abs(mu[0, 0]), 1.0)
                 dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
                 res = simulate_decoupled(cfg, sol, st, T, dt)
@@ -351,7 +351,7 @@ def test_criterion_8_block_triangular_coupled_spectrum():
         sols = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
         ev, _ = coupled_spectrum(cfg, sols)
         row = sols[sols.n == k]
-        mu, _ = closed_loop_spectrum(cfg, row.n, row.k1, row.k2)
+        mu = closed_loop_spectrum(cfg, row.n, row.k1, row.k2)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
         expect = np.concatenate([mu[0], open_loop_spectrum(cfg, others).ravel()])
         assert len(ev) == len(expect) == 2 * len(sols)

@@ -309,6 +309,16 @@ class TestVerify:
         assert "oracle_match" in failed or "closed_form_residuals" in failed
         assert "pde_residual_diagonal" in failed
 
+    def test_residual_tolerance_is_riccati_bound(self, tmp_path, monkeypatch):
+        # the closed_form_residuals check takes its tolerance from riccati.TOL_RES
+        rc = load_config(write_config(tmp_path, base_config()))
+        (tmp_path / "o").mkdir()
+        monkeypatch.setattr(cli, "TOL_RES", 0.0)
+        assert cmd_verify(rc, tmp_path / "o") == 1
+        report = json.loads((tmp_path / "o" / "verify.json").read_text())
+        check = next(c for c in report["checks"] if c["name"] == "closed_form_residuals")
+        assert (check["tolerance"], check["passed"]) == (0.0, False)
+
     def test_unobserved_undamped_modes_are_numerical_failure(self, tmp_path, capsys):
         # no weights at alpha = 0: no mode has a stabilizing solution
         doc = base_config(weights={"type": "list", "entries": []})

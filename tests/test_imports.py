@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private name it defines is read somewhere in the library.
 
-__init__.py is exempt: it imports names to re-export them.
+__init__.py is exempt from the first: it imports names to re-export them.
 """
 
 import ast
@@ -22,3 +23,25 @@ def test_no_unused_imports(path):
     }
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def test_no_dead_private_names():
+    """Every module-level _name a library module defines is read somewhere
+    in the library."""
+    defined, loaded = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add((path.stem, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update((path.stem, t.id) for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    dead = {f"{mod}.{name}" for mod, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in loaded}
+    assert sorted(dead) == []

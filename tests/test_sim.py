@@ -1,6 +1,9 @@
+import importlib.util
+import json
 import tracemalloc
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from wavelqr.model import (
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
 from wavelqr import sim
+from wavelqr.cli import parse_config
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
     FD_BLOCK,
@@ -38,6 +42,8 @@ from wavelqr.sim import (
     simulate_fd,
 )
 from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def no_gains(cfg, N):
@@ -313,6 +319,29 @@ def deviation(got, ref):
     return (np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max()
 
 
+def pade_path(A):
+    """(degree, squarings) that expm_pade(A) takes, read off its helpers."""
+    top = np.abs(A).max()
+    pade, extra = sim._pade_coefficients, sim._extra_squarings
+    path = {}
+
+    def coefficients(m):
+        path["degree"] = m
+        return pade(m)
+
+    def extra_squarings(absA, m):
+        # absA is |A| / 2^s exactly; the last call is the one taken
+        ell = extra(absA, m)
+        path["squarings"] = round(np.log2(top / absA.max())) + ell
+        return ell
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_pade_coefficients", coefficients)
+        mp.setattr(sim, "_extra_squarings", extra_squarings)
+        expm_pade(A)
+    return path["degree"], path["squarings"]
+
+
 class TestExponentials:
     """expm_2x2 (closed form) and expm_pade (scaling and squaring) against
     scipy.linalg.expm, and against a 40-digit reference where scipy's own
@@ -365,23 +394,48 @@ class TestExponentials:
                 assert deviation(expm_2x2(A[None])[0], reference(A)) <= tol
             assert deviation(expm_pade(A), reference(A)) <= tol
 
-    @pytest.mark.parametrize("dt, degree", [(0.002, 9), (0.05, 13)])
-    def test_traced_growth_at_most_eight_matrices(self, monkeypatch, dt, degree):
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("N", [330, 400, 512])
+    def test_match_scipy_at_scaled_sizes(self, boundary, N):
+        # about where the unscaled degrees run out at the simulation step
+        _, coupled = closed_loops(boundary, (0.0, 1.0, 1.0, 1.0, 5.0), N)
+        dt = 0.002
+        assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
+
+    @pytest.mark.parametrize("dt, scaled", [(0.002, False), (0.05, True)])
+    def test_traced_growth_at_most_eight_matrices(self, dt, scaled):
         """On the (416, 416) fine-grid loop, expm_pade allocates at most eight
-        matrices of its size, at degree 9 and at degree 13 with squarings."""
+        matrices of its size, at degree 9 on A and on A / 2^s with squarings."""
         _, coupled = closed_loops(Boundary.DIRICHLET, (0.0, 1.0, 1.0, 1.0, 5.0), 208)
         A = coupled * dt
-        degrees = []
-        pade = sim._pade_coefficients
-        monkeypatch.setattr(sim, "_pade_coefficients", lambda m: degrees.append(m) or pade(m))
         tracemalloc.start()
         try:
-            expm_pade(A)
+            degree, squarings = pade_path(A)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert degrees == [degree]
+        assert degree == 9
+        assert (squarings > 0) is scaled
         assert peak <= 8 * A.nbytes
+
+    def test_simulation_loops_take_unscaled_degree(self):
+        """The coupled loops that simulate builds for the benchmark workloads,
+        and for the example config at N <= 256, fit a degree unscaled: their
+        propagators come from the degree loop of expm_pade, never from its
+        scaled degree 9."""
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        docs = [workloads.command_config(w, "simulate", seed=0, tiny=tiny)
+                for w in workloads.WORKLOADS.values() for tiny in (False, True)]
+        example = json.loads((ROOT / "demos" / "config_example.json").read_text())
+        docs += [dict(example, boundary=b, N=N)
+                 for b in ("dirichlet", "neumann") for N in (8, 64, 128, 256)]
+        for doc in docs:
+            rc = parse_config(doc)
+            _, A, B, Krow = coupled_loop_parts(rc.wave, solve_family(rc.wave, rc.family, rc.N))
+            _, squarings = pade_path((A + B @ Krow) * rc.sim.dt)
+            assert squarings == 0, (doc["boundary"], doc["N"])
 
     def test_no_overflow_where_exp_s_underflows(self):
         # s = -800, q = 790: cosh(q) overflows, e^(s+q) = e^-10 does not
@@ -423,7 +477,7 @@ class TestSimulateDecoupled:
         sol = one_mode(cfg, w)
         st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
         T = decay_horizon(cfg, sol)
-        mu, _ = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+        mu = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
         mu_mag = max(abs(mu[0, 0]), 1.0)
         dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
         res = simulate_decoupled(cfg, sol, st, T, dt)

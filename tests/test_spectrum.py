@@ -15,7 +15,6 @@ from wavelqr.riccati import input_gain_sq, modal_table, solve_family
 from wavelqr.spectrum import (
     Stability,
     classify,
-    closed_loop_matrices,
     closed_loop_spectrum,
     closed_loop_trace_det,
     coupled_loop_parts,
@@ -32,7 +31,7 @@ def power_table(cfg, n, q, r):
 
 
 def mu_pair(cfg, t):
-    """Closed-loop eigenvalues (k, 2), mu_plus first, and eigenvectors (k, 2, 2) of a table."""
+    """Closed-loop eigenvalues (k, 2) of a table, mu_plus first."""
     return closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
 
 
@@ -78,14 +77,14 @@ class TestClosedLoop:
     def test_zero_weight_recovers_open_loop(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.6)
         t = one_mode(cfg, ModalWeight(3, 0.0, 0.0, 0.0))
-        mu, _ = mu_pair(cfg, t)
+        mu = mu_pair(cfg, t)
         mus = sorted(mu[0].tolist(), key=lambda z: (z.real, z.imag))
         lams = sorted(open_loop_spectrum(cfg, t.n)[0].tolist(), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(mus, lams, atol=1e-12)
 
     def test_dirichlet_fundamental_stable(self, dirichlet_cfg):
         t = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        mu_plus, mu_minus = mu_pair(dirichlet_cfg, t)[0][0]
+        mu_plus, mu_minus = mu_pair(dirichlet_cfg, t)[0]
         A = np.array([[0.0, 1.0],
                       [-np.pi**2 * (1.0 + t.p12[0]), -np.pi**2 * t.p22[0]]])
         ref = np.linalg.eigvals(A)
@@ -97,25 +96,14 @@ class TestClosedLoop:
 
     def test_conjugate_pair(self, neumann_cfg):
         t = one_mode(neumann_cfg, ModalWeight(4, 0.1, 0.0, 0.1))
-        mu_plus, mu_minus = mu_pair(neumann_cfg, t)[0][0]
+        mu_plus, mu_minus = mu_pair(neumann_cfg, t)[0]
         assert mu_minus == mu_plus.conjugate()
         assert mu_plus.imag > 0
 
     def test_marginal_classification(self, dirichlet_cfg):
         t = one_mode(dirichlet_cfg, ModalWeight(2, 0.0, 0.0, 0.0))
-        mu, _ = mu_pair(dirichlet_cfg, t)
+        mu = mu_pair(dirichlet_cfg, t)
         assert classify(mu[0].real.max()) is Stability.MARGINAL
-
-    def test_eigenvector_form(self, dirichlet_cfg):
-        # the computed eigenvectors, scaled to unit velocity, take the
-        # [1/mu, 1] form of the companion matrix
-        t = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        mu, V = mu_pair(dirichlet_cfg, t)
-        A = closed_loop_matrices(dirichlet_cfg, t.n, t.k1, t.k2)[0]
-        for j in range(2):
-            v = V[0, :, j] / V[0, 1, j]
-            np.testing.assert_allclose(A @ v, mu[0, j] * v, rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(v, [1.0 / mu[0, j], 1.0])
 
     def test_formula_cross_check_over_sweep(self):
         worst = 0.0
@@ -124,7 +112,7 @@ class TestClosedLoop:
             for alpha, beta, R, q, r in sweep_configs()[::13]:
                 cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
                 t = power_table(cfg, n, q, r)
-                mu, _ = mu_pair(cfg, t)
+                mu = mu_pair(cfg, t)
                 # analytic roots from the trace and determinant of F + G K
                 tr, det = closed_loop_trace_det(cfg, t.n, t.p12, t.p22)
                 root = np.sqrt((tr * tr - 4.0 * det).astype(complex))
@@ -142,7 +130,7 @@ class TestClosedLoop:
             for alpha, beta, R, q, r in sweep_configs()[::7]:
                 cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
                 t = power_table(cfg, n, q, r)
-                mu, _ = mu_pair(cfg, t)
+                mu = mu_pair(cfg, t)
                 c = input_gain_sq(cfg, n)
                 tr = -(cfg.alpha + c * t.p22)
                 det = (n * np.pi) ** 2 + c * t.p12
@@ -152,27 +140,21 @@ class TestClosedLoop:
                 assert np.all(np.abs(s.imag) <= 1e-10 * np.maximum(1.0, np.abs(tr)))
                 assert np.all(np.abs(p.real - det) <= 1e-10 * np.maximum(1.0, np.abs(det)))
 
-    def test_zero_eigenvalue_reports_raw_eigenvector(self):
+    def test_zero_eigenvalue_is_marginal(self):
         # Neumann mean mode with no displacement weight: the optimal loop
         # leaves the rigid-displacement integrator untouched, so mu_plus = 0
-        # and the [1/mu, 1] form is unavailable; the computed eigenvector
-        # is the unit one
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.5)
         t = one_mode(cfg, ModalWeight(0, 0.0, 0.0, 1.0))
-        mu, V = mu_pair(cfg, t)
+        mu = mu_pair(cfg, t)
         assert mu[0, 0] == 0.0
         assert classify(mu[0].real.max()) is Stability.MARGINAL
-        A = closed_loop_matrices(cfg, t.n, t.k1, t.k2)[0]
-        np.testing.assert_allclose(A @ V[0, :, 0], 0.0, atol=1e-14)
-        np.testing.assert_allclose(np.linalg.norm(V[0, :, 0]), 1.0)
-        np.testing.assert_allclose(V[0, :, 1] / V[0, 1, 1], [1.0 / mu[0, 1], 1.0])
 
     def test_damping_eventually_decreases_in_n(self):
         # feedback threshold for the gain series is r > 2; just above it the
         # per-mode damping decays with the mode number
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
         fam = PowerLawWeights(q=1.0, r=2.5)
-        mu, _ = mu_pair(cfg, solve_family(cfg, fam, 200))
+        mu = mu_pair(cfg, solve_family(cfg, fam, 200))
         damp = np.abs(mu.real.max(axis=1)).tolist()
         peak = int(np.argmax(damp))
         tail = damp[peak:]
@@ -207,7 +189,7 @@ class TestCoupledSpectrum:
         t = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
         ev, _ = coupled_spectrum(cfg, t)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
-        expect = np.concatenate([mu_pair(cfg, t[t.n == k])[0][0],
+        expect = np.concatenate([mu_pair(cfg, t[t.n == k])[0],
                                  open_loop_spectrum(cfg, others).ravel()])
         assert_spectra_match(ev, expect, 1e-8)
 
@@ -239,6 +221,6 @@ class TestCoupledSpectrum:
         sols = solve_family(dirichlet_cfg, fam, 8)
         _, absc = coupled_spectrum(dirichlet_cfg, sols)
         np.testing.assert_allclose(absc, -0.06391980679316855, rtol=1e-6)
-        permode = mu_pair(dirichlet_cfg, sols)[0].real.max()
+        permode = mu_pair(dirichlet_cfg, sols).real.max()
         np.testing.assert_allclose(permode, -0.06947497512348247, rtol=1e-6)
         assert absc < 0
