@@ -22,9 +22,9 @@ from .riccati import (
     solve_family,
     residual_arrays,
     are_oracle,
-    coupled_truncated_are,
 )
 from .spectrum import (
+    coupled_truncated_are,
     open_loop_spectrum,
     closed_loop_spectrum,
     closed_loop_trace_det,

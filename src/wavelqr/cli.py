@@ -14,7 +14,7 @@ import gc
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +104,34 @@ def _check_keys(doc: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _params(cls, doc: dict, where: str, **convert):
+    """cls from the keys of doc that are present; the dataclass supplies the rest.
+
+    The keys allowed are the fields of cls.  The fields named in convert
+    are converted first, each by its own function; every other field is a
+    float or an int, converted by finite_value or integer_value.
+    """
+    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    if not isinstance(doc, dict):  # a list of field names, or none
+        raise ConfigError(f"{where} must be an object")
+    values = {name: fn(doc[name]) for name, fn in convert.items() if name in doc}
+    for f in fields(cls):
+        if f.name in doc and f.name not in convert:
+            scalar = finite_value if f.type is float else integer_value
+            values[f.name] = scalar(doc[f.name], f"{where}.{f.name}")
+    return cls(**values)
+
+
+def _initial_modes(rows):
+    """sim.initial_modes as a tuple of (a1, a2) pairs, or None."""
+    if rows is None:
+        return None
+    init = tuple(tuple(finite_value(v, "sim.initial_modes entry") for v in row) for row in rows)
+    if any(len(row) != 2 for row in init):
+        raise ConfigError("sim.initial_modes must be a list of [a1, a2] pairs")
+    return init
+
+
 def parse_config(doc: dict) -> RunConfig:
     try:
         return _run_config(doc)
@@ -145,32 +173,13 @@ def _run_config(doc: dict) -> RunConfig:
     if grid_points < 3 or grid_points % 2 == 0:
         raise ConfigError(f"grid_points must be odd and >= 3, got {grid_points}")
 
-    sdoc = doc.get("sim", {})
-    _check_keys(sdoc, {"T", "dt", "M", "cfl", "csv_stride", "initial_modes"}, "sim")
-    init = sdoc.get("initial_modes")
-    if init is not None:
-        init = tuple(tuple(finite_value(v, "sim.initial_modes entry") for v in row) for row in init)
-        if any(len(row) != 2 for row in init):
-            raise ConfigError("sim.initial_modes must be a list of [a1, a2] pairs")
-    sim = SimParams(
-        T=finite_value(sdoc.get("T", 5.0), "sim.T"),
-        dt=finite_value(sdoc.get("dt", 0.002), "sim.dt"),
-        M=integer_value(sdoc.get("M", 400), "sim.M"),
-        cfl=finite_value(sdoc.get("cfl", 0.9), "sim.cfl"),
-        csv_stride=integer_value(sdoc.get("csv_stride", 10), "sim.csv_stride"),
-        initial_modes=init,
-    )
+    sim = _params(SimParams, doc.get("sim", {}), "sim", initial_modes=_initial_modes)
     if sim.T <= 0 or sim.dt <= 0 or sim.csv_stride < 1:
         raise ConfigError("sim.T, sim.dt must be positive and sim.csv_stride >= 1")
 
-    cdoc = doc.get("converge", {})
-    _check_keys(cdoc, {"N_list", "fit_lo", "fit_hi"}, "converge")
-    conv = ConvergeParams(
-        N_list=tuple(
-            integer_value(v, "converge.N_list entry") for v in cdoc.get("N_list", (16, 32, 64, 128))
-        ),
-        fit_lo=integer_value(cdoc.get("fit_lo", 50), "converge.fit_lo"),
-        fit_hi=integer_value(cdoc.get("fit_hi", 500), "converge.fit_hi"),
+    conv = _params(
+        ConvergeParams, doc.get("converge", {}), "converge",
+        N_list=lambda ns: tuple(integer_value(v, "converge.N_list entry") for v in ns),
     )
     if any(n < 0 for n in conv.N_list):
         raise ConfigError(f"converge.N_list entries must be nonnegative, got {list(conv.N_list)}")
@@ -615,19 +624,16 @@ def cmd_spectrum(rc: RunConfig, out: Path) -> int:
     return 0
 
 
-def _grid_columns(x1, x2, *planes):
-    """CSV columns of (len(x1), len(x2)) value planes, x2 varying fastest.
+def _kernel_columns(field) -> list:
+    """CSV columns x1, x2 and the (1, 1), (1, 2), (2, 1), (2, 2) entries of a
+    kernel field, x2 varying fastest.
 
     The grid columns are gathered: write_csv formats each grid value once.
     """
+    x1, x2 = field.grid_x1, field.grid_x2
     i1, i2 = np.arange(len(x1)), np.arange(len(x2))
     return [(x1, np.repeat(i1, len(x2))), (x2, np.tile(i2, len(x1))),
-            *(p.ravel() for p in planes)]
-
-
-def _kernel_columns(field):
-    planes = (field.values[..., a, b] for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))
-    return _grid_columns(field.grid_x1, field.grid_x2, *planes)
+            *(field.values[..., a, b].ravel() for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)))]
 
 
 def cmd_kernels(rc: RunConfig, out: Path) -> int:
@@ -642,11 +648,8 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     write_csv(out / "kernel_P.csv", ["x1", "x2", "P11", "P12", "P21", "P22"], _kernel_columns(kp))
     write_csv(out / "kernel_Q.csv", ["x1", "x2", "Q11", "Q12", "Q21", "Q22"], _kernel_columns(kq))
     write_csv(out / "gain.csv", ["x", "K1", "K2"], [grid, kg.values[:, 0], kg.values[:, 1]])
-    write_csv(
-        out / "pde_residual.csv",
-        ["x1", "x2", "r11", "r12", "r21", "r22"],
-        _grid_columns(grid, grid, fields.r11, fields.r12, fields.r21, fields.r22),
-    )
+    write_csv(out / "pde_residual.csv", ["x1", "x2", "r11", "r12", "r21", "r22"],
+              _kernel_columns(fields))
     write_json(
         out / "kernels_summary.json",
         {
@@ -655,7 +658,7 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
             "P_max_abs": float(np.max(np.abs(kp.values))),
             "K_max_abs": float(np.max(np.abs(kg.values))),
             "Q_warnings": list(summability_warnings(rc.family)),
-            "pde_residual_max_abs": fields.max_abs(),
+            "pde_residual_max_abs": float(np.max(np.abs(fields.values))),
         },
     )
     return 0
@@ -678,8 +681,6 @@ def _modal_rows(res: SimResult, stride: int) -> list:
     """The CSV columns of a modal run made with this stride: every stride-th
     row, the states read from the kept rows without a copy."""
     u = res.u_record[::stride]
-    if u.ndim > 1:  # one control per mode: the row records their sum
-        u = u.sum(axis=1)
     states = res.states[:len(u)].reshape(len(u), -1)
     return [res.times[::stride], u, *states.T, res.cost[::stride]]
 

@@ -50,22 +50,6 @@ class GainProfile:
     values: np.ndarray  # (len(grid_x), 2)
 
 
-@dataclass(frozen=True)
-class ResidualFields:
-    """Pointwise defect of the four kernel Riccati PDE components."""
-
-    r11: np.ndarray
-    r12: np.ndarray
-    r21: np.ndarray
-    r22: np.ndarray
-
-    def max_abs(self) -> float:
-        return float(
-            max(np.abs(self.r11).max(), np.abs(self.r12).max(),
-                np.abs(self.r21).max(), np.abs(self.r22).max())
-        )
-
-
 def basis_matrix(boundary: Boundary, modes, grid) -> np.ndarray:
     """phi_n(x) sampled as a (len(modes), len(grid)) array."""
     modes = np.asarray(list(modes), dtype=float)
@@ -177,16 +161,22 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
     return modes, (m11, m12, m21, m22)
 
 
-def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> ResidualFields:
+def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> KernelField:
     """Defect fields of the kernel Riccati PDE for the truncated diagonal solution.
 
-    With a single active mode every field vanishes; with several, the
-    surviving residual is exactly the cross-frequency part of the quadratic
-    right-hand side.
+    values[..., a, b] is the defect of PDE component (a + 1, b + 1), each
+    the product (phi' M) phi of one residual_coefficient_matrices entry M,
+    written into its own contiguous plane.  With a single active mode every
+    field vanishes; with several, the surviving residual is exactly the
+    cross-frequency part of the quadratic right-hand side.
     """
     modes, mats = residual_coefficient_matrices(cfg, sols)
+    grid = np.asarray(grid, dtype=float)
     phi = basis_matrix(cfg.boundary, modes, grid)
-    return ResidualFields(*(phi.T @ m @ phi for m in mats))
+    planes = np.empty((2, 2, len(grid), len(grid)))
+    for plane, m in zip(planes.reshape(4, len(grid), len(grid)), mats):
+        np.matmul(phi.T @ m, phi, out=plane)
+    return KernelField(grid, grid, planes.transpose(2, 3, 0, 1))
 
 
 def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, grid, weights) -> np.ndarray:
@@ -290,21 +280,17 @@ def convergence_report(
         "P11": decay_fit(ns, fit.p11),
     }
 
-    N_list = sorted(int(N) for N in N_list)
     grid = np.linspace(0.0, 1.0, CAUCHY_GRID_POINTS)
-    diffs: dict[str, list[float]] = {"Q": [], "K": [], "P11": []}
-    prev = None
-    for N in N_list:
+    # one sampled field per partial sum; the (1, 1) planes are copied, so
+    # the other three planes of each kernel are freed
+    sampled: dict[str, list[np.ndarray]] = {"Q": [], "K": [], "P11": []}
+    for N in sorted(int(N) for N in N_list):
         sols = solve_family(cfg, family, N)
-        qf = assemble_Q(family, grid, cfg.boundary, N).values[:, :, 0, 0]
-        kf = np.abs(assemble_K(sols, cfg, grid).values).max(axis=1)
-        pf = assemble_P(sols, grid, cfg.boundary).values[:, :, 0, 0]
-        cur = (qf, kf, pf)
-        if prev is not None:
-            diffs["Q"].append(float(np.abs(cur[0] - prev[0]).max()))
-            diffs["K"].append(float(np.abs(cur[1] - prev[1]).max()))
-            diffs["P11"].append(float(np.abs(cur[2] - prev[2]).max()))
-        prev = cur
+        sampled["Q"].append(assemble_Q(family, grid, cfg.boundary, N).values[:, :, 0, 0].copy())
+        sampled["K"].append(np.abs(assemble_K(sols, cfg, grid).values).max(axis=1))
+        sampled["P11"].append(assemble_P(sols, grid, cfg.boundary).values[:, :, 0, 0].copy())
+    diffs = {name: [float(np.abs(b - a).max()) for a, b in zip(f, f[1:])]
+             for name, f in sampled.items()}
 
     reports = []
     for name in ("Q", "K", "P11"):

@@ -44,10 +44,8 @@ from .model import (
     WaveConfig,
     WeightFamily,
     frequency_sq,
-    gain_expansion_sign,
     input_gain,
     mode_range,
-    projection_weight,
     validate_mode,
     weight_arrays,
 )
@@ -356,66 +354,3 @@ def oracle_solve_modes(cfg: WaveConfig, ns, q11, q12, q22):
     if not converged.all():
         raise OracleError(f"Kleinman iteration did not converge for mode {ns[np.argmin(converged)]}")
     return p11, p12, p22
-
-
-# ---------------------------------------------------------------------------
-# Truncated coupled ARE diagnostic
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoupledAre:
-    """Exact ARE of the truncated coupled plant vs. the per-mode solution.
-
-    State coordinates are the pairing-weighted modal coefficients, so the
-    cost is blockdiag of the modal weights and the per-mode candidate is
-    blockdiag of the modal Riccati matrices.
-    """
-
-    modes: tuple[int, ...]
-    P_big: np.ndarray
-    K_big: np.ndarray
-    dev_P_fro: float
-    dev_P_max: float
-    dev_K_fro: float
-
-
-def coupled_truncated_are(cfg: WaveConfig, t: ModalTable) -> CoupledAre:
-    """Solve the ARE of the plant truncated to the modes of t and measure the gap.
-
-    The per-mode construction solves each 2x2 block independently; the
-    shared scalar control couples the blocks through B, so the coupled ARE
-    solution is generally not block diagonal.  Deviations quantify what the
-    decoupling ansatz omits.
-    """
-    # spectrum imports this module, so its plant builder is imported here
-    from .spectrum import coupled_loop_parts
-
-    modes, A, B, _ = coupled_loop_parts(cfg, t)
-    # pairing-weighted coordinates: B stacks proj_weight_n * G_true_n, which
-    # equals the modal G up to the gain-expansion sign
-    B = B * np.repeat(projection_weight(cfg.boundary, modes), 2)[:, None]
-    Qb = _block_diag(np.stack([[t.q11, t.q12], [t.q12, t.q22]]).transpose(2, 0, 1))
-    P_diag = _block_diag(t.matrices)
-    sign = gain_expansion_sign(cfg.boundary, modes)
-    K_diag = np.stack([sign * t.k1, sign * t.k2], axis=1).reshape(1, -1)
-
-    P_big = are_oracle(A, B, Qb, np.array([[cfg.R]]))
-    K_big = -(B.T @ P_big) / cfg.R
-    dev_P = P_big - P_diag
-    return CoupledAre(
-        modes=tuple(modes.tolist()),
-        P_big=P_big,
-        K_big=K_big,
-        dev_P_fro=float(np.linalg.norm(dev_P)),
-        dev_P_max=float(np.max(np.abs(dev_P))),
-        dev_K_fro=float(np.linalg.norm(K_big - K_diag)),
-    )
-
-
-def _block_diag(blocks: np.ndarray) -> np.ndarray:
-    """Block-diagonal matrix of a (k, 2, 2) stack."""
-    k = len(blocks)
-    out = np.zeros((k, 2, k, 2))
-    out[np.arange(k), :, np.arange(k), :] = blocks
-    return out.reshape(2 * k, 2 * k)

@@ -16,9 +16,10 @@ numpy: the per-mode 2x2 blocks in closed form (expm_2x2), the coupled
 propagator by scaling and squaring with a Pade approximant of degree 3 to
 9 (expm_pade).
 
-All three step their trajectory into blocks of FD_BLOCK rows and keep the
+All three step their trajectory into blocks of FD_BLOCK rows, evaluate
+each block for the controls and the cost in their own loop, and keep the
 states of steps 0, stride, 2 stride, ... and of the last step (_stream);
-times, u_record and cost keep one entry per step.
+times, u_record (one control) and cost keep one entry per step.
 """
 
 from collections import namedtuple
@@ -85,10 +86,11 @@ class ModalState:
 class SimResult:
     """Trajectory record: states, control samples and accumulated cost.
 
-    times, u_record and cost hold one entry per step.  states holds the
-    rows of steps 0, stride, 2 stride, ... and then of the last step, for
-    every simulator: one row per step with stride 1, and states[-1] is
-    always the final state.
+    times, u_record and cost hold one entry per step, u_record the scalar
+    boundary control (for simulate_decoupled, the sum of the per-mode
+    controls).  states holds the rows of steps 0, stride, 2 stride, ...
+    and then of the last step, for every simulator: one row per step with
+    stride 1, and states[-1] is always the final state.
     """
 
     times: np.ndarray
@@ -173,44 +175,38 @@ def _check_stride(stride) -> None:
         raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
 
 
-def _stream(first, nrows: int, stride: int, finish):
+def _stream(first, nrows: int, stride: int):
     """(kept, blocks) for stepping a trajectory of nrows rows shaped like first.
 
     blocks yields (start, rows): rows is a writable block for steps start,
-    start + 1, ..., which the caller fills before it takes the next block;
-    row 0 of the first block already holds first.  Blocks hold FD_BLOCK
-    rows and the last one the remainder, so it holds FD_BLOCK to
-    2 FD_BLOCK - 1 rows, and a trajectory of fewer than 2 FD_BLOCK rows is
-    one block.  Once a block is filled, finish(start, rows) is called, and
-    then the rows kept are copied into kept: steps 0, stride, 2 stride, ...
-    and then the last step, whether or not stride divides the step count.
+    start + 1, ..., which the caller fills and evaluates before it takes
+    the next block; row 0 of the first block already holds first.  Blocks
+    hold FD_BLOCK rows and the last one the remainder, so it holds FD_BLOCK
+    to 2 FD_BLOCK - 1 rows, and a trajectory of fewer than 2 FD_BLOCK rows
+    is one block.  When the caller takes the next block, or ends the loop,
+    the rows kept are copied into kept: steps 0, stride, 2 stride, ... and
+    then the last step, whether or not stride divides the step count.
 
-    With stride 1 each block is a slice of kept itself.  Otherwise every
-    block reuses the front of one buffer as long as the last block, and
-    the rows take at most (kept + 2 FD_BLOCK - 1) rows of memory.  A
+    Every block reuses the front of one buffer as long as the last block,
+    so the rows take at most (kept + 2 FD_BLOCK - 1) rows of memory.  A
     block's first step reads the previous block's last row, which is then
     the buffer's row len(previous block) - 1, not the row 0 it writes.
     """
     last = nrows - 1
     starts = range(0, max(nrows - FD_BLOCK, 0) + 1, FD_BLOCK)
     shape = np.shape(first)
-    if stride == 1:
-        kept = buffer = np.empty((nrows, *shape))
-    else:
-        kept = np.empty((last // stride + 1 + (last % stride != 0), *shape))
-        buffer = np.empty((nrows - starts[-1], *shape))
+    kept = np.empty((last // stride + 1 + (last % stride != 0), *shape))
+    buffer = np.empty((nrows - starts[-1], *shape))
 
     def blocks():
         for start, end in zip(starts, [*starts[1:], nrows]):
-            rows = kept[start:end] if stride == 1 else buffer[:end - start]
+            rows = buffer[:end - start]
             if start == 0:
                 rows[0] = first
             yield start, rows
-            finish(start, rows)
-            if stride > 1:
-                i = -(-start // stride)  # first kept step at or after start
-                picked = rows[i * stride - start::stride]
-                kept[i:i + len(picked)] = picked
+            i = -(-start // stride)  # first kept step at or after start
+            picked = rows[i * stride - start::stride]
+            kept[i:i + len(picked)] = picked
         if last % stride:
             kept[-1] = rows[-1]
 
@@ -385,8 +381,9 @@ def simulate_decoupled(
     sum_n (a_n' Q^n a_n + R u_n^2) by composite Simpson over the sample
     times; this is the per-mode LQR frame in which the infinite-horizon
     cost equals a_0' P^n a_0 exactly.  states keeps the rows that stride
-    selects (see _stream); u_record holds the per-mode controls of every
-    step, and like times and cost does not depend on stride.
+    selects (see _stream); u_record holds sum_n u_n of every step, one
+    control per step as in the other simulators, and like times and cost
+    does not depend on stride.
     """
     _check_modes(state0, sols)
     _check_stride(stride)
@@ -394,22 +391,21 @@ def simulate_decoupled(
     gains = np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
     qblocks = _blocks(sols.q11, sols.q12, sols.q22)
     props = expm_2x2(closed_loop_matrices(cfg, state0.modes, sols.k1, sols.k2) * dt)
-    u = np.empty((nrows, len(gains)))
+    u = np.empty(nrows)
     integrand = np.empty(nrows)
-
-    def finish(start, rows):
-        # the per-mode controls and the cost integrand of a filled block
-        end = start + len(rows)
-        ub = u[start:end] = np.einsum("nj,tnj->tn", gains, rows)
-        integrand[start:end] = (np.einsum("tni,nij,tnj->t", rows, qblocks, rows)
-                                + cfg.R * np.sum(ub**2, axis=1))
-
-    states, blocks = _stream(state0.a, nrows, stride, finish)
+    states, blocks = _stream(state0.a, nrows, stride)
     prev = state0.a
     for start, rows in blocks:
         for row in rows[start == 0:]:  # row 0 of block 0 is state0
             np.einsum("nij,nj->ni", props, prev, out=row)
             prev = row
+        # the per-mode controls of the block, their sum and the cost integrand
+        end = start + len(rows)
+        ub = np.einsum("nj,tnj->tn", gains, rows)
+        u[start:end] = ub.sum(axis=1)
+        integrand[start:end] = (np.einsum("tni,nij,tnj->t", rows, qblocks, rows)
+                                + cfg.R * np.sum(ub**2, axis=1))
+        del ub  # freed before the next block is stepped
     cost = running_quadrature(integrand, dt)
     return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
@@ -449,19 +445,16 @@ def simulate_coupled_modal(
     qblocks = _blocks(sols.q11, sols.q12, sols.q22) * pw2[:, None, None]
     u = np.empty(nrows)
     integrand = np.empty(nrows)
-
-    def finish(start, rows):
-        # the controls and the cost integrand of a filled block
-        end = start + len(rows)
-        ub = u[start:end] = rows.reshape(len(rows), -1) @ krow
-        integrand[start:end] = np.einsum("tni,nij,tnj->t", rows, qblocks, rows) + cfg.R * ub**2
-
-    states, blocks = _stream(state0.a, nrows, stride, finish)
+    states, blocks = _stream(state0.a, nrows, stride)
     prev = state0.a.reshape(-1)
     for start, rows in blocks:
         for row in rows.reshape(len(rows), -1)[start == 0:]:  # row 0 of block 0 is state0
             np.dot(prop, prev, out=row)
             prev = row
+        # the controls and the cost integrand of the block
+        end = start + len(rows)
+        ub = u[start:end] = rows.reshape(len(rows), -1) @ krow
+        integrand[start:end] = np.einsum("tni,nij,tnj->t", rows, qblocks, rows) + cfg.R * ub**2
     cost = running_quadrature(integrand, dt)
     return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
@@ -499,9 +492,8 @@ def simulate_fd(
     cost once filled, and only the rows kept are copied out: steps 0,
     stride, 2 stride, ... and then the last step.  states is the
     (kept, M + 1, 2) transposed view of those rows; times, u_record and
-    cost keep one entry per step.  With stride 1 the trajectory takes
-    16 (M + 1) (steps + 1) bytes; with stride > 1 it takes at most
-    16 (M + 1) (kept + 2 FD_BLOCK - 1).
+    cost keep one entry per step.  The trajectory takes at most
+    16 (M + 1) (kept + 2 FD_BLOCK - 1) bytes.
 
     The stepping does not depend on the blocks, so states and u_record are
     the same to the bit for every stride.  The cost projections are one
@@ -583,18 +575,9 @@ def simulate_fd(
         q11, q12, q22 = weight_arrays(family, modes)
         proj = (basis_matrix(cfg.boundary, modes, x) * wq).T  # (M + 1, modes)
 
-    def finish(start, rows):
-        # the state cost of a filled block
-        if family is not None:
-            c1 = rows[:, 0] @ proj
-            c2 = rows[:, 1] @ proj
-            state_cost[start:start + len(rows)] = (
-                (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
-            )
-
     # The trajectory, component-major: rows[j, 0] is z1 and rows[j, 1] is z2
     # at step start + j of the current block, each contiguous.
-    kept, blocks = _stream((z1, z2), nrows, stride, finish)
+    kept, blocks = _stream((z1, z2), nrows, stride)
     u_rec[0] = u
 
     # Kick-drift-kick leapfrog: the position sequence satisfies
@@ -650,6 +633,13 @@ def simulate_fd(
                 )
             u = u_rec[k] = u_next
             z1, z2 = z1n, z2n
+        if family is not None:  # the state cost of the block
+            c1 = rows[:, 0] @ proj
+            c2 = rows[:, 1] @ proj
+            state_cost[start:start + len(rows)] = (
+                (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
+            )
+            del c1, c2  # freed before the next block is stepped
     # A non-finite control reaches z1 at its own step under Dirichlet
     # actuation (z1[0] = beta u) and at the next step under Neumann
     # actuation (through the ghost point), so only the last control can

@@ -16,6 +16,8 @@ from wavelqr import cli
 from wavelqr.cli import (
     COMMANDS,
     ConfigError,
+    ConvergeParams,
+    SimParams,
     cmd_verify,
     fmt,
     load_config,
@@ -71,6 +73,18 @@ class TestConfigParsing:
         doc["sim"]["typo"] = 2
         with pytest.raises(ConfigError, match="unknown keys in sim"):
             parse_config(doc)
+
+    @pytest.mark.parametrize("section", ["sim", "converge"])
+    @pytest.mark.parametrize("value", [[], ""])
+    def test_section_that_is_not_an_object_rejected(self, section, value):
+        with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
+            parse_config(base_config(**{section: value}))
+
+    def test_defaults_come_from_the_dataclasses(self):
+        doc = base_config()
+        del doc["sim"], doc["converge"]
+        rc = parse_config(doc)
+        assert (rc.sim, rc.converge) == (SimParams(), ConvergeParams())
 
     def test_unknown_weights_key_rejected(self):
         doc = base_config()
@@ -392,6 +406,29 @@ class TestDeterminism:
             assert len(names) >= 10
             for name in names:
                 assert (a / name).read_bytes() == (b / name).read_bytes(), (label, name)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet", "neumann"])
+def test_simulate_stride_one_holds_the_strided_rows(tmp_path, boundary):
+    """simulate at csv_stride 1 writes every step: each 7th row of its CSVs
+    is, byte for byte, the row csv_stride 7 writes, and the summaries are
+    the same.  Both modal runs take two blocks of steps, the FD run four,
+    and neither step count is a multiple of 7."""
+    doc = dict(small_configs()["neumann-long"], boundary=boundary)
+    doc["sim"] = dict(doc["sim"], dt=0.04)
+    outs = {}
+    for stride in (1, 7):
+        doc["sim"]["csv_stride"] = stride
+        path = write_config(tmp_path, doc, name=f"stride{stride}.json")
+        outs[stride] = tmp_path / f"stride{stride}"
+        assert main(["simulate", "--config", str(path), "--out", str(outs[stride])]) == 0
+    for name in ("sim_fd.csv", "sim_decoupled.csv", "sim_coupled.csv"):
+        every = (outs[1] / name).read_bytes().splitlines(keepends=True)
+        strided = (outs[7] / name).read_bytes().splitlines(keepends=True)
+        assert len(every) - 1 in (627, 891)
+        assert strided == every[:1] + every[1::7], name
+    summary = "simulate_summary.json"
+    assert (outs[1] / summary).read_bytes() == (outs[7] / summary).read_bytes()
 
 
 class TestOtherCommands:
@@ -865,7 +902,7 @@ def test_kernel_files_match_per_row_rendering(tmp_path, boundary, weights):
     planes = {
         "kernel_P.csv": assemble_P(sols, grid, rc.wave.boundary).values.reshape(21, 21, 4),
         "kernel_Q.csv": q.reshape(21, 21, 4),
-        "pde_residual.csv": np.stack([fields.r11, fields.r12, fields.r21, fields.r22], -1),
+        "pde_residual.csv": fields.values.reshape(21, 21, 4),
     }
     for name, values in planes.items():
         text = (tmp_path / "o" / name).read_text()

@@ -45,3 +45,22 @@ def test_no_dead_private_names():
     dead = {f"{mod}.{name}" for mod, name in defined
             if name.startswith("_") and not name.startswith("__") and name not in loaded}
     assert sorted(dead) == []
+
+
+def test_no_local_or_private_cross_imports():
+    """No library module imports inside a function, and none imports a
+    _name from another library module."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}: import in {func.name}"
+                          for node in ast.walk(func)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "wavelqr"):
+                found += [f"{path.name}:{node.lineno}: private {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+    assert sorted(found) == []

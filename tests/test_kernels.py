@@ -244,13 +244,14 @@ class TestPdeResidual:
         sols = solve_family(cfg, fam, 6)
         grid = np.linspace(0.0, 1.0, 201)
         fields = pde_residual(cfg, sols, grid)
-        assert fields.max_abs() <= 1e-10
+        assert np.abs(fields.values).max() <= 1e-10
 
     def test_zero_weights_zero_residual(self, dirichlet_cfg):
         fam = ExplicitWeights({})
         sols = solve_family(dirichlet_cfg, fam, 4)
         fields = pde_residual(dirichlet_cfg, sols, np.linspace(0, 1, 51))
-        assert fields.max_abs() == 0.0
+        assert fields.values.shape == (51, 51, 2, 2)
+        assert np.abs(fields.values).max() == 0.0
 
     def test_two_mode_cross_term_formula(self, dirichlet_cfg):
         """The surviving first-equation residual is exactly
@@ -272,7 +273,7 @@ class TestPdeResidual:
                     g2 * m * n * np.pi**2 * p12[m] * p12[n]
                     * np.outer(np.sin(m * np.pi * grid), np.sin(n * np.pi * grid))
                 )
-        np.testing.assert_allclose(fields.r11, expect, atol=1e-10)
+        np.testing.assert_allclose(fields.values[..., 0, 0], expect, atol=1e-10)
 
     def test_diagonal_coefficients_match_modal_residuals(self, neumann_cfg):
         fam = PowerLawWeights(1.0, 4.0)
@@ -293,7 +294,7 @@ class TestPdeResidual:
         phi = basis_matrix(Boundary.DIRICHLET, sols.n, grid)
         pw = projection_weight(Boundary.DIRICHLET, sols.n)
         proj = (phi * wq) / pw[:, None]
-        for f in (fields.r11, fields.r12, fields.r21, fields.r22):
+        for f in fields.values.transpose(2, 3, 0, 1).reshape(4, npts, npts):
             coeffs = proj @ f @ proj.T
             assert np.abs(np.diag(coeffs)).max() <= 1e-8
 
@@ -314,7 +315,7 @@ class TestPdeResidual:
         fields = pde_residual(cfg, sols, grid)
         proj = basis_matrix(boundary, sols.n, grid) * wq / projection_weight(boundary, sols.n)[:, None]
         ref = np.stack([np.diag(proj @ f @ proj.T)
-                        for f in (fields.r11, fields.r12, fields.r21, fields.r22)])
+                        for f in fields.values.transpose(2, 3, 0, 1).reshape(4, npts, npts)])
         got = pde_residual_diagonal(cfg, sols, grid, wq)
         assert got.shape == (4, len(sols))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)

@@ -26,7 +26,6 @@ from wavelqr.riccati import (
     OracleError,
     _care_residual,
     are_oracle,
-    coupled_truncated_are,
     gain_arrays,
     input_gain_sq,
     modal_table,
@@ -35,6 +34,7 @@ from wavelqr.riccati import (
     residual_arrays,
     solve_family,
 )
+from wavelqr.spectrum import coupled_truncated_are
 
 # Reference solution for the undamped Dirichlet fundamental mode with unit
 # weights (alpha=0, beta=R=1, Q=I), cross-validated against the Hamiltonian

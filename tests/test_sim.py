@@ -182,8 +182,9 @@ def modal_steps(T, dt):
 
 def reference_decoupled(cfg, sols, state0, T, dt):
     """(states, u_record, cost) of simulate_decoupled by its whole-trajectory
-    loop: one einsum step per row, then the controls and the cost integrand
-    of all rows at once."""
+    loop: one einsum step per row, then the per-mode controls and the cost
+    integrand of all rows at once; u_record sums the per-mode controls of
+    each step."""
     nsteps = modal_steps(T, dt)
     gains = np.stack([sols.k1, sols.k2], axis=1)
     qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
@@ -194,7 +195,7 @@ def reference_decoupled(cfg, sols, state0, T, dt):
         a[k + 1] = np.einsum("nij,nj->ni", props, a[k])
     u = np.einsum("nj,tnj->tn", gains, a)
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks, a) + cfg.R * np.sum(u**2, axis=1)
-    return a, u, running_quadrature(integrand, dt)
+    return a, u.sum(axis=1), running_quadrature(integrand, dt)
 
 
 def reference_coupled(cfg, sols, state0, T, dt):
@@ -584,7 +585,9 @@ class TestModalStride:
                                                         nsteps, stride):
         """The kept rows are steps 0, stride, 2 stride, ... and the last step,
         each equal to the bit to that row of the whole-trajectory loop, as
-        are times and cost.  The coupled controls are one matrix-vector
+        are times and cost.  u_record holds one control per step; the
+        decoupled one is the loop's per-mode controls summed by
+        .sum(axis=1), to the bit.  The coupled controls are one matrix-vector
         product per block, which BLAS may round differently from one over
         the whole trajectory: a few values may move, by at most 16 ulps."""
         res = self.stepped(simulator, boundary, alpha, nsteps, stride)
@@ -597,6 +600,7 @@ class TestModalStride:
         for got, want in ((res.states, states[kept]), (res.cost, cost),
                           (res.times, self.DT * np.arange(nsteps + 1))):
             np.testing.assert_array_equal(bits(got), bits(want))
+        assert res.u_record.shape == u_rec.shape == (nsteps + 1,)
         moved = np.abs(bits(res.u_record) - bits(u_rec))
         if simulator == "decoupled":
             assert not moved.any()
