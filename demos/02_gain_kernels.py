@@ -20,9 +20,9 @@ family = PowerLawWeights(q=1.0, r=5.0)
 for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
     sols = solve_family(cfg, family, 32)
-    kp = assemble_P(sols, grid, boundary)
+    kp = assemble_P(sols, grid)
     kq = assemble_Q(family, grid, boundary, 32)
-    kg = assemble_K(sols, cfg, grid)
+    kg = assemble_K(sols, grid)
 
     print(f"--- {boundary.value} ---")
     print(f"P(0.5, 0.5) =\n{kp.values[100, 100]}")
@@ -39,7 +39,7 @@ for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
 
     # the diagonal modal solution satisfies the kernel Riccati PDE only on
     # the diagonal Fourier coefficients; the off-diagonal defect survives
-    fields = pde_residual(cfg, sols, grid)
+    fields = pde_residual(sols, grid)
     print(f"kernel Riccati PDE residual field, max abs: {np.abs(fields.values).max():.4f}")
     print(f"Q series warnings: {summability_warnings(family) or 'none'}")
 

@@ -21,7 +21,7 @@ cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
 family = PowerLawWeights(q=1.0, r=2.5)
 sols = solve_family(cfg, family, 16)
 lam = open_loop_spectrum(cfg, sols.n)
-mu = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
+mu = closed_loop_spectrum(sols)
 abscissa = mu.real.max(axis=1)
 
 print("Undamped plant: open-loop eigenvalues are purely imaginary")
@@ -33,7 +33,7 @@ peak = int(np.argmax(np.abs(abscissa))) + 1
 print(f"\ndamping peaks at mode {peak} and then decreases: the higher the")
 print("spatial mode, the less damping the optimal feedback provides.")
 
-ev, absc = coupled_spectrum(cfg, sols)
+ev, absc = coupled_spectrum(sols)
 per_mode = abscissa.max()
 print(f"\ncoupled truncation spectral abscissa: {absc:.6f}")
 print(f"worst per-mode abscissa:              {per_mode:.6f}")

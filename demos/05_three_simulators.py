@@ -32,8 +32,8 @@ n = 2
 w = ModalWeight(n, 1.0, 0.0, 1.0)
 sol = modal_table(cfg, [n], [w.q11], [w.q12], [w.q22])
 state1 = ModalState(cfg.boundary, (n,), np.array([[1.0, 0.5]]))
-T = decay_horizon(cfg, sol)
-res = simulate_decoupled(cfg, sol, state1, T, 0.002)
+T = decay_horizon(sol)
+res = simulate_decoupled(sol, state1, T, 0.002)
 pred = predicted_cost(state1, sol).per_mode
 print(f"mode {n}: simulated cost over T={T:.2f}: {res.total_cost:.8f}")
 print(f"         Riccati prediction a0' P a0:  {pred:.8f}")
@@ -48,11 +48,11 @@ z1 = lambda x: np.sin(np.pi * x) + 0.4 * np.sin(2 * np.pi * x) - 0.2 * np.sin(5 
 z2 = lambda x: 0.3 * np.sin(3 * np.pi * x) + 0.1 * np.sin(8 * np.pi * x)
 
 x = np.linspace(0.0, 1.0, M + 1)
-profile = assemble_K(sols, cfg, x)
+profile = assemble_K(sols, x)
 fd = simulate_fd(cfg, profile, z1, z2, M, 5.0, cfl=0.9, family=family, N=N)
 t_end = fd.times[-1]
 state0 = project_initial(z1, z2, N, cfg.boundary)
-coupled = simulate_coupled_modal(cfg, sols, state0, t_end, t_end / 2500)
+coupled = simulate_coupled_modal(sols, state0, t_end, t_end / 2500)
 
 print(f"accumulated criterion over [0, {t_end:.3f}]:")
 print(f"  coupled modal:      {coupled.total_cost:.6f}")

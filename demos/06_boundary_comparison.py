@@ -35,7 +35,7 @@ for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
     cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
     t = solve_family(cfg, PowerLawWeights(q=q, r=r), 12)
     t = t[t.n >= 1]
-    mu = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+    mu = closed_loop_spectrum(t)
     damping.append(np.abs(mu.real.max(axis=1)))
 for n, d, nm in zip(range(1, 13), *damping):
     print(f"{n:>3} {d:>12.6f} {nm:>12.6f}")

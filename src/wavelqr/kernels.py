@@ -74,9 +74,9 @@ def _series_values(phi1, phi2, c11, c12, c22) -> np.ndarray:
     return planes.transpose(2, 3, 0, 1)
 
 
-def assemble_P(sols: ModalTable, grid, boundary: Boundary, grid_x2=None) -> KernelField:
-    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2)."""
-    boundary = Boundary(boundary)
+def assemble_P(sols: ModalTable, grid, grid_x2=None) -> KernelField:
+    """Truncated series P(x1, x2) = sum_n P^n phi_n(x1) phi_n(x2) in the table's basis."""
+    boundary = sols.cfg.boundary
     grid_x1 = np.asarray(grid, dtype=float)
     grid_x2 = grid_x1 if grid_x2 is None else np.asarray(grid_x2, dtype=float)
     phi1 = basis_matrix(boundary, sols.n, grid_x1)
@@ -85,7 +85,7 @@ def assemble_P(sols: ModalTable, grid, boundary: Boundary, grid_x2=None) -> Kern
     return KernelField(grid_x1, grid_x2, values)
 
 
-def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
+def assemble_K(sols: ModalTable, grid) -> GainProfile:
     """Gain kernel sum_n sign_n [K1^n, K2^n] phi_n(x) of the table's gain columns.
 
     With K^n = -R^-1 G[1] [P21^n, P22^n] it is the boundary trace of the
@@ -96,9 +96,9 @@ def assemble_K(sols: ModalTable, cfg: WaveConfig, grid) -> GainProfile:
     the (-1)^n being cos(n pi) from evaluating the kernel at x1 = 1.
     """
     grid = np.asarray(grid, dtype=float)
-    sign = gain_expansion_sign(cfg.boundary, sols.n)
+    sign = gain_expansion_sign(sols.cfg.boundary, sols.n)
     coeff = sign[:, None] * np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
-    values = basis_matrix(cfg.boundary, sols.n, grid).T @ coeff
+    values = basis_matrix(sols.cfg.boundary, sols.n, grid).T @ coeff
     return GainProfile(grid, values)
 
 
@@ -120,9 +120,9 @@ def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> Kernel
     return KernelField(grid, grid, values)
 
 
-def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
+def residual_coefficient_matrices(sols: ModalTable):
     """Double-basis coefficients of the four PDE residual fields, with the
-    weights Q taken from the table.
+    problem and the weights Q taken from the table.
 
     Entry (i, j) multiplies phi_{m_i}(x1) phi_{n_j}(x2).  Diagonals carry the
     modal ARE residuals (zero at a solution); off-diagonals are minus the
@@ -130,7 +130,7 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
     -gamma^2 m n pi^2 P12^m P21^n for the first equation under Dirichlet
     actuation.
     """
-    modes, p11, p12, p22 = sols.n, sols.p11, sols.p12, sols.p22
+    cfg, modes, p11, p12, p22 = sols.cfg, sols.n, sols.p11, sols.p12, sols.p22
     q11, q12, q22 = sols.q11, sols.q12, sols.q22
     # np.sort, not np.unique: numpy's unique imports numpy.ma for a check
     # that a plain array never needs
@@ -139,29 +139,25 @@ def residual_coefficient_matrices(cfg: WaveConfig, sols: ModalTable):
     w2 = (modes * np.pi) ** 2
     g2 = cfg.gamma_sq
 
+    # the factors of the gain-kernel coefficients, t21 = t12 by symmetry
     if cfg.boundary == Boundary.DIRICHLET:
-        t12 = modes * np.pi * p12
-        t21 = t12
-        t22 = modes * np.pi * p22
+        factor = modes * np.pi
     else:
-        sign = gain_expansion_sign(cfg.boundary, modes)
-        t12 = sign * p12
-        t21 = t12
-        t22 = sign * p22
+        factor = gain_expansion_sign(cfg.boundary, modes)
+    t12, t22 = factor * p12, factor * p22
 
     lhs11 = -2.0 * w2 * p12 + q11
     lhs12 = p11 - cfg.alpha * p12 - w2 * p22 + q12
-    lhs21 = lhs12.copy()
     lhs22 = 2.0 * p12 - 2.0 * cfg.alpha * p22 + q22
 
-    m11 = np.diag(lhs11) - g2 * np.outer(t12, t21)
+    m11 = np.diag(lhs11) - g2 * np.outer(t12, t12)
     m12 = np.diag(lhs12) - g2 * np.outer(t12, t22)
-    m21 = np.diag(lhs21) - g2 * np.outer(t22, t21)
+    m21 = np.diag(lhs12) - g2 * np.outer(t22, t12)
     m22 = np.diag(lhs22) - g2 * np.outer(t22, t22)
     return modes, (m11, m12, m21, m22)
 
 
-def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> KernelField:
+def pde_residual(sols: ModalTable, grid) -> KernelField:
     """Defect fields of the kernel Riccati PDE for the truncated diagonal solution.
 
     values[..., a, b] is the defect of PDE component (a + 1, b + 1), each
@@ -170,16 +166,16 @@ def pde_residual(cfg: WaveConfig, sols: ModalTable, grid) -> KernelField:
     field vanishes; with several, the surviving residual is exactly the
     cross-frequency part of the quadratic right-hand side.
     """
-    modes, mats = residual_coefficient_matrices(cfg, sols)
+    modes, mats = residual_coefficient_matrices(sols)
     grid = np.asarray(grid, dtype=float)
-    phi = basis_matrix(cfg.boundary, modes, grid)
+    phi = basis_matrix(sols.cfg.boundary, modes, grid)
     planes = np.empty((2, 2, len(grid), len(grid)))
     for plane, m in zip(planes.reshape(4, len(grid), len(grid)), mats):
         np.matmul(phi.T @ m, phi, out=plane)
     return KernelField(grid, grid, planes.transpose(2, 3, 0, 1))
 
 
-def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, grid, weights) -> np.ndarray:
+def pde_residual_diagonal(sols: ModalTable, grid, weights) -> np.ndarray:
     """diag(proj f proj') of the four residual fields f, without forming the fields.
 
     proj = phi * weights / pairing weight is the quadrature projection onto
@@ -192,14 +188,14 @@ def pde_residual_diagonal(cfg: WaveConfig, sols: ModalTable, grid, weights) -> n
     r11, r12, r21, r22.  Gamma is accumulated over blocks of GRAM_BLOCK grid
     points, so memory is O(k^2 + k * GRAM_BLOCK) whatever the grid size.
     """
-    modes, mats = residual_coefficient_matrices(cfg, sols)
+    modes, mats = residual_coefficient_matrices(sols)
     grid = np.asarray(grid, dtype=float)
     weights = np.asarray(weights, dtype=float)
     gram = np.zeros((len(modes), len(modes)))
     for lo in range(0, len(grid), GRAM_BLOCK):
-        phi = basis_matrix(cfg.boundary, modes, grid[lo:lo + GRAM_BLOCK])
+        phi = basis_matrix(sols.cfg.boundary, modes, grid[lo:lo + GRAM_BLOCK])
         gram += (phi * weights[lo:lo + GRAM_BLOCK]) @ phi.T
-    gram /= projection_weight(cfg.boundary, modes)[:, None]
+    gram /= projection_weight(sols.cfg.boundary, modes)[:, None]
     return np.stack([np.einsum("ij,ij->i", gram @ m, gram) for m in mats])
 
 
@@ -227,9 +223,9 @@ class SeriesReport:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Series verdicts, and the fit-window solutions the fitted exponents come from."""
+    """Series verdicts, and the fit-window solutions the fitted exponents come
+    from, whose cfg holds the boundary."""
 
-    boundary: Boundary
     r: float
     series: tuple[SeriesReport, ...]
     fit: ModalTable
@@ -242,7 +238,7 @@ class ConvergenceReport:
 
     def as_dict(self) -> dict:
         return {
-            "boundary": self.boundary.value,
+            "boundary": self.fit.cfg.boundary.value,
             "r": self.r,
             "series": [asdict(s) for s in self.series],
         }
@@ -287,8 +283,8 @@ def convergence_report(
     for N in sorted(int(N) for N in N_list):
         sols = solve_family(cfg, family, N)
         sampled["Q"].append(assemble_Q(family, grid, cfg.boundary, N).values[:, :, 0, 0].copy())
-        sampled["K"].append(np.abs(assemble_K(sols, cfg, grid).values).max(axis=1))
-        sampled["P11"].append(assemble_P(sols, grid, cfg.boundary).values[:, :, 0, 0].copy())
+        sampled["K"].append(np.abs(assemble_K(sols, grid).values).max(axis=1))
+        sampled["P11"].append(assemble_P(sols, grid).values[:, :, 0, 0].copy())
     diffs = {name: [float(np.abs(b - a).max()) for a, b in zip(f, f[1:])]
              for name, f in sampled.items()}
 
@@ -306,4 +302,4 @@ def convergence_report(
                 cauchy_decreasing=decreasing,
             )
         )
-    return ConvergenceReport(cfg.boundary, family.r, tuple(reports), fit)
+    return ConvergenceReport(family.r, tuple(reports), fit)

@@ -227,17 +227,14 @@ def finite_value(value, name: str) -> float:
 
 
 def wave_config_from_dict(doc: Mapping) -> WaveConfig:
-    """Build a WaveConfig from the JSON document fields."""
+    """Build a WaveConfig from the JSON document fields; WaveConfig supplies
+    the constants the document leaves out."""
     try:
         boundary = Boundary(str(doc["boundary"]).lower())
     except (KeyError, ValueError) as exc:
         raise ValueError(f"boundary must be 'dirichlet' or 'neumann': {exc}") from exc
-    return WaveConfig(
-        boundary=boundary,
-        alpha=finite_value(doc.get("alpha", 0.0), "alpha"),
-        beta=finite_value(doc.get("beta", 1.0), "beta"),
-        R=finite_value(doc.get("R", 1.0), "R"),
-    )
+    given = {name: finite_value(doc[name], name) for name in ("alpha", "beta", "R") if name in doc}
+    return WaveConfig(boundary, **given)
 
 
 def weight_family_from_dict(doc: Mapping, boundary: Boundary) -> WeightFamily:

@@ -81,14 +81,22 @@ def _scale(qmax, pmax):
     return 1.0 + qmax + np.float_power(pmax, 2)
 
 
+def symmetric_blocks(c11, c12, c22) -> np.ndarray:
+    """[[c11, c12], [c12, c22]] as a C-contiguous (k, 2, 2) array: einsum sums
+    a strided view in another order, which moves a sum in its last bits."""
+    return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
+
+
 @dataclass(frozen=True, eq=False)
 class ModalTable:
     """Closed-form solutions of many modes as columns; ``residuals`` is (k, 4).
 
-    A slice, a mask or an index array selects a sub-table; a single row is
-    read from the columns.
+    cfg is the problem solved, which every consumer of the table reads.  A
+    slice, a mask or an index array selects a sub-table of the same cfg; a
+    single row is read from the columns.
     """
 
+    cfg: WaveConfig
     n: np.ndarray
     q11: np.ndarray
     q12: np.ndarray
@@ -108,12 +116,12 @@ class ModalTable:
     def __getitem__(self, rows):
         if isinstance(rows, (int, np.integer)):
             raise TypeError("a ModalTable selects sub-tables; read a single row from its columns")
-        return ModalTable(*(getattr(self, f.name)[rows] for f in fields(self)))
+        return ModalTable(self.cfg, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
 
     @property
     def matrices(self) -> np.ndarray:
         """The Riccati matrices stacked as (k, 2, 2)."""
-        return np.stack([[self.p11, self.p12], [self.p12, self.p22]]).transpose(2, 0, 1)
+        return symmetric_blocks(self.p11, self.p12, self.p22)
 
 
 def input_gain_sq(cfg: WaveConfig, n) -> np.ndarray:
@@ -185,14 +193,14 @@ def modal_table(cfg: WaveConfig, n, q11, q12, q22) -> ModalTable:
             f"(min eigenvalue {min_eig[i]:.3e})"
         )
     return ModalTable(
-        n, q11, q12, q22, p11, p12, p22, k1, k2, res,
+        cfg, n, q11, q12, q22, p11, p12, p22, k1, k2, res,
         np.max(np.abs(res), axis=1, initial=0.0) / scale, min_eig,
     )
 
 
 def solve_family(cfg: WaveConfig, family: WeightFamily, N: int) -> ModalTable:
     """Closed-form solutions for every mode up to N: the table the kernels,
-    spectra and simulators read their modes and weights from."""
+    spectra and simulators read their modes, weights and problem from."""
     n = np.array(mode_range(cfg.boundary, N))
     return modal_table(cfg, n, *weight_arrays(family, n))
 
@@ -212,7 +220,7 @@ def negative_root_matrices(cfg: WaveConfig, n, q11, q12, q22) -> np.ndarray:
     disc = cfg.alpha**2 + c * (q22 + 2.0 * p12)
     p22 = (-cfg.alpha + np.sqrt(np.where(disc >= 0, disc, np.nan))) / c
     p11 = cfg.alpha * p12 + (w2 + c * p12) * p22 - q12
-    return np.stack([[p11, p12], [p12, p22]]).transpose(2, 0, 1)
+    return symmetric_blocks(p11, p12, p22)
 
 
 # ---------------------------------------------------------------------------

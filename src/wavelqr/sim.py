@@ -38,7 +38,7 @@ from .model import (
     weight_arrays,
 )
 from .quad import running_quadrature, simpson_weights, trapezoid_weights
-from .riccati import ModalTable
+from .riccati import ModalTable, symmetric_blocks
 from .spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
 
 
@@ -157,14 +157,11 @@ def _steps_for(T: float, dt: float) -> int:
     return n + (n % 2)  # even step count for composite Simpson prefixes
 
 
-def _blocks(c11, c12, c22) -> np.ndarray:
-    """Symmetric 2x2 blocks as a C-contiguous (k, 2, 2) array: einsum sums a
-    strided view in another order, which moves the cost in its last bits."""
-    return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
-
-
 def _check_modes(state0: ModalState, sols: ModalTable) -> None:
-    """Refuse a state whose modes are not, in order, the modes of the table."""
+    """Refuse a state whose boundary is not the table's, or whose modes are
+    not, in order, the modes of the table."""
+    if state0.boundary != sols.cfg.boundary:
+        raise ValueError("initial state boundary must be the solution table's boundary")
     if tuple(state0.modes) != tuple(sols.n.tolist()):
         raise ValueError("initial state modes must be the solution table's modes, in order")
 
@@ -363,7 +360,6 @@ def expm_pade(A) -> np.ndarray:
 
 
 def simulate_decoupled(
-    cfg: WaveConfig,
     sols: ModalTable,
     state0: ModalState,
     T: float,
@@ -372,9 +368,9 @@ def simulate_decoupled(
 ) -> SimResult:
     """Every mode under its own closed loop, each with its own control u_n.
 
-    state0 must hold the modes of sols.  A zero-weight row has zero gain and
-    runs open loop, so a zero-weight table gives the open-loop target
-    trajectory, with zero controls and zero cost.
+    state0 must hold the boundary and the modes of sols.  A zero-weight row
+    has zero gain and runs open loop, so a zero-weight table gives the
+    open-loop target trajectory, with zero controls and zero cost.
 
     One step is the exact propagator expm((F + G K) dt) of every mode, in
     closed form (expm_2x2).  The running cost integrates
@@ -389,8 +385,8 @@ def simulate_decoupled(
     _check_stride(stride)
     nrows = _steps_for(T, dt) + 1
     gains = np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
-    qblocks = _blocks(sols.q11, sols.q12, sols.q22)
-    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, sols.k1, sols.k2) * dt)
+    qblocks = symmetric_blocks(sols.q11, sols.q12, sols.q22)
+    props = expm_2x2(closed_loop_matrices(sols) * dt)
     u = np.empty(nrows)
     integrand = np.empty(nrows)
     states, blocks = _stream(state0.a, nrows, stride)
@@ -404,14 +400,13 @@ def simulate_decoupled(
         ub = np.einsum("nj,tnj->tn", gains, rows)
         u[start:end] = ub.sum(axis=1)
         integrand[start:end] = (np.einsum("tni,nij,tnj->t", rows, qblocks, rows)
-                                + cfg.R * np.sum(ub**2, axis=1))
+                                + sols.cfg.R * np.sum(ub**2, axis=1))
         del ub  # freed before the next block is stepped
     cost = running_quadrature(integrand, dt)
     return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
 
 def simulate_coupled_modal(
-    cfg: WaveConfig,
     sols: ModalTable,
     state0: ModalState,
     T: float,
@@ -420,12 +415,12 @@ def simulate_coupled_modal(
 ) -> SimResult:
     """System truncated to the modes of sols under the single shared control.
 
-    state0 must hold the modes of sols.  u(t) is the pairing-weighted,
-    expansion-signed combination of the modal gains of sols (the quadrature
-    of the gain kernel against z); a zero-weight row adds no feedback, and
-    every mode is forced through its true input vector.  The accumulated
-    cost is the field-frame criterion: the double space quadrature plus
-    R u^2.
+    state0 must hold the boundary and the modes of sols.  u(t) is the
+    pairing-weighted, expansion-signed combination of the modal gains of
+    sols (the quadrature of the gain kernel against z); a zero-weight row
+    adds no feedback, and every mode is forced through its true input
+    vector.  The accumulated cost is the field-frame criterion: the double
+    space quadrature plus R u^2.
 
     states keeps the rows that stride selects (see _stream); times,
     u_record and cost keep every step.  The controls of a block are one
@@ -435,14 +430,14 @@ def simulate_coupled_modal(
     _check_modes(state0, sols)
     _check_stride(stride)
     nrows = _steps_for(T, dt) + 1
-    modes, A, B, Krow = coupled_loop_parts(cfg, sols)
+    A, B, Krow = coupled_loop_parts(sols)
     A += B @ Krow  # the closed loop (A + B Krow) dt, in the buffer of A
     A *= dt
     prop = expm_pade(A)
     del A
     krow = Krow[0]
-    pw2 = projection_weight(cfg.boundary, modes) ** 2
-    qblocks = _blocks(sols.q11, sols.q12, sols.q22) * pw2[:, None, None]
+    pw2 = projection_weight(sols.cfg.boundary, sols.n) ** 2
+    qblocks = symmetric_blocks(sols.q11, sols.q12, sols.q22) * pw2[:, None, None]
     u = np.empty(nrows)
     integrand = np.empty(nrows)
     states, blocks = _stream(state0.a, nrows, stride)
@@ -454,7 +449,7 @@ def simulate_coupled_modal(
         # the controls and the cost integrand of the block
         end = start + len(rows)
         ub = u[start:end] = rows.reshape(len(rows), -1) @ krow
-        integrand[start:end] = np.einsum("tni,nij,tnj->t", rows, qblocks, rows) + cfg.R * ub**2
+        integrand[start:end] = np.einsum("tni,nij,tnj->t", rows, qblocks, rows) + sols.cfg.R * ub**2
     cost = running_quadrature(integrand, dt)
     return SimResult(times=dt * np.arange(nrows), states=states, u_record=u, cost=cost)
 
@@ -663,10 +658,11 @@ def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:
     per_mode sums a_n' P^n a_n directly (the frame in which the modal AREs
     are exact); field applies the basis-pairing weights (1/4 per sine or
     cosine mode, 1 for the Neumann mean mode) and equals the double
-    integral of z0' P(x1, x2) z0.  state0 must hold the modes of sols.
+    integral of z0' P(x1, x2) z0.  state0 must hold the boundary and the
+    modes of sols.
     """
     _check_modes(state0, sols)
-    P = _blocks(sols.p11, sols.p12, sols.p22)
+    P = sols.matrices
     a = state0.a
     quad_form = (a[:, None, :] @ P @ a[:, :, None])[:, 0, 0]
     pw2 = projection_weight(state0.boundary, state0.modes) ** 2
@@ -677,9 +673,9 @@ def predicted_cost(state0: ModalState, sols: ModalTable) -> CostPrediction:
     return CostPrediction(per_mode=float(per_mode), field=float(fieldv))
 
 
-def decay_horizon(cfg: WaveConfig, sols: ModalTable) -> float:
+def decay_horizon(sols: ModalTable) -> float:
     """Horizon after which the closed-loop cost tail is below 1e-8 of the cost."""
-    ev = closed_loop_spectrum(cfg, sols.n, sols.k1, sols.k2)
+    ev = closed_loop_spectrum(sols)
     absc = ev.real.max()
     if absc >= 0:
         raise ValueError("closed loop is not exponentially stable: no finite horizon")

@@ -130,7 +130,7 @@ def test_criterion_3_closed_loop_consistency():
             cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
             amp = np.array([q if m == 0 else q / float(m) ** r for m in n])
             t = modal_table(cfg, n, amp, np.zeros(len(n)), amp)
-            mu = closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
+            mu = closed_loop_spectrum(t)
             mu_plus, mu_minus = mu[:, 0], mu[:, 1]
             c = input_gain_sq(cfg, n)
             tr = -(alpha + c * t.p22)
@@ -151,7 +151,7 @@ def test_criterion_3_closed_loop_consistency():
             worst_conj = max(worst_conj, *np.abs(mu_minus - mu_plus.conjugate())[conj], 0.0)
     cfg0 = WaveConfig(Boundary.DIRICHLET, alpha=0.0)
     t0 = modal_table(cfg0, [3], [0.0], [0.0], [0.0])
-    marginal = closed_loop_spectrum(cfg0, t0.n, t0.k1, t0.k2)
+    marginal = closed_loop_spectrum(t0)
     marginal_ok = classify(marginal[0].real.max()) is Stability.MARGINAL
     ok = worst_id <= 1e-10 and stable_ok and marginal_ok and worst_conj <= 1e-12
     report(3, ok, f"identity dev {worst_id:.2e}, conjugacy dev {worst_conj:.2e}, "
@@ -242,11 +242,11 @@ def test_criterion_5_lqr_value_identity():
             for n in (1, 2, 5, 20):
                 sol = modal_table(cfg, [n], [1.0], [0.0], [1.0])
                 st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
-                T = decay_horizon(cfg, sol)
-                mu = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+                T = decay_horizon(sol)
+                mu = closed_loop_spectrum(sol)
                 mu_mag = max(abs(mu[0, 0]), 1.0)
                 dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-                res = simulate_decoupled(cfg, sol, st, T, dt)
+                res = simulate_decoupled(sol, st, T, dt)
                 pred = predicted_cost(st, sol).per_mode
                 worst = max(worst, abs(res.total_cost - pred) / pred)
     ok = worst <= 1e-3
@@ -262,7 +262,7 @@ def test_criterion_6_pde_residual_structure():
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.2, R=0.8)
         fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)})
         sols = solve_family(cfg, fam, 6)
-        fields = pde_residual(cfg, sols, grid)
+        fields = pde_residual(sols, grid)
         single_max = max(single_max, float(np.abs(fields.values).max()))
 
     cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
@@ -271,7 +271,7 @@ def test_criterion_6_pde_residual_structure():
     )
     sols = solve_family(cfg, fam, 3)
     p12 = dict(zip(sols.n.tolist(), sols.p12))
-    fields = pde_residual(cfg, sols, grid)
+    fields = pde_residual(sols, grid)
     expect = np.zeros((201, 201))
     for m in (1, 3):
         for n in (1, 3):
@@ -302,11 +302,11 @@ def test_criterion_7_cross_simulator_agreement():
 
     fam = PowerLawWeights(1.0, 5.0)
     sols = solve_family(cfg, fam, N)
-    prof = assemble_K(sols, cfg, x)
+    prof = assemble_K(sols, x)
     rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
     t_end = rf.times[-1]
     st0 = project_initial(z1, z2, N, cfg.boundary)
-    rm = simulate_coupled_modal(cfg, sols, st0, t_end, t_end / 2500)
+    rm = simulate_coupled_modal(sols, st0, t_end, t_end / 2500)
 
     # the gain kernel is band limited, so the first N mode coefficients of
     # the PDE close exactly onto the coupled truncation; compare there
@@ -349,9 +349,9 @@ def test_criterion_8_block_triangular_coupled_spectrum():
         N = 8
         # the full table: every other mode is a zero-weight row with zero gain
         sols = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
-        ev, _ = coupled_spectrum(cfg, sols)
+        ev, _ = coupled_spectrum(sols)
         row = sols[sols.n == k]
-        mu = closed_loop_spectrum(cfg, row.n, row.k1, row.k2)
+        mu = closed_loop_spectrum(row)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
         expect = np.concatenate([mu[0], open_loop_spectrum(cfg, others).ravel()])
         assert len(ev) == len(expect) == 2 * len(sols)

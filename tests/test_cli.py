@@ -898,9 +898,9 @@ def test_kernel_files_match_per_row_rendering(tmp_path, boundary, weights):
     same_q = np.array_equal(q[..., 0, 0].view(np.int64), q[..., 1, 1].view(np.int64))
     assert same_q == (weights == "power")
     assert (len(np.unique(q[..., 0, 1].view(np.int64))) == 1) == (weights == "power")
-    fields = pde_residual(rc.wave, sols, grid)
+    fields = pde_residual(sols, grid)
     planes = {
-        "kernel_P.csv": assemble_P(sols, grid, rc.wave.boundary).values.reshape(21, 21, 4),
+        "kernel_P.csv": assemble_P(sols, grid).values.reshape(21, 21, 4),
         "kernel_Q.csv": q.reshape(21, 21, 4),
         "pde_residual.csv": fields.values.reshape(21, 21, 4),
     }

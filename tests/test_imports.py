@@ -5,9 +5,14 @@ __init__.py is exempt from the first: it imports names to re-export them.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+from wavelqr import kernels, sim, spectrum
+from wavelqr.model import Boundary, WaveConfig
+from wavelqr.riccati import ModalTable
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "wavelqr"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -64,3 +69,27 @@ def test_no_local_or_private_cross_imports():
                 found += [f"{path.name}:{node.lineno}: private {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
     assert sorted(found) == []
+
+
+#: assemble_Q and simulate_fd still take problem data (a boundary or cfg, a
+#: family and N) and no table: the benchmark's tracing shim binds those
+#: parameters by name (test_benchmark_contract.py), so they move onto the
+#: table together with the shim, and stay out of this check until then
+PROBLEM_DATA_EXEMPT = {"assemble_Q", "simulate_fd"}
+
+
+def test_table_consumers_take_no_problem_data():
+    """A public function of spectrum, kernels or sim that takes a ModalTable
+    reads the problem from its cfg: it takes no WaveConfig and no Boundary
+    beside the table, which could name another problem than the table's."""
+    found = []
+    for mod in (spectrum, kernels, sim):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            if fn.__module__ != mod.__name__ or name.startswith("_") or name in PROBLEM_DATA_EXEMPT:
+                continue
+            params = inspect.signature(fn).parameters.values()
+            if any(p.annotation is ModalTable for p in params):
+                found += [f"{mod.__name__}.{name}({p.name})" for p in params
+                          if p.annotation in (WaveConfig, Boundary)
+                          or p.name in ("cfg", "boundary")]
+    assert found == []

@@ -48,15 +48,15 @@ class TestAssembleP:
     def test_single_mode_midpoint_identity(self, dirichlet_cfg):
         ones = np.ones(1)
         unit = replace(zero_table(dirichlet_cfg, [1]), p11=ones, p12=ones, p22=ones)
-        kf = assemble_P(unit, np.array([0.5]), Boundary.DIRICHLET)
+        kf = assemble_P(unit, np.array([0.5]))
         np.testing.assert_allclose(kf.values[0, 0], np.ones((2, 2)), rtol=1e-15)
 
     def test_symmetry_at_random_pairs(self, rng, dirichlet_cfg):
         sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 16)
         a = rng.random(100)
         b = rng.random(100)
-        kab = assemble_P(sols, a, Boundary.DIRICHLET, grid_x2=b)
-        kba = assemble_P(sols, b, Boundary.DIRICHLET, grid_x2=a)
+        kab = assemble_P(sols, a, grid_x2=b)
+        kba = assemble_P(sols, b, grid_x2=a)
         for i in range(100):
             np.testing.assert_allclose(
                 kab.values[i, i], kba.values[i, i].T, rtol=0, atol=1e-14
@@ -65,7 +65,7 @@ class TestAssembleP:
     def test_dirichlet_boundary_rows_vanish(self, dirichlet_cfg):
         sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 32)
         grid = np.linspace(0.0, 1.0, 101)
-        kf = assemble_P(sols, grid, Boundary.DIRICHLET)
+        kf = assemble_P(sols, grid)
         assert np.abs(kf.values[0]).max() < 1e-12
         assert np.abs(kf.values[-1]).max() < 1e-12
         assert np.abs(kf.values[:, 0]).max() < 1e-12
@@ -75,7 +75,7 @@ class TestAssembleP:
         sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0), 16)
         h = 1e-3
         grid = np.array([0.0, h, 2 * h, 1.0 - 2 * h, 1.0 - h, 1.0])
-        kf = assemble_P(sols, grid, Boundary.NEUMANN)
+        kf = assemble_P(sols, grid)
         # curvature bound of the truncated series scales the O(h^2) slope
         curv = np.sum(np.abs(sols.matrices).max(axis=(1, 2)) * (sols.n * np.pi) ** 2)
         left = np.abs(kf.values[1] - kf.values[0]).max() / h
@@ -84,7 +84,7 @@ class TestAssembleP:
         assert right <= 0.6 * curv * h
 
     def test_empty_solutions(self, dirichlet_cfg):
-        kf = assemble_P(zero_table(dirichlet_cfg, []), np.linspace(0, 1, 5), Boundary.DIRICHLET)
+        kf = assemble_P(zero_table(dirichlet_cfg, []), np.linspace(0, 1, 5))
         assert kf.values.shape == (5, 5, 2, 2) and np.all(kf.values == 0.0)
 
     def test_cauchy_tail_regression_p11(self, dirichlet_cfg):
@@ -99,7 +99,7 @@ class TestAssembleP:
         def tail_sup(n1, n2):
             fam = PowerLawWeights(1.0, 5.0)
             sols = family_table(dirichlet_cfg, fam, np.arange(n1 + 1, n2 + 1))
-            kf = assemble_P(sols, grid, Boundary.DIRICHLET)
+            kf = assemble_P(sols, grid)
             return float(np.abs(kf.values[:, :, 0, 0]).max())
 
         d1 = tail_sup(128, 256)
@@ -129,7 +129,7 @@ class TestSeriesAssemblyAgainstEinsum:
         cfg = WaveConfig(boundary, alpha=0.2, beta=1.5, R=0.7)
         sols = solve_family(cfg, PowerLawWeights(2.0, 3.5), N)
         grid = np.linspace(0.0, 1.0, points)
-        kf = assemble_P(sols, grid, boundary)
+        kf = assemble_P(sols, grid)
         phi = basis_matrix(boundary, sols.n, grid)
         assert_matches_reference(kf.values, einsum_series(sols.matrices, phi, phi))
 
@@ -139,7 +139,7 @@ class TestSeriesAssemblyAgainstEinsum:
         sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), 40)
         x1 = rng.random(17)
         x2 = rng.random(9)
-        kf = assemble_P(sols, x1, boundary, grid_x2=x2)
+        kf = assemble_P(sols, x1, grid_x2=x2)
         ref = einsum_series(sols.matrices, basis_matrix(boundary, sols.n, x1),
                             basis_matrix(boundary, sols.n, x2))
         assert_matches_reference(kf.values, ref)
@@ -164,14 +164,14 @@ class TestSeriesAssemblyAgainstEinsum:
 class TestAssembleK:
     def test_zero_solutions_zero_profile(self, dirichlet_cfg):
         sols = zero_table(dirichlet_cfg, range(1, 5))
-        prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 11))
+        prof = assemble_K(sols, np.linspace(0, 1, 11))
         assert np.all(prof.values == 0.0)
 
     def test_single_dirichlet_mode_shape(self, dirichlet_cfg):
         n = 3
         sol = one_mode(dirichlet_cfg, ModalWeight(n, 1.0, 0.0, 1.0))
         grid = np.linspace(0.0, 1.0, 41)
-        prof = assemble_K(sol, dirichlet_cfg, grid)
+        prof = assemble_K(sol, grid)
         scale = -(dirichlet_cfg.beta / dirichlet_cfg.R) * n * np.pi
         coef = scale * np.array([sol.p12[0], sol.p22[0]])
         expect = np.outer(np.sin(n * np.pi * grid), coef)
@@ -179,7 +179,7 @@ class TestAssembleK:
 
     def test_dirichlet_profile_vanishes_at_ends(self, dirichlet_cfg):
         sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 3.0), 24)
-        prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 21))
+        prof = assemble_K(sols, np.linspace(0, 1, 21))
         assert np.abs(prof.values[0]).max() < 1e-12
         assert np.abs(prof.values[-1]).max() < 1e-12
 
@@ -189,29 +189,29 @@ class TestAssembleK:
         sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 8)
         grid = np.linspace(0.0, 1.0, 21)
         h = 1e-6
-        k_near = assemble_P(sols, np.array([0.0, h, 2 * h]), Boundary.DIRICHLET, grid_x2=grid)
+        k_near = assemble_P(sols, np.array([0.0, h, 2 * h]), grid_x2=grid)
         dP21 = (-3 * k_near.values[0, :, 1, 0] + 4 * k_near.values[1, :, 1, 0]
                 - k_near.values[2, :, 1, 0]) / (2 * h)
         dP22 = (-3 * k_near.values[0, :, 1, 1] + 4 * k_near.values[1, :, 1, 1]
                 - k_near.values[2, :, 1, 1]) / (2 * h)
         expect = -(dirichlet_cfg.beta / dirichlet_cfg.R) * np.stack([dP21, dP22], axis=1)
-        prof = assemble_K(sols, dirichlet_cfg, grid)
+        prof = assemble_K(sols, grid)
         np.testing.assert_allclose(prof.values, expect, rtol=1e-6, atol=1e-8)
 
     def test_neumann_matches_kernel_value_trace(self, neumann_cfg):
         # K(x2) = -R^-1 beta P(1, x2), rows (2,1) and (2,2)
         sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 7.0), 8)
         grid = np.linspace(0.0, 1.0, 21)
-        edge = assemble_P(sols, np.array([1.0]), Boundary.NEUMANN, grid_x2=grid)
+        edge = assemble_P(sols, np.array([1.0]), grid_x2=grid)
         expect = -(neumann_cfg.beta / neumann_cfg.R) * np.stack(
             [edge.values[0, :, 1, 0], edge.values[0, :, 1, 1]], axis=1
         )
-        prof = assemble_K(sols, neumann_cfg, grid)
+        prof = assemble_K(sols, grid)
         np.testing.assert_allclose(prof.values, expect, rtol=0, atol=1e-13)
 
     def test_neumann_single_mode_sign_flip_at_origin(self, neumann_cfg):
         sol = one_mode(neumann_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        prof = assemble_K(sol, neumann_cfg, np.array([0.0]))
+        prof = assemble_K(sol, np.array([0.0]))
         expect = +(neumann_cfg.beta / neumann_cfg.R) * np.array([sol.p12[0], sol.p22[0]])
         np.testing.assert_allclose(prof.values[0], expect, rtol=1e-14)
 
@@ -243,13 +243,13 @@ class TestPdeResidual:
         fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.2, 2.0)})
         sols = solve_family(cfg, fam, 6)
         grid = np.linspace(0.0, 1.0, 201)
-        fields = pde_residual(cfg, sols, grid)
+        fields = pde_residual(sols, grid)
         assert np.abs(fields.values).max() <= 1e-10
 
     def test_zero_weights_zero_residual(self, dirichlet_cfg):
         fam = ExplicitWeights({})
         sols = solve_family(dirichlet_cfg, fam, 4)
-        fields = pde_residual(dirichlet_cfg, sols, np.linspace(0, 1, 51))
+        fields = pde_residual(sols, np.linspace(0, 1, 51))
         assert fields.values.shape == (51, 51, 2, 2)
         assert np.abs(fields.values).max() == 0.0
 
@@ -262,7 +262,7 @@ class TestPdeResidual:
         sols = solve_family(dirichlet_cfg, fam, 3)
         p12 = dict(zip(sols.n.tolist(), sols.p12))
         grid = np.linspace(0.0, 1.0, 201)
-        fields = pde_residual(dirichlet_cfg, sols, grid)
+        fields = pde_residual(sols, grid)
         g2 = dirichlet_cfg.gamma_sq
         expect = np.zeros((201, 201))
         for m in (1, 3):
@@ -278,7 +278,7 @@ class TestPdeResidual:
     def test_diagonal_coefficients_match_modal_residuals(self, neumann_cfg):
         fam = PowerLawWeights(1.0, 4.0)
         sols = solve_family(neumann_cfg, fam, 6)
-        modes, mats = residual_coefficient_matrices(neumann_cfg, sols)
+        modes, mats = residual_coefficient_matrices(sols)
         for m, key in zip(mats, range(4)):
             np.testing.assert_allclose(
                 np.diag(m), sols.residuals[:, key], atol=1e-14
@@ -289,7 +289,7 @@ class TestPdeResidual:
         sols = solve_family(dirichlet_cfg, fam, 12)
         npts = 1001
         grid = np.linspace(0.0, 1.0, npts)
-        fields = pde_residual(dirichlet_cfg, sols, grid)
+        fields = pde_residual(sols, grid)
         wq = simpson_weights(npts, grid[1] - grid[0])
         phi = basis_matrix(Boundary.DIRICHLET, sols.n, grid)
         pw = projection_weight(Boundary.DIRICHLET, sols.n)
@@ -312,11 +312,11 @@ class TestPdeResidual:
         npts = max(401, 20 * N + 1)
         grid = np.linspace(0.0, 1.0, npts)
         wq = simpson_weights(npts, grid[1] - grid[0])
-        fields = pde_residual(cfg, sols, grid)
+        fields = pde_residual(sols, grid)
         proj = basis_matrix(boundary, sols.n, grid) * wq / projection_weight(boundary, sols.n)[:, None]
         ref = np.stack([np.diag(proj @ f @ proj.T)
                         for f in fields.values.transpose(2, 3, 0, 1).reshape(4, npts, npts)])
-        got = pde_residual_diagonal(cfg, sols, grid, wq)
+        got = pde_residual_diagonal(sols, grid, wq)
         assert got.shape == (4, len(sols))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
 
@@ -324,7 +324,7 @@ class TestPdeResidual:
         fam = PowerLawWeights(1.0, 5.0)
         sol = family_table(dirichlet_cfg, fam, [1])
         with pytest.raises(ValueError, match="more than once"):
-            pde_residual(dirichlet_cfg, sol[[0, 0]], np.linspace(0, 1, 11))
+            pde_residual(sol[[0, 0]], np.linspace(0, 1, 11))
 
 
 class TestDecayFit:

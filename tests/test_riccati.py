@@ -189,6 +189,13 @@ class TestModalTable:
         with pytest.raises(TypeError):
             t[2]
 
+    def test_sub_tables_keep_the_problem(self):
+        cfg = WaveConfig(Boundary.NEUMANN, alpha=0.3, beta=1.2, R=0.8)
+        t = solve_family(cfg, PowerLawWeights(1.0, 4.0), 5)
+        assert t.cfg is cfg
+        for sub in (t[1:4], t[t.n % 2 == 0], t[[4, 0]], t[t.n > 9]):
+            assert sub.cfg is cfg
+
 
 class TestResiduals:
     def test_solution_residuals_small(self, dirichlet_cfg):
@@ -376,13 +383,13 @@ class TestModalGain:
 class TestCoupledTruncatedAre:
     def test_all_zero_weights_damped(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=1.0)
-        ca = coupled_truncated_are(cfg, solve_family(cfg, ExplicitWeights({}), 3))
+        ca = coupled_truncated_are(solve_family(cfg, ExplicitWeights({}), 3))
         np.testing.assert_allclose(ca.P_big, 0.0, atol=1e-12)
         assert ca.dev_P_fro <= 1e-12
 
     def test_all_zero_weights_undamped_raises(self, dirichlet_cfg):
         with pytest.raises(OracleError):
-            coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, ExplicitWeights({}), 3))
+            coupled_truncated_are(solve_family(dirichlet_cfg, ExplicitWeights({}), 3))
 
     @pytest.mark.parametrize(
         "boundary,k",
@@ -395,7 +402,7 @@ class TestCoupledTruncatedAre:
         # rigid displacement never decays on its own.
         cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=1.0)
         fam = ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)})
-        ca = coupled_truncated_are(cfg, solve_family(cfg, fam, 4))
+        ca = coupled_truncated_are(solve_family(cfg, fam, 4))
         sol = one_mode(cfg, ModalWeight(k, 1.0, 0.0, 1.0))
         i = ca.modes.index(k)
         block = ca.P_big[2 * i : 2 * i + 2, 2 * i : 2 * i + 2]
@@ -410,17 +417,17 @@ class TestCoupledTruncatedAre:
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.3, beta=1.0, R=1.0)
         fam = ExplicitWeights({2: ModalWeight(2, 1.0, 0.0, 1.0)})
         with pytest.raises(OracleError):
-            coupled_truncated_are(cfg, solve_family(cfg, fam, 4))
+            coupled_truncated_are(solve_family(cfg, fam, 4))
 
     def test_deviation_regression_dirichlet(self, dirichlet_cfg):
-        ca = coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4))
+        ca = coupled_truncated_are(solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4))
         np.testing.assert_allclose(ca.dev_P_fro, 0.6337634296056578, rtol=1e-6)
         np.testing.assert_allclose(ca.dev_P_max, 0.37439606705414996, rtol=1e-6)
         np.testing.assert_allclose(ca.dev_K_fro, 0.7486282861520073, rtol=1e-6)
 
     def test_big_solution_is_exact_are_solution(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0)
-        ca = coupled_truncated_are(dirichlet_cfg, solve_family(dirichlet_cfg, fam, 4))
+        ca = coupled_truncated_are(solve_family(dirichlet_cfg, fam, 4))
         A, B, Qb = _coupled_plant(dirichlet_cfg, fam, 4)
         res = A.T @ ca.P_big + ca.P_big @ A - ca.P_big @ B @ B.T @ ca.P_big + Qb
         assert np.max(np.abs(res)) < 1e-9
@@ -448,7 +455,7 @@ def _solved_weakly_damped_plant(boundary, alpha, N):
     """coupled_truncated_are at q=1, r=5, beta=R=1, checked for residual and stability."""
     cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
     fam = PowerLawWeights(1.0, 5.0)
-    ca = coupled_truncated_are(cfg, solve_family(cfg, fam, N))
+    ca = coupled_truncated_are(solve_family(cfg, fam, N))
     A, B, Qb = _coupled_plant(cfg, fam, N)
     R = np.array([[cfg.R]])
     assert _care_residual(A, B, Qb, R, ca.P_big) <= TOL_ORACLE
@@ -460,7 +467,9 @@ def _coupled_plant(cfg, fam, N):
     """(A, B, Q) of the truncated coupled plant in pairing-weighted coordinates."""
     from wavelqr.spectrum import coupled_loop_parts
 
-    modes, A, B, _ = coupled_loop_parts(cfg, solve_family(cfg, fam, N))
+    sols = solve_family(cfg, fam, N)
+    modes = sols.n
+    A, B, _ = coupled_loop_parts(sols)
     B = B * np.repeat(projection_weight(cfg.boundary, modes), 2)[:, None]
     q11, q12, q22 = weight_arrays(fam, modes)
     Qb = np.zeros_like(A)

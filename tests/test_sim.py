@@ -54,7 +54,7 @@ def no_gains(cfg, N):
 def open_loop(cfg, st, T, dt):
     """simulate_decoupled on the zero-weight table of st's modes: the open-loop
     target trajectory."""
-    return simulate_decoupled(cfg, no_gains(cfg, max(st.modes)), st, T, dt)
+    return simulate_decoupled(no_gains(cfg, max(st.modes)), st, T, dt)
 
 
 def open_loop_reference(cfg, st, times):
@@ -188,7 +188,7 @@ def reference_decoupled(cfg, sols, state0, T, dt):
     nsteps = modal_steps(T, dt)
     gains = np.stack([sols.k1, sols.k2], axis=1)
     qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
-    props = expm_2x2(closed_loop_matrices(cfg, state0.modes, sols.k1, sols.k2) * dt)
+    props = expm_2x2(closed_loop_matrices(sols) * dt)
     a = np.empty((nsteps + 1, len(state0.modes), 2))
     a[0] = state0.a
     for k in range(nsteps):
@@ -204,7 +204,8 @@ def reference_coupled(cfg, sols, state0, T, dt):
     (A + B Krow) dt, one matrix-vector step per row, then the controls and
     the cost integrand of all rows at once."""
     nsteps = modal_steps(T, dt)
-    modes, A, B, Krow = coupled_loop_parts(cfg, sols)
+    modes = sols.n
+    A, B, Krow = coupled_loop_parts(sols)
     prop = expm_pade((A + B @ Krow) * dt)
     s = np.empty((nsteps + 1, 2 * len(modes)))
     s[0] = state0.a.reshape(-1)
@@ -311,8 +312,8 @@ def closed_loops(boundary, params, N):
     alpha, beta, R, q, r = params
     cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
     sols = solve_family(cfg, PowerLawWeights(q, r), N)
-    _, A, B, Krow = coupled_loop_parts(cfg, sols)
-    return closed_loop_matrices(cfg, sols.n, sols.k1, sols.k2), A + B @ Krow
+    A, B, Krow = coupled_loop_parts(sols)
+    return closed_loop_matrices(sols), A + B @ Krow
 
 
 def deviation(got, ref):
@@ -434,7 +435,7 @@ class TestExponentials:
                  for b in ("dirichlet", "neumann") for N in (8, 64, 128, 256)]
         for doc in docs:
             rc = parse_config(doc)
-            _, A, B, Krow = coupled_loop_parts(rc.wave, solve_family(rc.wave, rc.family, rc.N))
+            A, B, Krow = coupled_loop_parts(solve_family(rc.wave, rc.family, rc.N))
             _, squarings = pade_path((A + B @ Krow) * rc.sim.dt)
             assert squarings == 0, (doc["boundary"], doc["N"])
 
@@ -450,7 +451,7 @@ class TestSimulateDecoupled:
         fam = ExplicitWeights({})
         sols = solve_family(cfg, fam, 3)
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3), np.ones((3, 2)))
-        res = simulate_decoupled(cfg, sols, st, 2.0, 0.01)
+        res = simulate_decoupled(sols, st, 2.0, 0.01)
         assert np.all(res.cost == 0.0)
         ref = open_loop_reference(cfg, st, res.times)
         np.testing.assert_allclose(res.states, ref, atol=1e-12)
@@ -461,9 +462,9 @@ class TestSimulateDecoupled:
         a0 = np.array([[0.5, -0.2], [1.0, 0.4]])
         st = ModalState(Boundary.DIRICHLET, (1, 2), a0)
         dt = 0.01
-        res = simulate_decoupled(dirichlet_cfg, sols, st, 1.0, dt)
+        res = simulate_decoupled(sols, st, 1.0, dt)
         k = 37
-        A = closed_loop_matrices(dirichlet_cfg, sols.n, sols.k1, sols.k2)
+        A = closed_loop_matrices(sols)
         for i in range(len(sols)):
             prop = expm(A[i] * (k * dt))
             np.testing.assert_allclose(res.states[k, i], prop @ a0[i], rtol=1e-10, atol=1e-13)
@@ -477,11 +478,11 @@ class TestSimulateDecoupled:
         w = ModalWeight(n, 1.0, 0.0, 1.0)
         sol = one_mode(cfg, w)
         st = ModalState(boundary, (n,), np.array([[1.0, 0.5]]))
-        T = decay_horizon(cfg, sol)
-        mu = closed_loop_spectrum(cfg, sol.n, sol.k1, sol.k2)
+        T = decay_horizon(sol)
+        mu = closed_loop_spectrum(sol)
         mu_mag = max(abs(mu[0, 0]), 1.0)
         dt = min(2 * np.pi / mu_mag / 40.0, T / 50.0)
-        res = simulate_decoupled(cfg, sol, st, T, dt)
+        res = simulate_decoupled(sol, st, T, dt)
         pred = predicted_cost(st, sol).per_mode
         assert abs(res.total_cost - pred) <= 1e-3 * pred
 
@@ -490,13 +491,13 @@ class TestSimulateDecoupled:
         sols = solve_family(dirichlet_cfg, fam, 1)
         st = ModalState(Boundary.DIRICHLET, (1,), np.ones((1, 2)))
         with pytest.raises(ValueError):
-            simulate_decoupled(dirichlet_cfg, sols, st, 1.0, 0.0)
+            simulate_decoupled(sols, st, 1.0, 0.0)
 
 
 class TestSimulateCoupled:
     def test_zero_gains_match_open_loop(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2, 3, 4), np.ones((4, 2)))
-        res = simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 2.0, 0.01)
+        res = simulate_coupled_modal(no_gains(dirichlet_cfg, 4), st, 2.0, 0.01)
         ref = open_loop_reference(dirichlet_cfg, st, res.times)
         np.testing.assert_allclose(res.states, ref, atol=1e-10)
         assert np.all(res.u_record == 0.0)
@@ -512,9 +513,9 @@ class TestSimulateCoupled:
         i = modes.index(k)
         a0[i] = [1.0, -0.3]
         st = ModalState(boundary, modes, a0)
-        res_c = simulate_coupled_modal(cfg, sols, st, 2.0, 0.005)
+        res_c = simulate_coupled_modal(sols, st, 2.0, 0.005)
         st1 = ModalState(boundary, (k,), a0[i : i + 1])
-        res_d = simulate_decoupled(cfg, sols[sols.n == k], st1, 2.0, 0.005)
+        res_d = simulate_decoupled(sols[sols.n == k], st1, 2.0, 0.005)
         np.testing.assert_allclose(res_c.states[:, i], res_d.states[:, 0], atol=1e-10)
 
     def test_driven_modes_respond(self, dirichlet_cfg):
@@ -525,7 +526,7 @@ class TestSimulateCoupled:
         a0 = np.zeros((3, 2))
         a0[0] = [1.0, 0.0]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(dirichlet_cfg, sols, st, 1.0, 0.005)
+        res = simulate_coupled_modal(sols, st, 1.0, 0.005)
         assert np.abs(res.states[-1, 1:]).max() > 1e-4
 
     def test_terminal_energy_regression(self, dirichlet_cfg):
@@ -536,7 +537,7 @@ class TestSimulateCoupled:
         for i in range(8):
             a0[i] = [1.0 / (i + 1) ** 2, 0.5 / (i + 1) ** 2]
         st = ModalState(Boundary.DIRICHLET, modes, a0)
-        res = simulate_coupled_modal(dirichlet_cfg, sols, st, 10.0, 0.002)
+        res = simulate_coupled_modal(sols, st, 10.0, 0.002)
         stT = ModalState(Boundary.DIRICHLET, modes, res.states[-1])
         ratio = modal_energy(stT) / modal_energy(st)
         assert ratio < 1.0
@@ -545,7 +546,7 @@ class TestSimulateCoupled:
     def test_mode_mismatch_rejected(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="modes"):
-            simulate_coupled_modal(dirichlet_cfg, no_gains(dirichlet_cfg, 4), st, 1.0, 0.01)
+            simulate_coupled_modal(no_gains(dirichlet_cfg, 4), st, 1.0, 0.01)
 
 
 class TestModalStride:
@@ -572,7 +573,7 @@ class TestModalStride:
             ref = reference_decoupled if simulator == "decoupled" else reference_coupled
             return ref(cfg, sols, st, T, TestModalStride.DT)
         run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
-        return run(cfg, sols, st, T, TestModalStride.DT, stride=stride)
+        return run(sols, st, T, TestModalStride.DT, stride=stride)
 
     @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
@@ -618,7 +619,7 @@ class TestModalStride:
         run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
         tracemalloc.start()
         try:
-            res = run(dirichlet_cfg, sols, st, 20.0, 0.002, stride=10)
+            res = run(sols, st, 20.0, 0.002, stride=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -682,7 +683,7 @@ class TestSimulateFd:
         prof = None
         if feedback != "open":
             x = np.linspace(0.0, 1.0, M + 1)
-            prof = assemble_K(solve_family(cfg, PowerLawWeights(1.0, 5.0), N), cfg, x)
+            prof = assemble_K(solve_family(cfg, PowerLawWeights(1.0, 5.0), N), x)
         kw = dict(family=fam, N=N) if feedback == "gain+family" else {}
         res = simulate_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
         states, u_rec, cost = reference_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
@@ -700,7 +701,7 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         N, M = 32, 400
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), dirichlet_cfg, x)
+        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), x)
         z1, z2 = band_limited(Boundary.DIRICHLET)
         tracemalloc.start()
         try:
@@ -718,8 +719,8 @@ class TestSimulateFd:
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.ones((2, 2)))
         runs = [
             lambda: simulate_fd(dirichlet_cfg, None, z1, z2, 64, 1.0, stride=stride),
-            lambda: simulate_decoupled(dirichlet_cfg, sols, st, 1.0, 0.01, stride=stride),
-            lambda: simulate_coupled_modal(dirichlet_cfg, sols, st, 1.0, 0.01, stride=stride),
+            lambda: simulate_decoupled(sols, st, 1.0, 0.01, stride=stride),
+            lambda: simulate_coupled_modal(sols, st, 1.0, 0.01, stride=stride),
         ]
         for run in runs:
             with pytest.raises(ValueError, match=f"stride must be an integer >= 1, got {stride!r}"):
@@ -734,7 +735,7 @@ class TestSimulateFd:
         M, N, cfl = 40, 6, 0.9
         fam = PowerLawWeights(1.0, 3.0)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(solve_family(cfg, fam, N), cfg, x)
+        prof = assemble_K(solve_family(cfg, fam, N), x)
         T = (nsteps - 0.5) * cfl / M
         args = (cfg, prof, *band_limited(boundary), M, T, cfl)
         if stride == 0:
@@ -775,7 +776,7 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         N, M = 32, 400
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), dirichlet_cfg, x)
+        prof = assemble_K(solve_family(dirichlet_cfg, fam, N), x)
         z1, z2 = band_limited(Boundary.DIRICHLET)
         tracemalloc.start()
         try:
@@ -818,7 +819,7 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 8)
         x = np.linspace(0, 1, 101)
-        prof = assemble_K(sols, dirichlet_cfg, x)
+        prof = assemble_K(sols, x)
         res = simulate_fd(dirichlet_cfg, prof, z1, z2, 100, 0.5, cfl=0.9, family=fam, N=8)
         np.testing.assert_allclose(
             res.states[:, 0, 0], dirichlet_cfg.beta * res.u_record, atol=1e-12
@@ -840,11 +841,11 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(sols, cfg, x)
+        prof = assemble_K(sols, x)
         rf = simulate_fd(cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, boundary)
-        rm = simulate_coupled_modal(cfg, sols, st0, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(sols, st0, t_end, t_end / 2500)
 
         a_fd = project_grid_state(boundary, st0.modes, x,
                                   rf.states[-1][:, 0], rf.states[-1][:, 1])
@@ -865,11 +866,11 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(sols, dirichlet_cfg, x)
+        prof = assemble_K(sols, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         t_end = rf.times[-1]
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, sols, st0, t_end, t_end / 2500)
+        rm = simulate_coupled_modal(sols, st0, t_end, t_end / 2500)
         zm, _ = reconstruct_field(ModalState(Boundary.DIRICHLET, st0.modes, rm.states[-1]), x)
         err = np.sqrt(np.trapezoid((rf.states[-1][:, 0] - zm) ** 2, x))
         err /= np.sqrt(np.trapezoid(zm**2, x))
@@ -881,10 +882,10 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(sols, dirichlet_cfg, x)
+        prof = assemble_K(sols, x)
         rf = simulate_fd(dirichlet_cfg, prof, z1, z2, M, 5.0, cfl=0.9, family=fam, N=N)
         st0 = project_initial(z1, z2, N, Boundary.DIRICHLET)
-        rm = simulate_coupled_modal(dirichlet_cfg, sols, st0, rf.times[-1], rf.times[-1] / 2500)
+        rm = simulate_coupled_modal(sols, st0, rf.times[-1], rf.times[-1] / 2500)
         np.testing.assert_allclose(rf.total_cost, rm.total_cost, rtol=1e-3)
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
@@ -903,7 +904,7 @@ class TestSimulateFd:
         N, M = 8, 64
         z1, z2 = band_limited(boundary)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(solve_family(cfg, family, N), cfg, x)
+        prof = assemble_K(solve_family(cfg, family, N), x)
         res = simulate_fd(cfg, prof, z1, z2, M, 0.5, cfl=0.9, family=family, N=N)
         q = assemble_Q(family, x, boundary, N).values
         zw = res.states * trapezoid_weights(M + 1, 1.0 / M)[None, :, None]
@@ -924,7 +925,7 @@ class TestSimulateFd:
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(cfg, fam, N)
         x = np.linspace(0.0, 1.0, M + 1)
-        prof = assemble_K(sols, cfg, x)
+        prof = assemble_K(sols, x)
         res = simulate_fd(cfg, prof, z1f, z2f, M, 0.5, cfl=0.9)
         h = 1.0 / M
         dt = res.times[1]
@@ -945,7 +946,7 @@ class TestSimulateFd:
     def test_gain_profile_grid_mismatch_rejected(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(dirichlet_cfg, fam, 4)
-        prof = assemble_K(sols, dirichlet_cfg, np.linspace(0, 1, 33))
+        prof = assemble_K(sols, np.linspace(0, 1, 33))
         z1, z2 = band_limited(Boundary.DIRICHLET)
         with pytest.raises(ValueError, match="grid"):
             simulate_fd(dirichlet_cfg, prof, z1, z2, 64, 1.0)
@@ -976,7 +977,7 @@ class TestPredictedCost:
         npts = 801
         x = np.linspace(0.0, 1.0, npts)
         wq = simpson_weights(npts, x[1] - x[0])
-        kf = assemble_P(sols, x, boundary)
+        kf = assemble_P(sols, x)
         z = np.stack([z1(x) * np.ones_like(x), z2(x) * np.ones_like(x)], axis=1)
         zw = z * wq[:, None]
         total = np.einsum("ia,ijab,jb->", zw, kf.values, zw)
@@ -1006,9 +1007,9 @@ class TestTableInputs:
         zeroed = replace(table, **{c: np.where(keep, getattr(table, c), 0.0)
                                    for c in ("p11", "p12", "p22", "k1", "k2")})
         sols = table[keep]
-        assert np.array_equal(assemble_K(sols, cfg, x).values, assemble_K(zeroed, cfg, x).values)
+        assert np.array_equal(assemble_K(sols, x).values, assemble_K(zeroed, x).values)
         with pytest.raises(ValueError, match="modes"):
-            simulate_decoupled(cfg, sols, st, 0.5, 0.01)
+            simulate_decoupled(sols, st, 0.5, 0.01)
 
     @pytest.mark.parametrize("modes", [(1, 2), (1, 2, 3, 4, 5), (2, 1, 3, 4)],
                              ids=["fewer", "more", "reordered"])
@@ -1016,10 +1017,22 @@ class TestTableInputs:
         sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4)
         st = ModalState(Boundary.DIRICHLET, modes, np.ones((len(modes), 2)))
         with pytest.raises(ValueError, match="modes"):
-            simulate_decoupled(dirichlet_cfg, sols, st, 0.5, 0.01)
+            simulate_decoupled(sols, st, 0.5, 0.01)
         with pytest.raises(ValueError, match="modes"):
-            simulate_coupled_modal(dirichlet_cfg, sols, st, 0.5, 0.01)
+            simulate_coupled_modal(sols, st, 0.5, 0.01)
         with pytest.raises(ValueError, match="modes"):
+            predicted_cost(st, sols)
+
+    def test_boundary_mismatch_raises_everywhere(self, dirichlet_cfg):
+        """A Neumann state with the modes (1, 2) of a Dirichlet table is
+        refused, although its modes match."""
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 2)
+        st = ModalState(Boundary.NEUMANN, (1, 2), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="boundary"):
+            simulate_decoupled(sols, st, 0.5, 0.01)
+        with pytest.raises(ValueError, match="boundary"):
+            simulate_coupled_modal(sols, st, 0.5, 0.01)
+        with pytest.raises(ValueError, match="boundary"):
             predicted_cost(st, sols)
 
 
@@ -1037,4 +1050,4 @@ class TestEnergies:
     def test_decay_horizon_marginal_raises(self, dirichlet_cfg):
         sols = solve_family(dirichlet_cfg, ExplicitWeights({}), 2)
         with pytest.raises(ValueError, match="stable"):
-            decay_horizon(dirichlet_cfg, sols)
+            decay_horizon(sols)

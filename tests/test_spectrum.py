@@ -30,11 +30,6 @@ def power_table(cfg, n, q, r):
     return modal_table(cfg, n, amp, np.zeros(len(n)), amp)
 
 
-def mu_pair(cfg, t):
-    """Closed-loop eigenvalues (k, 2) of a table, mu_plus first."""
-    return closed_loop_spectrum(cfg, t.n, t.k1, t.k2)
-
-
 class TestOpenLoop:
     def test_undamped_fundamental_is_imaginary(self, dirichlet_cfg):
         lam_p, lam_m = open_loop_spectrum(dirichlet_cfg, [1])[0]
@@ -77,14 +72,14 @@ class TestClosedLoop:
     def test_zero_weight_recovers_open_loop(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.6)
         t = one_mode(cfg, ModalWeight(3, 0.0, 0.0, 0.0))
-        mu = mu_pair(cfg, t)
+        mu = closed_loop_spectrum(t)
         mus = sorted(mu[0].tolist(), key=lambda z: (z.real, z.imag))
         lams = sorted(open_loop_spectrum(cfg, t.n)[0].tolist(), key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(mus, lams, atol=1e-12)
 
     def test_dirichlet_fundamental_stable(self, dirichlet_cfg):
         t = one_mode(dirichlet_cfg, ModalWeight(1, 1.0, 0.0, 1.0))
-        mu_plus, mu_minus = mu_pair(dirichlet_cfg, t)[0]
+        mu_plus, mu_minus = closed_loop_spectrum(t)[0]
         A = np.array([[0.0, 1.0],
                       [-np.pi**2 * (1.0 + t.p12[0]), -np.pi**2 * t.p22[0]]])
         ref = np.linalg.eigvals(A)
@@ -96,13 +91,13 @@ class TestClosedLoop:
 
     def test_conjugate_pair(self, neumann_cfg):
         t = one_mode(neumann_cfg, ModalWeight(4, 0.1, 0.0, 0.1))
-        mu_plus, mu_minus = mu_pair(neumann_cfg, t)[0]
+        mu_plus, mu_minus = closed_loop_spectrum(t)[0]
         assert mu_minus == mu_plus.conjugate()
         assert mu_plus.imag > 0
 
     def test_marginal_classification(self, dirichlet_cfg):
         t = one_mode(dirichlet_cfg, ModalWeight(2, 0.0, 0.0, 0.0))
-        mu = mu_pair(dirichlet_cfg, t)
+        mu = closed_loop_spectrum(t)
         assert classify(mu[0].real.max()) is Stability.MARGINAL
 
     def test_formula_cross_check_over_sweep(self):
@@ -112,9 +107,9 @@ class TestClosedLoop:
             for alpha, beta, R, q, r in sweep_configs()[::13]:
                 cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
                 t = power_table(cfg, n, q, r)
-                mu = mu_pair(cfg, t)
+                mu = closed_loop_spectrum(t)
                 # analytic roots from the trace and determinant of F + G K
-                tr, det = closed_loop_trace_det(cfg, t.n, t.p12, t.p22)
+                tr, det = closed_loop_trace_det(t)
                 root = np.sqrt((tr * tr - 4.0 * det).astype(complex))
                 mu_f = np.stack([(tr + root) / 2.0, (tr - root) / 2.0], axis=1)
                 for got, ref in zip(mu.tolist(), mu_f.tolist()):
@@ -130,7 +125,7 @@ class TestClosedLoop:
             for alpha, beta, R, q, r in sweep_configs()[::7]:
                 cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
                 t = power_table(cfg, n, q, r)
-                mu = mu_pair(cfg, t)
+                mu = closed_loop_spectrum(t)
                 c = input_gain_sq(cfg, n)
                 tr = -(cfg.alpha + c * t.p22)
                 det = (n * np.pi) ** 2 + c * t.p12
@@ -145,7 +140,7 @@ class TestClosedLoop:
         # leaves the rigid-displacement integrator untouched, so mu_plus = 0
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.5)
         t = one_mode(cfg, ModalWeight(0, 0.0, 0.0, 1.0))
-        mu = mu_pair(cfg, t)
+        mu = closed_loop_spectrum(t)
         assert mu[0, 0] == 0.0
         assert classify(mu[0].real.max()) is Stability.MARGINAL
 
@@ -154,7 +149,7 @@ class TestClosedLoop:
         # per-mode damping decays with the mode number
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
         fam = PowerLawWeights(q=1.0, r=2.5)
-        mu = mu_pair(cfg, solve_family(cfg, fam, 200))
+        mu = closed_loop_spectrum(solve_family(cfg, fam, 200))
         damp = np.abs(mu.real.max(axis=1)).tolist()
         peak = int(np.argmax(damp))
         tail = damp[peak:]
@@ -177,7 +172,7 @@ class TestCoupledSpectrum:
     def test_zero_gains_give_open_loop(self):
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.4)
         no_gains = solve_family(cfg, ExplicitWeights({}), 5)
-        ev, absc = coupled_spectrum(cfg, no_gains)
+        ev, absc = coupled_spectrum(no_gains)
         expect = open_loop_spectrum(cfg, mode_range(cfg.boundary, 5)).ravel()
         assert_spectra_match(ev, expect, 1e-10)
         np.testing.assert_allclose(absc, expect.real.max(), atol=1e-12)
@@ -187,9 +182,9 @@ class TestCoupledSpectrum:
         cfg = WaveConfig(boundary, alpha=0.0, beta=1.0, R=1.0)
         N, k = 6, 3
         t = solve_family(cfg, ExplicitWeights({k: ModalWeight(k, 1.0, 0.0, 1.0)}), N)
-        ev, _ = coupled_spectrum(cfg, t)
+        ev, _ = coupled_spectrum(t)
         others = [n for n in mode_range(cfg.boundary, N) if n != k]
-        expect = np.concatenate([mu_pair(cfg, t[t.n == k])[0],
+        expect = np.concatenate([closed_loop_spectrum(t[t.n == k])[0],
                                  open_loop_spectrum(cfg, others).ravel()])
         assert_spectra_match(ev, expect, 1e-8)
 
@@ -198,7 +193,8 @@ class TestCoupledSpectrum:
             cfg = WaveConfig(boundary, alpha=0.1, beta=1.5, R=0.5)
             fam = PowerLawWeights(q=1.0, r=3.0)
             sols = solve_family(cfg, fam, 6)
-            modes, A, B, Krow = coupled_loop_parts(cfg, sols)
+            modes = sols.n
+            A, B, Krow = coupled_loop_parts(sols)
             A = A + B @ Krow
             F, G = modal_matrices(cfg, modes)
             for i in range(len(modes)):
@@ -211,7 +207,8 @@ class TestCoupledSpectrum:
 
         fam = PowerLawWeights(q=1.0, r=5.0)
         sols = solve_family(dirichlet_cfg, fam, 3)
-        modes, A, B, Krow = coupled_loop_parts(dirichlet_cfg, sols)
+        modes = sols.n
+        A, B, Krow = coupled_loop_parts(sols)
         g_true, _ = true_modal_input(dirichlet_cfg, modes)
         for i in range(len(modes)):
             np.testing.assert_allclose(B[2 * i : 2 * i + 2, 0], g_true[i])
@@ -219,8 +216,8 @@ class TestCoupledSpectrum:
     def test_abscissa_regression_dirichlet_r5(self, dirichlet_cfg):
         fam = PowerLawWeights(q=1.0, r=5.0)
         sols = solve_family(dirichlet_cfg, fam, 8)
-        _, absc = coupled_spectrum(dirichlet_cfg, sols)
+        _, absc = coupled_spectrum(sols)
         np.testing.assert_allclose(absc, -0.06391980679316855, rtol=1e-6)
-        permode = mu_pair(dirichlet_cfg, sols).real.max()
+        permode = closed_loop_spectrum(sols).real.max()
         np.testing.assert_allclose(permode, -0.06947497512348247, rtol=1e-6)
         assert absc < 0
