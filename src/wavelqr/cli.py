@@ -412,36 +412,63 @@ def _text_slots(values):
     return np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(len(cells), width).T
 
 
-def _csv_block(columns, text):
-    """The bytes of equal-length columns as CSV rows.
+def _number_plan(columns, numeric):
+    """(full, plan): how write_csv formats the numeric columns, the columns
+    of the indices numeric, decided once over all their rows; every column
+    holds the same number of rows, at least one.
+
+    full lists the numeric columns that every block formats.  plan holds
+    one entry per column: None for any column not in numeric; for a
+    numeric column of one bit pattern, the (_NUMBER_SLOT, 1) slots of that
+    number, formatted once for the file; for any other numeric column, the
+    position in full of the first column with the same bits.  Bits, not
+    float equality, decide: -0.0 and 0.0 print differently.  The columns
+    are read a group of at most _BLOCK_VALUES values at a time, so no
+    temporary is larger than a block or one column.
+    """
+    plan = [None] * len(columns)
+    full, constant, owners = [], [], {}  # owners: hash of bits -> positions in full
+    group = max(1, _BLOCK_VALUES // len(columns[0]))
+    for g in range(0, len(numeric), group):
+        idx = numeric[g:g + group]
+        bits = np.array([columns[i] for i in idx], float).view(np.int64)
+        for i, b, one in zip(idx, bits, (bits == bits[:, :1]).all(axis=1)):
+            if one:
+                constant.append((i, b[0]))
+                continue
+            same = owners.setdefault(hash(b.tobytes()), [])
+            plan[i] = next((k for k in same if np.array_equal(
+                b, np.asarray(columns[full[k]], float).view(np.int64))), len(full))
+            if plan[i] == len(full):
+                same.append(len(full))
+                full.append(i)
+    slots = _formatted(np.array([v for _, v in constant], np.int64).view(float))
+    for k, (i, _) in enumerate(constant):
+        plan[i] = slots[:, k:k + 1]
+    return full, plan
+
+
+def _csv_block(columns, text, full, plan):
+    """The bytes of equal-length columns as CSV rows, formatting the numeric
+    columns as (full, plan) = _number_plan of the whole columns says.
 
     A 2-D column is the (_NUMBER_SLOT, rows) slots of numbers formatted
-    beforehand.  Numeric columns with the same bits share one formatting,
-    a column of one bit pattern is formatted once and broadcast, and what
-    is left goes through one _formatted call.  Bits, not float equality,
-    decide: -0.0 and 0.0 print differently.
+    beforehand, and a text column has a plan entry None.  The columns of
+    full go through one _formatted call.
     """
     rows = columns[0].shape[-1]
-    numeric = [c for c, t in zip(columns, text) if not t and c.ndim == 1]
-    values = np.array(numeric, float).reshape(-1, rows)
-    bits = values.view(np.int64)
-    constant = (bits == bits[:, :1]).all(axis=1)
-    owner = {}  # bits of a column -> the first numeric column holding them
-    source = [owner.setdefault(b.tobytes(), i) for i, b in enumerate(bits)]
-    full = [i for i in owner.values() if not constant[i]]
-    once = [i for i in owner.values() if constant[i]]
-    slots = _formatted(np.concatenate([values[full].ravel(), values[once, :1].ravel()]))
-    shared = {i: slots[:, k * rows:(k + 1) * rows] for k, i in enumerate(full)}
-    for k, i in enumerate(once, len(full) * rows):
-        shared[i] = np.broadcast_to(slots[:, k:k + 1], (_NUMBER_SLOT, rows))
-    pieces, sources = [], iter(source)
-    for c, t in zip(columns, text):
+    slots = _formatted(np.array([columns[i] for i in full], float).reshape(-1))
+    slots = slots.reshape(_NUMBER_SLOT, len(full), rows)
+    pieces = []
+    for c, t, p in zip(columns, text, plan):
         if t:
             pieces += [_text_slots(c.tolist()), np.full((1, rows), ord(","), np.uint8)]
-        elif c.ndim == 2:
+        elif p is None:
             pieces.append(c)
+        elif isinstance(p, int):
+            pieces.append(slots[:, p])
         else:
-            pieces.append(shared[next(sources)])
+            pieces.append(np.broadcast_to(p, (_NUMBER_SLOT, rows)))
     block = np.concatenate(pieces)
     block[-1] = ord("\n")
     return block.T.tobytes().translate(None, b"\0")
@@ -455,7 +482,9 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     A column given as a tuple (values, index) is the floats values[index],
     and each of values is formatted once per call.  The numbers are
     formatted by _number_slots a block of rows at a time, and the bytes
-    equal those of one fmt call per number.
+    equal those of one fmt call per number.  Which numeric columns share
+    bits, and which hold one number, is decided once for the file
+    (_number_plan).
     """
     columns = list(columns)
     tables = {}
@@ -471,11 +500,14 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     step = max(1, _BLOCK_VALUES // max(1, len(columns)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
+        if not rows:
+            return
+        full, plan = _number_plan(columns, [i for i, t in enumerate(text) if not t and i not in tables])
         for start in range(0, rows, step):
             block = [c[start:start + step] for c in columns]
             for i, table in tables.items():
                 block[i] = table[:, block[i]]
-            fh.write(_csv_block(block, text))
+            fh.write(_csv_block(block, text, full, plan))
 
 
 def _jsonable(obj):

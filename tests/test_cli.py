@@ -820,7 +820,8 @@ class TestFormatting:
 
 def csv_fields(x):
     """The fields write_csv writes for the floats x, as one block of rows."""
-    return cli._csv_block([np.asarray(x, dtype=float)], [False]).decode().splitlines()
+    columns = [np.asarray(x, dtype=float)]
+    return cli._csv_block(columns, [False], *cli._number_plan(columns, [0])).decode().splitlines()
 
 
 class TestBlockFormatter:

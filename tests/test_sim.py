@@ -27,6 +27,7 @@ from wavelqr.cli import parse_config
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
     FD_BLOCK,
+    MAX_SLAB,
     ModalState,
     SimulationError,
     decay_horizon,
@@ -557,12 +558,13 @@ class TestModalStride:
 
     @staticmethod
     @lru_cache(maxsize=None)
-    def stepped(simulator, boundary, alpha, nsteps, stride):
-        """A 24-mode run of exactly nsteps steps (an even count) with the given
-        stride, or (states, u_record, cost) of its reference loop for stride 0.
-        The initial data hold a -0.0 pair and a 0.0 pair."""
+    def stepped(simulator, boundary, alpha, nsteps, stride, modes=24):
+        """A run of exactly nsteps steps (an even count) on the table of the
+        given mode count, with the given stride, or (states, u_record, cost)
+        of its reference loop for stride 0.  The initial data hold a -0.0
+        pair and a 0.0 pair."""
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8)
-        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), 24)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), modes)
         inv_sq = 1.0 / np.arange(1, len(sols) + 1) ** 2
         a = np.stack([inv_sq, -0.5 * inv_sq], axis=1)
         a[3] = -0.0
@@ -575,39 +577,95 @@ class TestModalStride:
         run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
         return run(sols, st, T, TestModalStride.DT, stride=stride)
 
+    #: the largest deviation from the reference loop allowed, over the largest
+    #: magnitude of the reference array; measured worst cases over these
+    #: parameters: coupled u_record 2.5e-13, states 1.4e-13, cost 6.2e-14;
+    #: decoupled 2.3e-14, 2.0e-14 and 1.7e-14
+    TOL = 1e-12
+
     @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
-    # rows = nsteps + 1: one short block, the largest single block
-    # (2 FD_BLOCK - 1 rows), the first two-block trajectory and four blocks
-    @pytest.mark.parametrize("nsteps", [100, 2 * FD_BLOCK - 2, 2 * FD_BLOCK, 4 * FD_BLOCK + 60])
+    # rows = nsteps + 1, every one stepped in slabs of B = MAX_SLAB rows:
+    # B - 1 rows (no slab), B + 1 rows (one slab of one row) and 2 B + 1
+    # rows (one slab and one row) on 6 modes; rows = B cannot occur, as the
+    # step count is even.  On 24 modes: one short block, the largest single
+    # block (2 FD_BLOCK - 1 rows), the first two-block trajectory and four
+    # blocks.
+    @pytest.mark.parametrize("modes, nsteps", [
+        (6, MAX_SLAB - 2), (6, MAX_SLAB), (6, 2 * MAX_SLAB),
+        (24, 100), (24, 2 * FD_BLOCK - 2), (24, 2 * FD_BLOCK), (24, 4 * FD_BLOCK + 60),
+    ])
     @pytest.mark.parametrize("stride", [1, 2, 7, 10, 10**6])
     def test_streamed_run_matches_whole_trajectory_loop(self, simulator, boundary, alpha,
-                                                        nsteps, stride):
-        """The kept rows are steps 0, stride, 2 stride, ... and the last step,
-        each equal to the bit to that row of the whole-trajectory loop, as
-        are times and cost.  u_record holds one control per step; the
-        decoupled one is the loop's per-mode controls summed by
-        .sum(axis=1), to the bit.  The coupled controls are one matrix-vector
-        product per block, which BLAS may round differently from one over
-        the whole trajectory: a few values may move, by at most 16 ulps."""
-        res = self.stepped(simulator, boundary, alpha, nsteps, stride)
-        states, u_rec, cost = self.stepped(simulator, boundary, alpha, nsteps, 0)
+                                                        modes, nsteps, stride):
+        """The kept rows are steps 0, stride, 2 stride, ... and the last step.
+        They, u_record and cost equal the stride-1 run's to the bit, and the
+        whole-trajectory loop's within TOL: the slabs step rows from rows B
+        steps back through the B-th power of the propagator, which rounds
+        otherwise than B one-row steps.  Where the loop holds a zero, the
+        run holds the same zero, sign included.  times equals the loop's to
+        the bit."""
+        d = 2 if simulator == "decoupled" else 2 * modes
+        assert sim._slab_rows(d, nsteps + 1) == MAX_SLAB
+        res = self.stepped(simulator, boundary, alpha, nsteps, stride, modes)
+        one = self.stepped(simulator, boundary, alpha, nsteps, 1, modes)
+        states, u_rec, cost = self.stepped(simulator, boundary, alpha, nsteps, 0, modes)
         kept = list(range(0, nsteps + 1, stride))
         if kept[-1] != nsteps:
             kept.append(nsteps)
         assert res.states.shape == (len(kept), *states.shape[1:])
-        assert np.any(np.signbit(res.states[0]) & (res.states[0] == 0.0))
-        for got, want in ((res.states, states[kept]), (res.cost, cost),
-                          (res.times, self.DT * np.arange(nsteps + 1))):
-            np.testing.assert_array_equal(bits(got), bits(want))
         assert res.u_record.shape == u_rec.shape == (nsteps + 1,)
-        moved = np.abs(bits(res.u_record) - bits(u_rec))
+        assert np.any(np.signbit(res.states[0]) & (res.states[0] == 0.0))
+        np.testing.assert_array_equal(bits(res.times), bits(self.DT * np.arange(nsteps + 1)))
+        zero = states[kept] == 0.0
+        np.testing.assert_array_equal(bits(res.states[zero]), bits(states[kept][zero]))
+        for got, want, loop in ((res.states, one.states[kept], states[kept]),
+                                (res.u_record, one.u_record, u_rec), (res.cost, one.cost, cost)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+            assert np.abs(got - loop).max() <= self.TOL * np.abs(loop).max()
+
+    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    def test_slab_rows_match_matrix_exponential(self, simulator, boundary, alpha):
+        """The states at steps 1, B - 1, B, B + 1, 2 B + 3 and the last one of a
+        two-block run equal scipy's expm(k dt A_cl) a0, A_cl the closed loop
+        of every mode (decoupled) or the coupled loop, within 1e-14 k of the
+        largest state magnitude at step k: the propagators agree with
+        scipy's to a few ulps, and that rounding accumulates over the k
+        steps (measured worst case 1.6e-15 k)."""
+        nsteps = 2 * FD_BLOCK
+        res = self.stepped(simulator, boundary, alpha, nsteps, 1)
+        sols = solve_family(WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8),
+                            PowerLawWeights(1.0, 5.0), 24)
         if simulator == "decoupled":
-            assert not moved.any()
+            loops = closed_loop_matrices(sols)
         else:
-            assert np.count_nonzero(moved) <= len(moved) // FD_BLOCK
-            assert moved.max() <= 16
+            A, B, Krow = coupled_loop_parts(sols)
+            loops = [A + B @ Krow]
+        a0 = res.states[0].reshape(len(loops), -1)
+        for k in (1, MAX_SLAB - 1, MAX_SLAB, MAX_SLAB + 1, 2 * MAX_SLAB + 3, nsteps):
+            want = np.concatenate([expm(k * self.DT * L) @ a for L, a in zip(loops, a0)])
+            got = res.states[k].reshape(-1)
+            assert np.abs(got - want).max() <= 1e-14 * k * np.abs(want).max(), k
+
+    def test_slab_rule(self):
+        """B is a power of two in [1, MAX_SLAB] that does not grow with the
+        propagator size d.  The fine-grid coupled loop (d = 416, 2501 rows)
+        and every per-mode run (d = 2) take MAX_SLAB, the example config at
+        N = 2048 (d = 4096) takes MAX_SLAB / 2, and a short run at N = 1024
+        (d = 2048, 401 rows), where slabs were measured slower, steps one
+        row at a time."""
+        for nrows in (3, 15, 17, 401, 2501, 10001):
+            slabs = [sim._slab_rows(d, nrows) for d in (2, 4, 48, 416, 1024, 2048, 4096, 10**6)]
+            assert all(1 <= B <= MAX_SLAB and B & (B - 1) == 0 for B in slabs)
+            assert slabs == sorted(slabs, reverse=True)
+            assert slabs[0] == MAX_SLAB and slabs[-1] == 1
+        assert sim._slab_rows(416, 2501) == MAX_SLAB
+        assert sim._slab_rows(4096, 2501) == MAX_SLAB // 2
+        assert sim._slab_rows(2048, 401) == 1
+        assert 2 * MAX_SLAB <= FD_BLOCK
 
     @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     def test_strided_traced_peak_is_kept_rows_and_one_block(self, dirichlet_cfg, simulator):
