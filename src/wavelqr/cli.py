@@ -393,13 +393,16 @@ def _number_slots(x, out):
 
 
 def _formatted(x):
-    """(_NUMBER_SLOT, len(x)) uint8 slots of "%.17g," for the 1-D floats x."""
-    slots = np.zeros((_NUMBER_SLOT, len(x)), np.uint8)
+    """(_NUMBER_SLOT,) + x.shape uint8 slots of "%.17g," for the 1-D or 2-D
+    floats x.  For a 2-D x the array is a view in which the slots of each
+    row of x are contiguous: its memory is (len(x), _NUMBER_SLOT, columns)."""
+    slots = np.moveaxis(np.zeros((*x.shape[:-1], _NUMBER_SLOT, x.shape[-1]), np.uint8), -2, 0)
     slots[-1] = ord(",")
     for j in _number_slots(x, slots[:-1]):
-        cell = fmt(x[j]).encode()
-        slots[:-1, j] = 0
-        slots[: len(cell), j] = np.frombuffer(cell, np.uint8)
+        at = np.unravel_index(j, x.shape)
+        cell = fmt(x[at]).encode()
+        slots[(slice(-1), *at)] = 0
+        slots[(slice(len(cell)), *at)] = np.frombuffer(cell, np.uint8)
     return slots
 
 
@@ -413,21 +416,22 @@ def _text_slots(values):
 
 
 def _number_plan(columns, numeric):
-    """(full, plan): how write_csv formats the numeric columns, the columns
-    of the indices numeric, decided once over all their rows; every column
-    holds the same number of rows, at least one.
+    """(full, constants, runs): how write_csv formats the numeric columns,
+    the columns of the indices numeric, decided once over all their rows;
+    every column holds the same number of rows, at least one.
 
-    full lists the numeric columns that every block formats.  plan holds
-    one entry per column: None for any column not in numeric; for a
-    numeric column of one bit pattern, the (_NUMBER_SLOT, 1) slots of that
-    number, formatted once for the file; for any other numeric column, the
-    position in full of the first column with the same bits.  Bits, not
-    float equality, decide: -0.0 and 0.0 print differently.  The columns
-    are read a group of at most _BLOCK_VALUES values at a time, so no
-    temporary is larger than a block or one column.
+    full lists the numeric columns of more than one bit pattern, each
+    pattern once, in column order: every block formats its rows of them.
+    constants holds the (_NUMBER_SLOT, k) slots of the numbers of the k
+    columns of one bit pattern, formatted once for the file.  runs lists
+    the columns in order, a maximal run of numeric columns as one intp
+    array of their cells (position j in full, or len(full) + j for
+    constant j) and any other column as its index.  Bits, not float
+    equality, decide: -0.0 and 0.0 print differently.  The columns are read
+    a group of at most _BLOCK_VALUES values at a time, so no temporary is
+    larger than a block or one column.
     """
-    plan = [None] * len(columns)
-    full, constant, owners = [], [], {}  # owners: hash of bits -> positions in full
+    cell, full, constant, owners = {}, [], [], {}  # owners: hash of bits -> positions in full
     group = max(1, _BLOCK_VALUES // len(columns[0]))
     for g in range(0, len(numeric), group):
         idx = numeric[g:g + group]
@@ -437,39 +441,59 @@ def _number_plan(columns, numeric):
                 constant.append((i, b[0]))
                 continue
             same = owners.setdefault(hash(b.tobytes()), [])
-            plan[i] = next((k for k in same if np.array_equal(
+            cell[i] = next((k for k in same if np.array_equal(
                 b, np.asarray(columns[full[k]], float).view(np.int64))), len(full))
-            if plan[i] == len(full):
+            if cell[i] == len(full):
                 same.append(len(full))
                 full.append(i)
-    slots = _formatted(np.array([v for _, v in constant], np.int64).view(float))
     for k, (i, _) in enumerate(constant):
-        plan[i] = slots[:, k:k + 1]
-    return full, plan
-
-
-def _csv_block(columns, text, full, plan):
-    """The bytes of equal-length columns as CSV rows, formatting the numeric
-    columns as (full, plan) = _number_plan of the whole columns says.
-
-    A 2-D column is the (_NUMBER_SLOT, rows) slots of numbers formatted
-    beforehand, and a text column has a plan entry None.  The columns of
-    full go through one _formatted call.
-    """
-    rows = columns[0].shape[-1]
-    slots = _formatted(np.array([columns[i] for i in full], float).reshape(-1))
-    slots = slots.reshape(_NUMBER_SLOT, len(full), rows)
-    pieces = []
-    for c, t, p in zip(columns, text, plan):
-        if t:
-            pieces += [_text_slots(c.tolist()), np.full((1, rows), ord(","), np.uint8)]
-        elif p is None:
-            pieces.append(c)
-        elif isinstance(p, int):
-            pieces.append(slots[:, p])
+        cell[i] = len(full) + k
+    constants = _formatted(np.array([v for _, v in constant], np.int64).view(float))
+    runs = []
+    for i in range(len(columns)):
+        if i not in cell:
+            runs.append(i)
+        elif runs and isinstance(runs[-1], list):
+            runs[-1].append(cell[i])
         else:
-            pieces.append(np.broadcast_to(p, (_NUMBER_SLOT, rows)))
-    block = np.concatenate(pieces)
+            runs.append([cell[i]])
+    return full, constants, [np.array(r, np.intp) if isinstance(r, list) else r for r in runs]
+
+
+def _csv_block(columns, text, numbers, constants, runs):
+    """The bytes of a block of CSV rows, laid out as (full, constants, runs)
+    = _number_plan of the whole columns says.
+
+    numbers is the (len(full), rows) block of the columns of full, which
+    go through one _formatted call.  columns maps every other column to
+    its block of rows: text (text[i]) or the (_NUMBER_SLOT, rows) slots of
+    a column formatted beforehand.  The block is one (bytes per row, rows)
+    array, in which a numeric run is one band of contiguous byte rows:
+    its cells are taken into it with one index into the formatted slots,
+    and its constants broadcast into theirs.
+    """
+    n, rows = numbers.shape
+    slots = np.moveaxis(_formatted(numbers), 0, 1)  # (n, _NUMBER_SLOT, rows), contiguous
+    texts = {r: _text_slots(columns[r].tolist()) for r in runs
+             if not isinstance(r, np.ndarray) and text[r]}
+    widths = [len(r) * _NUMBER_SLOT if isinstance(r, np.ndarray)
+              else len(texts[r]) + 1 if r in texts else _NUMBER_SLOT for r in runs]
+    block = np.empty((sum(widths), rows), np.uint8)
+    at = 0
+    for r, width in zip(runs, widths):
+        band = block[at:at + width]
+        at += width
+        if isinstance(r, np.ndarray):
+            cells = band.reshape(len(r), _NUMBER_SLOT, rows)
+            if n:  # a constant's cell takes other slots here and its own below
+                np.take(slots, r, axis=0, out=cells, mode="clip")
+            const = r >= n
+            cells[const] = constants.T[r[const] - n, :, None]
+        elif r in texts:
+            band[:-1] = texts[r]
+            band[-1] = ord(",")
+        else:
+            band[:] = columns[r]
     block[-1] = ord("\n")
     return block.T.tobytes().translate(None, b"\0")
 
@@ -480,34 +504,52 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     A str or object column is written as str() of its values; any other
     column is converted to float and written as fmt writes it ("%.17g").
     A column given as a tuple (values, index) is the floats values[index],
-    and each of values is formatted once per call.  The numbers are
-    formatted by _number_slots a block of rows at a time, and the bytes
-    equal those of one fmt call per number.  Which numeric columns share
-    bits, and which hold one number, is decided once for the file
-    (_number_plan).
+    and each of values is formatted once per call.  A 2-D numeric array
+    stands for its rows, each one column.  The numbers are formatted by
+    _number_slots a block of rows at a time, and the bytes equal those of
+    one fmt call per number.  Which numeric columns share bits, and which
+    hold one number, is decided once for the file (_number_plan); a block
+    takes the rows of the columns it formats with one index per array
+    given, whatever the column count.
     """
-    columns = list(columns)
-    tables = {}
-    for i, c in enumerate(columns):
+    arrays, tables, text = [], {}, []
+    for c in columns:
         if isinstance(c, tuple):
-            values, columns[i] = c
-            tables[i] = _formatted(np.asarray(values, float))
-    columns = [np.asarray(c) for c in columns]
-    text = [c.dtype.kind in "OSU" for c in columns]
-    if len({len(c) for c in columns}) > 1:
+            values, c = c
+            tables[len(text)] = _formatted(np.asarray(values, float))
+        c = np.asarray(c)
+        arrays.append(c if c.ndim == 2 else c[None])
+        text += [c.dtype.kind in "OSU"] * len(arrays[-1])
+    flat = [row for a in arrays for row in a]  # the columns, one view each
+    origin = [(k, r) for k, a in enumerate(arrays) for r in range(len(a))]
+    if len({len(c) for c in flat}) > 1:
         raise ValueError("CSV columns differ in length")
-    rows = len(columns[0]) if columns else 0
-    step = max(1, _BLOCK_VALUES // max(1, len(columns)))
+    rows = len(flat[0]) if flat else 0
+    step = max(1, _BLOCK_VALUES // max(1, len(flat)))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
         if not rows:
             return
-        full, plan = _number_plan(columns, [i for i, t in enumerate(text) if not t and i not in tables])
+        numeric = [i for i, t in enumerate(text) if not t and i not in tables]
+        full, constants, runs = _number_plan(flat, numeric)
+        # array -> its rows in full, a slice where they are consecutive;
+        # full is in column order, so each array's columns of full are
+        # consecutive there
+        gathers = {}
+        for i in full:
+            gathers.setdefault(origin[i][0], []).append(origin[i][1])
+        gathers = {k: slice(r[0], r[-1] + 1) if r[-1] - r[0] == len(r) - 1 else np.array(r, np.intp)
+                   for k, r in gathers.items()}
+        others = [r for r in runs if not isinstance(r, np.ndarray)]
         for start in range(0, rows, step):
-            block = [c[start:start + step] for c in columns]
+            block = {i: flat[i][start:start + step] for i in others}
             for i, table in tables.items():
                 block[i] = table[:, block[i]]
-            fh.write(_csv_block(block, text, full, plan))
+            numbers = np.empty((0, min(step, rows - start)))
+            if gathers:
+                numbers = np.concatenate([arrays[k][idx, start:start + step]
+                                          for k, idx in gathers.items()], dtype=float)
+            fh.write(_csv_block(block, text, numbers, constants, runs))
 
 
 def _jsonable(obj):
@@ -713,10 +755,11 @@ def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
 
 def _modal_rows(res: SimResult, stride: int) -> list:
     """The CSV columns of a modal run made with this stride: every stride-th
-    row, the states read from the kept rows without a copy."""
+    row, the states read from the kept rows without a copy, as one 2-D
+    array of a column per row."""
     u = res.u_record[::stride]
     states = res.states[:len(u)].reshape(len(u), -1)
-    return [res.times[::stride], u, *states.T, res.cost[::stride]]
+    return [res.times[::stride], u, states.T, res.cost[::stride]]
 
 
 def cmd_simulate(rc: RunConfig, out: Path) -> int:
@@ -747,7 +790,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     write_csv(
         out / "sim_fd.csv",
         ["t", "u"] + [f"z1_{i}" for i in range(rc.sim.M + 1)] + ["cost"],
-        [fd.times[::stride], fd.u_record[::stride], *fd_rows.T, fd.cost[::stride]],
+        [fd.times[::stride], fd.u_record[::stride], fd_rows.T, fd.cost[::stride]],
     )
     fd_cost = fd.total_cost
     terminal_energy_fd = field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1])

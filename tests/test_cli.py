@@ -792,6 +792,32 @@ class TestFormatting:
             plain = [c[0][c[1]] if isinstance(c, tuple) else c for c in columns]
             assert path.read_text() == self.per_float_join(header, plain)
 
+    def test_many_columns_of_two_dimensional_arrays(self, tmp_path, rng):
+        """A 2-D array stands for its rows, one column each, among other
+        columns: 2 x 900 columns of strided views, as simulate passes its
+        states, holding rows equal to a 1-D column, rows equal to earlier
+        rows and constant rows, with gathered, integer and text columns,
+        against one fmt call per number."""
+        grid = np.linspace(0.0, 1.0, 7)
+        ncols = 1 + 900 + 1 + 1 + 2 + 900 + 1
+        # the last row count crosses three block boundaries
+        for rows in (1, 2, 3 * (cli._BLOCK_VALUES // ncols) + 7):
+            y = rng.standard_normal(rows)
+            wide = (rng.standard_normal((rows, 900)) * 10.0 ** rng.integers(-300, 300, 900)).T
+            wide[[5, 17]] = y
+            wide[40] = wide[3]
+            wide[[100, 101, 899]] = np.array([-0.0, 0.0, np.nan])[:, None]
+            other = rng.standard_normal((900, rows))
+            other[0] = wide[40]
+            columns = [y, wide, (grid, np.arange(rows) % 7),
+                       np.array(["stable", "marginal"] * rows, dtype=object)[:rows],
+                       np.arange(2 * rows).reshape(2, rows) - 3, other, y]
+            plain = [y, *wide, grid[np.arange(rows) % 7], columns[3], *columns[4], *other, y]
+            header = [f"c{i}" for i in range(ncols)]
+            path = tmp_path / "t.csv"
+            write_csv(path, header, columns)
+            assert path.read_text() == self.per_float_join(header, plain)
+
     def test_formatter_scratch_is_bounded(self, rng):
         """_formatted drops each scratch array of the block once used: a
         block of 2^15 numbers traces at most 5.5 MiB, its 0.94 MiB of slots
@@ -820,8 +846,10 @@ class TestFormatting:
 
 def csv_fields(x):
     """The fields write_csv writes for the floats x, as one block of rows."""
-    columns = [np.asarray(x, dtype=float)]
-    return cli._csv_block(columns, [False], *cli._number_plan(columns, [0])).decode().splitlines()
+    x = np.asarray(x, dtype=float)
+    full, constants, runs = cli._number_plan([x], [0])
+    numbers = x[None] if full else np.empty((0, len(x)))
+    return cli._csv_block({}, [False], numbers, constants, runs).decode().splitlines()
 
 
 class TestBlockFormatter:

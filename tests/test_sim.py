@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -89,10 +91,111 @@ def project_grid_state(boundary, modes, x, z1, z2):
     return a
 
 
+def fd_cost(cfg, family, N, x, u_rec, dt, projections):
+    """The running cost of an FD trajectory whose position and velocity
+    projections are projections(proj), or its R u^2 part alone without a
+    family."""
+    state_cost = np.zeros(len(u_rec))
+    if family is not None:
+        modes = mode_range(cfg.boundary, N)
+        q11, q12, q22 = weight_arrays(family, modes)
+        proj = (basis_matrix(cfg.boundary, modes, x) * trapezoid_weights(len(x), x[1] - x[0])).T
+        c1, c2 = projections(proj)
+        state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
+    return running_quadrature(state_cost + cfg.R * u_rec**2, dt)
+
+
 def reference_fd(cfg, gain_profile, w0, w1, M, T, cfl=0.9, family=None, N=None):
-    """(states, u_record, cost) of simulate_fd by its plain array step loop:
-    one fresh array per operation, states stored point-major, and the cost
-    projections taken from contiguous copies of each component."""
+    """(states, u_record, cost) of simulate_fd by its plain array step loop in
+    summed form: one fresh array per operation, the increment d carried,
+    the positions of steps 0 to nsteps + 1 and the velocities stored
+    apart, and the cost projections of all positions taken at once."""
+    h = 1.0 / M
+    dt = cfl * h
+    nsteps = int(np.ceil(T / dt - 1e-12))
+    nsteps += nsteps % 2
+    x = np.linspace(0.0, 1.0, M + 1)
+    Kx = np.zeros((M + 1, 2)) if gain_profile is None else gain_profile.values
+    wq = trapezoid_weights(M + 1, h)
+    k1w = wq * Kx[:, 0]
+    k2w = wq * Kx[:, 1]
+    dirichlet = cfg.boundary == Boundary.DIRICHLET
+    beta = cfg.beta
+    alpha = cfg.alpha
+
+    def diff2(w):
+        """h^2 Lap w less the control."""
+        out = np.zeros_like(w)
+        out[1:-1] = np.diff(w, 2)
+        if dirichlet:
+            out[1] = (w[2] - w[1]) - w[1]
+        else:
+            out[0] = 2.0 * (w[1] - w[0])
+            out[-1] = 2.0 * (w[-2] - w[-1])
+        return out
+
+    ia = 1 if dirichlet else M
+    r = dt * dt / (h * h)
+    bu = dt * dt * (beta / (h * h) if dirichlet else 2.0 * beta / h)
+    damp = 1.0 + 0.5 * alpha * dt
+    a = (1.0 - 0.5 * alpha * dt) / damp
+    b = r / damp
+    e = bu / damp
+    denom = 1.0 - float(k2w[ia]) * e / (2.0 * dt)
+
+    z1 = np.asarray(w0(x), dtype=float) * np.ones_like(x)
+    z2 = np.asarray(w1(x), dtype=float) * np.ones_like(x)
+    u = float(k1w @ z1 + k2w @ z2)
+    if dirichlet:
+        z1[0] = beta * u
+        z1[-1] = 0.0
+
+    W = np.empty((nsteps + 2, M + 1))
+    V = np.empty((nsteps + 1, M + 1))
+    u_rec = np.empty(nsteps + 1)
+    W[0] = z1
+    V[0] = z2
+    u_rec[0] = u
+    d = dt * z2 + 0.5 * (r * diff2(z1) - (alpha * dt * dt) * z2)
+    d[ia] += 0.5 * bu * u
+    if dirichlet:
+        d[-1] = 0.0
+    p = float(k2w @ d)
+    for k in range(1, nsteps + 1):
+        W[k] = W[k - 1] + d
+        d0 = a * d + b * diff2(W[k])
+        q = float(k2w @ d0)
+        u = (float(k1w @ W[k]) + (q + p) / (2.0 * dt)) / denom
+        dn = d0.copy()
+        dn[ia] += e * u
+        p = q + float(k2w[ia]) * (e * u)  # k2w @ dn, regrouped
+        V[k] = (dn + d) / (2.0 * dt)
+        if dirichlet:
+            W[k, 0] = beta * u
+            V[k, 0] = (W[k, 0] - W[k - 1, 0]) / dt
+        if not np.all(np.isfinite(W[k])):
+            raise SimulationError(f"finite-difference solution became non-finite at step {k} ")
+        u_rec[k] = u
+        d = dn
+    W[-1] = W[-2] + d
+
+    def projections(proj):
+        c = W @ proj
+        c2 = np.empty_like(c[:-1])
+        c2[0] = V[0] @ proj
+        c2[1:] = (c[2:] - c[:-2]) / (2.0 * dt)
+        return c[:-1], c2
+
+    states = np.stack([W[:-1], V], axis=2)
+    return states, u_rec, fd_cost(cfg, family, N, x, u_rec, dt, projections)
+
+
+def reference_fd_kdk(cfg, gain_profile, w0, w1, M, T, cfl=0.9, family=None, N=None):
+    """(states, u_record, cost) of the kick-drift-kick leapfrog that
+    simulate_fd stepped before the summed form, by its plain array step
+    loop: the velocity carried and kicked twice per step, states stored
+    point-major, and the cost projections taken from contiguous copies of
+    each component."""
     h = 1.0 / M
     dt = cfl * h
     nsteps = int(np.ceil(T / dt - 1e-12))
@@ -163,17 +266,11 @@ def reference_fd(cfg, gain_profile, w0, w1, M, T, cfl=0.9, family=None, N=None):
         states[k, :, 1] = z2
         u_rec[k] = u
 
-    if family is not None:
-        modes = mode_range(cfg.boundary, N)
-        q11, q12, q22 = weight_arrays(family, modes)
-        proj = (basis_matrix(cfg.boundary, modes, x) * wq).T
-        c1 = np.ascontiguousarray(states[:, :, 0]) @ proj
-        c2 = np.ascontiguousarray(states[:, :, 1]) @ proj
-        state_cost = (c1 * c1) @ q11 + 2.0 * ((c1 * c2) @ q12) + (c2 * c2) @ q22
-    else:
-        state_cost = np.zeros(nsteps + 1)
-    cost = running_quadrature(state_cost + cfg.R * u_rec**2, dt)
-    return states, u_rec, cost
+    def projections(proj):
+        return (np.ascontiguousarray(states[:, :, 0]) @ proj,
+                np.ascontiguousarray(states[:, :, 1]) @ proj)
+
+    return states, u_rec, fd_cost(cfg, family, N, x, u_rec, dt, projections)
 
 
 def modal_steps(T, dt):
@@ -723,13 +820,10 @@ class TestSimulateFd:
             simulate_fd(neumann_cfg, prof, lambda x: np.cos(np.pi * x), lambda x: 0.0 * x,
                         M, 2 * 0.9 / M)
 
-    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
-    @pytest.mark.parametrize("alpha", [0.0, 0.3])
-    @pytest.mark.parametrize("feedback", ["open", "gain", "gain+family"])
-    def test_bit_identical_to_reference_loop(self, boundary, alpha, feedback):
-        """states, u_record and cost equal the plain array step loop to the
-        bit, signed zeros included: the initial data hold -0.0 entries, and
-        the control changes sign."""
+    @staticmethod
+    def signed_zero_run(boundary, alpha, feedback):
+        """(cfg, profile, z1, z2, M, family keywords) of an M = 96 run whose
+        initial data hold -0.0 entries and whose control changes sign."""
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8)
         M, N = 96, 8
         f1, f2 = band_limited(boundary)
@@ -743,6 +837,16 @@ class TestSimulateFd:
             x = np.linspace(0.0, 1.0, M + 1)
             prof = assemble_K(solve_family(cfg, PowerLawWeights(1.0, 5.0), N), x)
         kw = dict(family=fam, N=N) if feedback == "gain+family" else {}
+        return cfg, prof, z1, z2, M, kw
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("feedback", ["open", "gain", "gain+family"])
+    def test_bit_identical_to_reference_loop(self, boundary, alpha, feedback):
+        """states, u_record and cost equal the plain array step loop to the
+        bit, signed zeros included: the initial data hold -0.0 entries, and
+        the control changes sign."""
+        cfg, prof, z1, z2, M, kw = self.signed_zero_run(boundary, alpha, feedback)
         res = simulate_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
         states, u_rec, cost = reference_fd(cfg, prof, z1, z2, M, 1.0, cfl=0.9, **kw)
         assert np.any(np.signbit(states[0]) & (states[0] == 0.0))
@@ -752,6 +856,47 @@ class TestSimulateFd:
         for got, ref in ((res.states, states), (res.u_record, u_rec), (res.cost, cost)):
             np.testing.assert_array_equal(np.ascontiguousarray(got).view(np.int64),
                                           ref.view(np.int64))
+
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("feedback", ["open", "gain", "gain+family"])
+    def test_matches_kick_drift_kick_loop(self, boundary, alpha, feedback):
+        """The summed form is the same leapfrog as the kick-drift-kick loop
+        it replaced, which carried the velocity: over 1068 steps (five
+        blocks) the two agree to rounding, relative to the largest
+        magnitude of each kick-drift-kick array.  Measured worst cases over
+        these parameters: z1 2.8e-14, u 3.5e-15, cost 4.3e-15, z2 5.0e-14."""
+        cfg, prof, z1, z2, M, kw = self.signed_zero_run(boundary, alpha, feedback)
+        res = simulate_fd(cfg, prof, z1, z2, M, 10.0, cfl=0.9, **kw)
+        states, u_rec, cost = reference_fd_kdk(cfg, prof, z1, z2, M, 10.0, cfl=0.9, **kw)
+        assert res.states.shape == states.shape
+        for got, ref, tol in ((res.states[..., 0], states[..., 0], 1e-12),
+                              (res.u_record, u_rec, 1e-12), (res.cost, cost, 1e-12),
+                              (res.states[..., 1], states[..., 1], 1e-11)):
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("boundary, gains", [(Boundary.DIRICHLET, (0.0, 1.9)),
+                                                 (Boundary.NEUMANN, (2e4, 0.0))])
+    def test_mid_block_blow_up_stops_at_the_reference_step(self, boundary, gains):
+        """Under a destabilizing gain z1 overflows in the middle of the
+        second block.  The run stops at the step where the step-by-step
+        check of the reference loop does, with the message it always gave,
+        and the steps that ran on in that block raise no RuntimeWarning."""
+        cfg = WaveConfig(boundary, alpha=0.3, beta=1.0, R=0.8)
+        M, cfl = 64, 0.9
+        x = np.linspace(0.0, 1.0, M + 1)
+        prof = GainProfile(x, np.tile(gains, (M + 1, 1)))
+        args = (cfg, prof, *band_limited(boundary), M, (1200 - 0.5) * cfl / M, cfl)
+        with np.errstate(all="ignore"), pytest.raises(SimulationError) as ref:
+            reference_fd(*args)
+        step = int(re.search(r"at step (\d+) ", str(ref.value)).group(1))
+        assert FD_BLOCK + 16 < step < 2 * FD_BLOCK - 16
+        message = (f"finite-difference solution became non-finite at step {step} "
+                   f"(t={step * (cfl * (1.0 / M)):.6g}); M={M}, cfl={cfl}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SimulationError, match=f"^{re.escape(message)}$"):
+                simulate_fd(*args)
 
     def test_traced_peak_is_the_trajectory(self, dirichlet_cfg):
         """At the reference sizes, simulate_fd allocates little beyond its
@@ -829,8 +974,9 @@ class TestSimulateFd:
                                           np.ascontiguousarray(want).view(np.int64))
 
     def test_strided_traced_peak_is_kept_rows_and_one_block(self, dirichlet_cfg):
-        """With stride 10, simulate_fd holds the kept rows and one block of
-        at most 2 FD_BLOCK - 1 rows, far below the whole trajectory."""
+        """With stride 10, simulate_fd holds the kept rows and the positions
+        of one block, at most 2 FD_BLOCK + 1 rows of M + 1 values, far below
+        the whole trajectory (measured: 0.99 of that sum)."""
         fam = PowerLawWeights(1.0, 5.0)
         N, M = 32, 400
         x = np.linspace(0.0, 1.0, M + 1)
@@ -842,9 +988,9 @@ class TestSimulateFd:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        row_nbytes = 2 * (M + 1) * 8
-        assert peak <= 1.1 * (res.states.nbytes + (2 * FD_BLOCK - 1) * row_nbytes)
-        assert peak <= 0.25 * len(res.times) * row_nbytes
+        position_nbytes = (M + 1) * 8
+        assert peak <= 1.1 * (res.states.nbytes + (2 * FD_BLOCK + 1) * position_nbytes)
+        assert peak <= 0.2 * len(res.times) * 2 * position_nbytes
 
     def test_open_loop_energy_drift_undamped(self, dirichlet_cfg):
         z1, z2 = band_limited(Boundary.DIRICHLET)
