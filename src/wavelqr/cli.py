@@ -40,7 +40,6 @@ from .model import (
     wave_config_from_dict,
     weight_family_from_dict,
 )
-from .quad import simpson_weights
 from .riccati import (
     TOL_RES,
     ModalTable,
@@ -636,9 +635,7 @@ def _verify_checks(rc: RunConfig) -> dict:
     # kernel Riccati PDE: diagonal basis coefficients of the residual fields
     if modes:
         npts = max(401, 20 * max(modes) + 1)  # odd, for Simpson weights
-        grid = np.linspace(0.0, 1.0, npts)
-        wq = simpson_weights(npts, grid[1] - grid[0])
-        diag = pde_residual_diagonal(t, grid, wq)
+        diag = pde_residual_diagonal(t, npts)
         add("pde_residual_diagonal", np.abs(diag).max(), 1e-8)
 
     # assembled kernel symmetry at seeded random pairs, and boundary values
@@ -712,29 +709,34 @@ def _max_abs(field) -> float:
     return float(np.max([np.abs(plane, out=scratch).max() for plane in planes]))
 
 
+def _write_kernel(path: Path, name: str, field) -> float:
+    """Write a kernel field's CSV, with entry columns name11 ... name22, and
+    return its largest absolute value.  The caller passes the field without
+    keeping it, so it is freed when this returns."""
+    entries = [f"{name}{a}{b}" for a, b in ("11", "12", "21", "22")]
+    write_csv(path, ["x1", "x2", *entries], _kernel_columns(field))
+    return _max_abs(field)
+
+
 def cmd_kernels(rc: RunConfig, out: Path) -> int:
     cfg = rc.wave
     grid = np.linspace(0.0, 1.0, rc.grid_points)
     sols = solve_family(cfg, rc.family, rc.N)
-    kp = assemble_P(sols, grid)
-    kq = assemble_Q(rc.family, grid, cfg.boundary, rc.N)
+    # one field at a time: each is written and freed before the next is assembled
+    p_max = _write_kernel(out / "kernel_P.csv", "P", assemble_P(sols, grid))
+    _write_kernel(out / "kernel_Q.csv", "Q", assemble_Q(rc.family, grid, cfg.boundary, rc.N))
     kg = assemble_K(sols, grid)
-    fields = pde_residual(sols, grid)
-
-    write_csv(out / "kernel_P.csv", ["x1", "x2", "P11", "P12", "P21", "P22"], _kernel_columns(kp))
-    write_csv(out / "kernel_Q.csv", ["x1", "x2", "Q11", "Q12", "Q21", "Q22"], _kernel_columns(kq))
     write_csv(out / "gain.csv", ["x", "K1", "K2"], [grid, kg.values[:, 0], kg.values[:, 1]])
-    write_csv(out / "pde_residual.csv", ["x1", "x2", "r11", "r12", "r21", "r22"],
-              _kernel_columns(fields))
+    r_max = _write_kernel(out / "pde_residual.csv", "r", pde_residual(sols, grid))
     write_json(
         out / "kernels_summary.json",
         {
             "N": rc.N,
             "grid_points": rc.grid_points,
-            "P_max_abs": _max_abs(kp),
+            "P_max_abs": p_max,
             "K_max_abs": float(np.max(np.abs(kg.values))),
             "Q_warnings": list(summability_warnings(rc.family)),
-            "pde_residual_max_abs": _max_abs(fields),
+            "pde_residual_max_abs": r_max,
         },
     )
     return 0

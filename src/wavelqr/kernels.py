@@ -21,12 +21,13 @@ from .model import (
     projection_weight,
     weight_arrays,
 )
+from .quad import simpson_weights
 from .riccati import ModalTable, modal_table, solve_family
 
 QUAD_WARNING = "series not absolutely summable"
 
-#: grid points per block of the Gram accumulation in pde_residual_diagonal
-GRAM_BLOCK = 2048
+#: rows of the Gram matrix formed at a time in pde_residual_diagonal
+GRAM_ROWS = 256
 
 #: points of the uniform grid on which convergence_report takes the sup
 #: differences of successive partial sums
@@ -120,6 +121,34 @@ def assemble_Q(family: WeightFamily, grid, boundary: Boundary, N: int) -> Kernel
     return KernelField(grid, grid, values)
 
 
+def _residual_factors(sols: ModalTable):
+    """The diagonals and rank-one factors of the residual coefficient matrices.
+
+    Returns (modes, g2, diagonals, factors): diagonals is (lhs11, lhs12,
+    lhs22), the modal left-hand sides, and factors is (t12, t22), the factors
+    of the gain-kernel coefficients (t21 = t12 by symmetry).  The coefficient
+    matrix of component (a, b) is diag(lhs_ab) - g2 outer(t_a2, t_b2), with
+    lhs21 = lhs12.
+    """
+    cfg, modes, p11, p12, p22 = sols.cfg, sols.n, sols.p11, sols.p12, sols.p22
+    q11, q12, q22 = sols.q11, sols.q12, sols.q22
+    # np.sort, not np.unique: numpy's unique imports numpy.ma for a check
+    # that a plain array never needs
+    if np.any(np.diff(np.sort(modes)) == 0):
+        raise ValueError("solution table holds some mode more than once")
+    w2 = (modes * np.pi) ** 2
+
+    if cfg.boundary == Boundary.DIRICHLET:
+        factor = modes * np.pi
+    else:
+        factor = gain_expansion_sign(cfg.boundary, modes)
+
+    lhs11 = -2.0 * w2 * p12 + q11
+    lhs12 = p11 - cfg.alpha * p12 - w2 * p22 + q12
+    lhs22 = 2.0 * p12 - 2.0 * cfg.alpha * p22 + q22
+    return modes, cfg.gamma_sq, (lhs11, lhs12, lhs22), (factor * p12, factor * p22)
+
+
 def residual_coefficient_matrices(sols: ModalTable):
     """Double-basis coefficients of the four PDE residual fields, with the
     problem and the weights Q taken from the table.
@@ -130,26 +159,7 @@ def residual_coefficient_matrices(sols: ModalTable):
     -gamma^2 m n pi^2 P12^m P21^n for the first equation under Dirichlet
     actuation.
     """
-    cfg, modes, p11, p12, p22 = sols.cfg, sols.n, sols.p11, sols.p12, sols.p22
-    q11, q12, q22 = sols.q11, sols.q12, sols.q22
-    # np.sort, not np.unique: numpy's unique imports numpy.ma for a check
-    # that a plain array never needs
-    if np.any(np.diff(np.sort(modes)) == 0):
-        raise ValueError("solution table holds some mode more than once")
-    w2 = (modes * np.pi) ** 2
-    g2 = cfg.gamma_sq
-
-    # the factors of the gain-kernel coefficients, t21 = t12 by symmetry
-    if cfg.boundary == Boundary.DIRICHLET:
-        factor = modes * np.pi
-    else:
-        factor = gain_expansion_sign(cfg.boundary, modes)
-    t12, t22 = factor * p12, factor * p22
-
-    lhs11 = -2.0 * w2 * p12 + q11
-    lhs12 = p11 - cfg.alpha * p12 - w2 * p22 + q12
-    lhs22 = 2.0 * p12 - 2.0 * cfg.alpha * p22 + q22
-
+    modes, g2, (lhs11, lhs12, lhs22), (t12, t22) = _residual_factors(sols)
     m11 = np.diag(lhs11) - g2 * np.outer(t12, t12)
     m12 = np.diag(lhs12) - g2 * np.outer(t12, t22)
     m21 = np.diag(lhs12) - g2 * np.outer(t22, t12)
@@ -175,28 +185,50 @@ def pde_residual(sols: ModalTable, grid) -> KernelField:
     return KernelField(grid, grid, planes.transpose(2, 3, 0, 1))
 
 
-def pde_residual_diagonal(sols: ModalTable, grid, weights) -> np.ndarray:
-    """diag(proj f proj') of the four residual fields f, without forming the fields.
+def pde_residual_diagonal(sols: ModalTable, npts: int) -> np.ndarray:
+    """diag(proj f proj') of the four residual fields f, without forming the
+    fields or sampling the basis.
 
-    proj = phi * weights / pairing weight is the quadrature projection onto
-    the basis, and each field is f = phi' M phi with M one of the
-    residual_coefficient_matrices, so proj f proj' = Gamma M Gamma' with the
-    discrete Gram matrix Gamma = proj phi' of the basis on the same grid.
-    That is the same quadrature of the same sampled basis in another product
-    order.  Gamma is not assumed to be the identity, so the diagonal stays a
-    quadrature check of the modal residuals.  Returns a (4, k) array, rows
-    r11, r12, r21, r22.  Gamma is accumulated over blocks of GRAM_BLOCK grid
-    points, so memory is O(k^2 + k * GRAM_BLOCK) whatever the grid size.
+    proj = phi * weights / pairing weight is composite Simpson quadrature
+    against the basis on the uniform grid of npts points on [0, 1], and each
+    field is f = phi' M phi with M one of the residual_coefficient_matrices,
+    so proj f proj' = Gamma M Gamma' with the discrete Gram matrix
+    Gamma = proj phi'.  Gamma is not assumed to be the identity, so the
+    diagonal stays a quadrature check of the modal residuals.
+
+    By the product-to-sum identity Gamma is Toeplitz -+ Hankel,
+    Gamma_mn = (S(|m - n|) -+ S(m + n)) / (2 w_m), minus for sines and plus
+    for cosines, with w_m the pairing weight and S(j) the quadrature of
+    cos(j pi x).  On the grid S is periodic in j with period 2 (npts - 1)
+    and even, and S(0 ... npts - 1) is the real part of one real FFT of the
+    weights padded to that period.  Each M is diag(l) - g2 a b', so
+    diag(Gamma M Gamma') = (Gamma o Gamma) l - g2 (Gamma a) o (Gamma b)
+    needs no k x k matrix.  Gamma is formed GRAM_ROWS rows at a time, so
+    memory is O(k GRAM_ROWS + npts).  Returns a (4, k) array, rows r11,
+    r12, r21, r22.
     """
-    modes, mats = residual_coefficient_matrices(sols)
-    grid = np.asarray(grid, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    gram = np.zeros((len(modes), len(modes)))
-    for lo in range(0, len(grid), GRAM_BLOCK):
-        phi = basis_matrix(sols.cfg.boundary, modes, grid[lo:lo + GRAM_BLOCK])
-        gram += (phi * weights[lo:lo + GRAM_BLOCK]) @ phi.T
-    gram /= projection_weight(sols.cfg.boundary, modes)[:, None]
-    return np.stack([np.einsum("ij,ij->i", gram @ m, gram) for m in mats])
+    modes, g2, diagonals, factors = _residual_factors(sols)
+    span = npts - 1
+    s = np.fft.rfft(simpson_weights(npts, 1.0 / span), 2 * span).real
+    s = np.concatenate([s, s[-2:0:-1]])  # S(j) for j = 0 ... 2 span - 1
+    hankel = np.subtract if sols.cfg.boundary == Boundary.DIRICHLET else np.add
+    pairing = 2.0 * projection_weight(sols.cfg.boundary, modes)
+    lhs = np.stack(diagonals, axis=1)  # (k, 3): l of M11, of M12 and M21, of M22
+    t = np.stack(factors, axis=1)  # (k, 2)
+    out = np.empty((4, len(modes)))
+    for lo in range(0, len(modes), GRAM_ROWS):
+        m = modes[lo:lo + GRAM_ROWS, None]
+        gram = s[np.abs(m - modes) % len(s)]
+        hankel(gram, s[(m + modes) % len(s)], out=gram)
+        gram /= pairing[lo:lo + GRAM_ROWS, None]
+        ta = gram @ t
+        gl = np.square(gram, out=gram) @ lhs
+        rows = out[:, lo:lo + GRAM_ROWS]
+        rows[0] = gl[:, 0] - g2 * ta[:, 0] * ta[:, 0]
+        rows[1] = gl[:, 1] - g2 * ta[:, 0] * ta[:, 1]
+        rows[2] = gl[:, 1] - g2 * ta[:, 1] * ta[:, 0]
+        rows[3] = gl[:, 2] - g2 * ta[:, 1] * ta[:, 1]
+    return out
 
 
 def decay_fit(ns, values) -> float:

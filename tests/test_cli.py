@@ -464,6 +464,26 @@ class TestOtherCommands:
             vt = vals[(x2, x1)]
             assert abs(v[0] - vt[0]) < 1e-12 and abs(v[1] - vt[2]) < 1e-12
 
+    def test_kernels_holds_one_field_at_a_time(self, tmp_path):
+        """kernels writes and frees each field before it assembles the next:
+        its traced peak is one (g, g, 2, 2) field, the two gathered grid
+        columns of its CSV and the writer's block scratch (at most 5.5 MiB,
+        test_formatter_scratch_is_bounded), well below the three fields the
+        command used to hold at once."""
+        g = 401
+        path = write_config(tmp_path, base_config(grid_points=g, N=32))
+        argv = ["kernels", "--config", str(path), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0  # fills the formatter's cache of powers of ten
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        field_nbytes = g * g * 4 * 8
+        assert peak < field_nbytes + 2 * g * g * 8 + 5.5 * 2**20
+
     def test_simulate_summary_and_series(self, tmp_path):
         path = write_config(tmp_path, base_config(N=6))
         assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
@@ -660,9 +680,12 @@ for name in BLOCKED:
         blocked[name] = True
 import wavelqr.cli
 config, out = sys.argv[1:]
-codes = {cmd: wavelqr.cli.main([cmd, "--config", config, "--out", out])
-         for cmd in wavelqr.cli.COMMANDS}
-print(json.dumps({"blocked": blocked, "codes": codes}))
+codes, fft = {}, {}
+# verify last: numpy.fft, once loaded, stays in sys.modules
+for cmd in sorted(wavelqr.cli.COMMANDS, key=lambda cmd: cmd == "verify"):
+    codes[cmd] = wavelqr.cli.main([cmd, "--config", config, "--out", out])
+    fft[cmd] = "numpy.fft" in sys.modules
+print(json.dumps({"blocked": blocked, "codes": codes, "fft": fft}))
 """
 
 
@@ -677,6 +700,15 @@ class TestColdStart:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["blocked"] == {"scipy": True, "numpy.ma": True}
         assert result["codes"] == {cmd: 0 for cmd in COMMANDS}
+
+    def test_only_verify_loads_numpy_fft(self, tmp_path):
+        # numpy loads numpy.fft on first use, about 2 ms and 0.4 MiB with
+        # the first transform; only verify's residual check needs it
+        path = write_config(tmp_path, base_config())
+        proc = run_python("-c", _COLD_START_SCRIPT, str(path), str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["fft"] == {cmd: cmd == "verify" for cmd in COMMANDS}
 
 
 _RUN_AS_SCRIPT = """

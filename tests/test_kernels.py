@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -298,14 +299,14 @@ class TestPdeResidual:
             coeffs = proj @ f @ proj.T
             assert np.abs(np.diag(coeffs)).max() <= 1e-8
 
-    @pytest.mark.parametrize("block", [None, 97])
+    @pytest.mark.parametrize("block", [None, 7])
     @pytest.mark.parametrize("alpha", [0.0, 0.2])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("N", [1, 8, 64])
     def test_gram_diagonal_matches_field_projection(self, monkeypatch, N, boundary, alpha, block):
         """diag(Gamma M Gamma') equals diag(proj f proj') of the assembled fields."""
-        if block is not None:  # several blocks, the last one partial
-            monkeypatch.setattr(kernels, "GRAM_BLOCK", block)
+        if block is not None:  # several row blocks, the last one partial
+            monkeypatch.setattr(kernels, "GRAM_ROWS", block)
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
         fam = PowerLawWeights(1.0, 5.0)
         sols = solve_family(cfg, fam, N)
@@ -316,9 +317,79 @@ class TestPdeResidual:
         proj = basis_matrix(boundary, sols.n, grid) * wq / projection_weight(boundary, sols.n)[:, None]
         ref = np.stack([np.diag(proj @ f @ proj.T)
                         for f in fields.values.transpose(2, 3, 0, 1).reshape(4, npts, npts)])
-        got = pde_residual_diagonal(sols, grid, wq)
+        got = pde_residual_diagonal(sols, npts)
         assert got.shape == (4, len(sols))
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14)
+
+    @staticmethod
+    def sampled_gram_diagonal(sols, npts):
+        """The Gram matrix of the sampled basis, accumulated over blocks of
+        2048 grid points, and diag(Gamma M Gamma') of the dense
+        coefficient matrices."""
+        modes, mats = residual_coefficient_matrices(sols)
+        grid = np.linspace(0.0, 1.0, npts)
+        wq = simpson_weights(npts, grid[1] - grid[0])
+        gram = np.zeros((len(modes), len(modes)))
+        for lo in range(0, npts, 2048):
+            phi = basis_matrix(sols.cfg.boundary, modes, grid[lo:lo + 2048])
+            gram += (phi * wq[lo:lo + 2048]) @ phi.T
+        gram /= projection_weight(sols.cfg.boundary, modes)[:, None]
+        return np.stack([np.einsum("ij,ij->i", gram @ m, gram) for m in mats])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.2])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("N", [0, 1, 32, 128, 512])
+    def test_fft_gram_matches_sampled_gram(self, N, boundary, alpha):
+        """The Toeplitz-Hankel Gram matrix gives the sampled one's diagonal.
+
+        N = 0 under Neumann is the mean mode alone.  The largest deviation
+        measured over these cases is 1.9e-15 (N = 128, Neumann, alpha = 0),
+        against values of at most 1.7e-15 and the check's tolerance of 1e-8.
+        """
+        cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=1.0)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), N)
+        npts = max(401, 20 * N + 1)
+        got = pde_residual_diagonal(sols, npts)
+        assert got.shape == (4, len(sols))
+        np.testing.assert_allclose(got, self.sampled_gram_diagonal(sols, npts), rtol=0, atol=5e-15)
+
+    @pytest.mark.parametrize("npts", [41, 13])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    def test_fft_gram_off_identity(self, boundary, npts):
+        """Modes out of order and a grid too coarse for them: Gamma is far
+        from the identity, and the diagonal still follows the sampled Gram
+        matrix.  S(j) is periodic in j with period 2 (npts - 1); on 13
+        points some |m - n| and m + n pass that period, where S wraps
+        around."""
+        cfg = WaveConfig(boundary, alpha=0.2, beta=1.0, R=1.0)
+        fam = PowerLawWeights(1.0, 2.0)
+        modes = [17, 3, 23, 29, 11, 37, 13] + ([0] if boundary == Boundary.NEUMANN else [])
+        sols = family_table(cfg, fam, modes)
+        got = pde_residual_diagonal(sols, npts)
+        ref = self.sampled_gram_diagonal(sols, npts)
+        assert np.abs(ref).max() > 1e-5
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-15)
+
+    def test_fft_gram_memory_bound(self, neumann_cfg):
+        """At N = 512 the peak is a few row blocks of Gamma plus O(npts) for
+        the FFT, 4.7 MB at most: no k x npts sample of the basis (42 MB
+        here) and not the four dense k x k coefficient matrices (8.4 MB)."""
+        sols = solve_family(neumann_cfg, PowerLawWeights(1.0, 5.0), 512)
+        npts = 20 * 512 + 1
+        pde_residual_diagonal(sols, npts)
+        tracemalloc.start()
+        try:
+            pde_residual_diagonal(sols, npts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        k = len(sols)
+        assert peak <= 4 * kernels.GRAM_ROWS * k * 8 + 48 * npts
+
+    def test_even_point_count_refused(self, dirichlet_cfg):
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4)
+        with pytest.raises(ValueError, match="odd number of points"):
+            pde_residual_diagonal(sols, 400)
 
     def test_duplicate_modes_rejected(self, dirichlet_cfg):
         fam = PowerLawWeights(1.0, 5.0)
