@@ -243,11 +243,15 @@ def _number_plan(columns, numeric):
     equality, decide: -0.0 and 0.0 print differently.  The columns are read
     a group of at most _BLOCK_VALUES numbers at a time: a group of one
     column where it lies, a group of several through one buffer, so that
-    no long column is copied.  Columns are matched by a sample of their
-    bits and confirmed in full.
+    no long column is copied.  The columns are grouped all at once, by
+    np.unique on a key of the sampled bits of each, and a column whose key
+    an earlier one shares is confirmed in full.
     """
-    cell, full, constant, owners = {}, [], [], {}  # owners: sample of bits -> positions in full
     rows = len(columns[0])
+    pick = slice(None, None, max(1, rows // 64))  # the rows sampled, row 0 first
+    numeric = np.asarray(numeric, np.intp)
+    one = np.empty(len(numeric), bool)  # the columns of one bit pattern
+    sample = np.empty((len(numeric), len(range(rows)[pick])), np.int64)
     group = max(1, _BLOCK_VALUES // rows)
     buffer = np.empty((min(group, len(numeric)), rows)) if group > 1 else None
     for g in range(0, len(numeric), group):
@@ -257,28 +261,38 @@ def _number_plan(columns, numeric):
         else:
             floats = np.stack([columns[i] for i in idx], out=buffer[:len(idx)])
         bits = floats.view(np.int64)
-        for i, b, one in zip(idx, bits, (bits == bits[:, :1]).all(axis=1)):
-            if one:
-                constant.append((i, b[0]))
-                continue
-            same = owners.setdefault(b[::max(1, rows // 64)].tobytes(), [])
-            cell[i] = next((k for k in same if np.array_equal(
-                b, np.asarray(columns[full[k]], float).view(np.int64))), len(full))
-            if cell[i] == len(full):
-                same.append(len(full))
-                full.append(i)
-    for k, (i, _) in enumerate(constant):
-        cell[i] = len(full) + k
-    constants = formatted(np.array([v for _, v in constant], np.int64).view(float))
-    runs = []
-    for i in range(len(columns)):
-        if i not in cell:
-            runs.append(i)
-        elif runs and isinstance(runs[-1], list):
-            runs[-1].append(cell[i])
-        else:
-            runs.append([cell[i]])
-    return full, constants, [np.array(r, np.intp) if isinstance(r, list) else r for r in runs]
+        one[g:g + len(idx)] = (bits == bits[:, :1]).all(axis=1)
+        sample[g:g + len(idx)] = bits[:, pick]
+    # the other columns grouped by a 64-bit key of their sampled bits (a sum
+    # of products with odd multipliers, wrapping); a column whose key an
+    # earlier one shares is confirmed in full against the earlier ones,
+    # so a key that two other samples share only costs a comparison
+    varied = numeric[~one]
+    mult = np.arange(1, 2 * sample.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    key = (sample[~one].view(np.uint64) * mult).sum(axis=1, dtype=np.uint64)
+    _, head, label = np.unique(key, return_index=True, return_inverse=True)
+    owner = head[label]
+    is_head = owner == np.arange(len(varied))
+
+    def bits_of(p):
+        return np.asarray(columns[varied[p]], float).view(np.int64)
+
+    for p in np.flatnonzero(~is_head):
+        same = np.flatnonzero(is_head[:p] & (label[:p] == label[p]))
+        owner[p] = next((q for q in same if np.array_equal(bits_of(q), bits_of(p))), p)
+        is_head[p] = owner[p] == p
+    full = varied[is_head].tolist()
+    cell = np.full(len(columns), -1, np.intp)
+    cell[varied] = (np.cumsum(is_head) - 1)[owner]
+    cell[numeric[one]] = len(full) + np.arange(np.count_nonzero(one))
+    constants = formatted(sample[one, 0].view(float))
+    # runs from the mask of numeric columns: its edges bound each run
+    edges = np.flatnonzero(np.diff(cell >= 0, prepend=False, append=False))
+    runs, at = [], 0
+    for lo, hi in zip(edges[0::2], edges[1::2]):
+        runs += [*range(at, lo), cell[lo:hi]]
+        at = hi
+    return full, constants, runs + list(range(at, len(columns)))
 
 
 def _csv_block(fh, ws, numbers, bands, start, stop):

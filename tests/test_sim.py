@@ -3,6 +3,7 @@ import json
 import re
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -24,7 +25,7 @@ from wavelqr.model import (
     weight_arrays,
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
-from wavelqr import sim
+from wavelqr import cli, sim
 from wavelqr.cli import parse_config
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
@@ -44,7 +45,12 @@ from wavelqr.sim import (
     simulate_decoupled,
     simulate_fd,
 )
-from wavelqr.spectrum import closed_loop_matrices, closed_loop_spectrum, coupled_loop_parts
+from wavelqr.spectrum import (
+    closed_loop_matrices,
+    closed_loop_spectrum,
+    coupled_loop_parts,
+    coupled_spectrum,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -315,6 +321,15 @@ def reference_coupled(cfg, sols, state0, T, dt):
     qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks * pw2[:, None, None], a) + cfg.R * u**2
     return a, u, running_quadrature(integrand, dt)
+
+
+@contextmanager
+def dense_coupled():
+    """simulate_coupled_modal on its dense path, as where the closed loop's
+    eigenstructure cannot be verified."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "coupled_modes", lambda sols, a0: None)
+        yield
 
 
 def bits(x):
@@ -641,6 +656,58 @@ class TestSimulateCoupled:
         assert ratio < 1.0
         np.testing.assert_allclose(ratio, 0.08132684984988023, rtol=1e-6)
 
+    @pytest.mark.parametrize("boundary, alpha, beta, R, q, r, N", [
+        # Newton from the per-mode loops finds some roots twice
+        (Boundary.DIRICHLET, 0.0, 1.0, 1.0, 1.0, 2.5, 208),
+        # the same, on a coupled loop that is unstable
+        (Boundary.DIRICHLET, 0.0, 2.0, 0.5, 10.0, 2.5, 64),
+        # zero-weight rows have no gain
+        (Boundary.DIRICHLET, 0.0, 1.0, 1.0, None, None, 4),
+        (Boundary.NEUMANN, 0.3, 1.0, 1.0, None, None, 4),
+        (Boundary.NEUMANN, 0.3, 1.0, 1.0, 2, None, 4),
+    ])
+    def test_unverified_roots_take_the_dense_path(self, boundary, alpha, beta, R, q, r, N):
+        """Where the closed loop's eigenstructure is not verified, the run is
+        the dense path's to the bit, and no floating-point warning escapes."""
+        cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
+        if r is not None:
+            sols = solve_family(cfg, PowerLawWeights(q, r), N)
+        else:  # no weights, or the single weight of mode q
+            sols = solve_family(cfg, ExplicitWeights({} if q is None else {q: ModalWeight(q, 1.0, 0.0, 1.0)}), N)
+        inv_sq = 1.0 / np.arange(1, len(sols) + 1) ** 2
+        st = ModalState(boundary, tuple(sols.n.tolist()), np.stack([inv_sq, -0.5 * inv_sq], axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sim.coupled_modes(sols, st.a) is None
+            res = simulate_coupled_modal(sols, st, 0.5, 0.002, stride=3)
+        with dense_coupled():
+            ref = simulate_coupled_modal(sols, st, 0.5, 0.002, stride=3)
+        for got, want in ((res.states, ref.states), (res.u_record, ref.u_record), (res.cost, ref.cost)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        if (beta, q) == (2.0, 10.0):
+            np.testing.assert_allclose(coupled_spectrum(sols)[1], 0.0089, atol=5e-5)
+
+    def test_workload_configs_take_the_eigenbasis(self):
+        """The simulate configs of the benchmark workloads and the example
+        config verify their eigenstructure; their states stay within 1e-11
+        of the dense path's, relative to the largest state, and their cost
+        within 1e-12 (measured worst cases 4.9e-12 and 1.2e-13, fine-grid)."""
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        docs = [workloads.command_config(w, "simulate", seed=0) for w in workloads.WORKLOADS.values()]
+        docs.append(json.loads((ROOT / "demos" / "config_example.json").read_text()))
+        for doc in docs:
+            rc = parse_config(doc)
+            sols = solve_family(rc.wave, rc.family, rc.N)
+            st = cli._initial_state(rc, sols)
+            assert sim.coupled_modes(sols, st.a) is not None, doc["N"]
+            res = simulate_coupled_modal(sols, st, rc.sim.T, rc.sim.dt, stride=rc.sim.csv_stride)
+            with dense_coupled():
+                ref = simulate_coupled_modal(sols, st, rc.sim.T, rc.sim.dt, stride=rc.sim.csv_stride)
+            assert np.abs(res.states - ref.states).max() <= 1e-11 * np.abs(ref.states).max()
+            assert abs(res.total_cost - ref.total_cost) <= 1e-12 * ref.total_cost
+
     def test_mode_mismatch_rejected(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="modes"):
@@ -654,11 +721,8 @@ class TestModalStride:
     DT = 0.002
 
     @staticmethod
-    @lru_cache(maxsize=None)
-    def stepped(simulator, boundary, alpha, nsteps, stride, modes=24):
-        """A run of exactly nsteps steps (an even count) on the table of the
-        given mode count, with the given stride, or (states, u_record, cost)
-        of its reference loop for stride 0.  The initial data hold a -0.0
+    def table(boundary, alpha, modes=24):
+        """(cfg, sols, state0) of the runs: the initial data hold a -0.0
         pair and a 0.0 pair."""
         cfg = WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8)
         sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), modes)
@@ -666,13 +730,32 @@ class TestModalStride:
         a = np.stack([inv_sq, -0.5 * inv_sq], axis=1)
         a[3] = -0.0
         a[5] = 0.0
-        st = ModalState(boundary, tuple(sols.n.tolist()), a)
+        return cfg, sols, ModalState(boundary, tuple(sols.n.tolist()), a)
+
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def stepped(simulator, boundary, alpha, nsteps, stride, modes=24):
+        """A run of exactly nsteps steps (an even count) on the table of the
+        given mode count, with the given stride, or (states, u_record, cost)
+        of its reference loop for stride 0.  simulator "coupled" is
+        simulate_coupled_modal as it runs, which steps these tables in the
+        eigenbasis of the closed loop; "dense" is simulate_coupled_modal on
+        its dense fallback, the path that reference_coupled mirrors."""
+        cfg, sols, st = TestModalStride.table(boundary, alpha, modes)
         T = (nsteps - 0.5) * TestModalStride.DT
         if stride == 0:
             ref = reference_decoupled if simulator == "decoupled" else reference_coupled
             return ref(cfg, sols, st, T, TestModalStride.DT)
+        if simulator == "dense":
+            with dense_coupled():
+                return simulate_coupled_modal(sols, st, T, TestModalStride.DT, stride=stride)
         run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
         return run(sols, st, T, TestModalStride.DT, stride=stride)
+
+    @staticmethod
+    def kept_steps(nsteps, stride):
+        kept = list(range(0, nsteps + 1, stride))
+        return kept if kept[-1] == nsteps else kept + [nsteps]
 
     #: the largest deviation from the reference loop allowed, over the largest
     #: magnitude of the reference array; measured worst cases over these
@@ -680,7 +763,7 @@ class TestModalStride:
     #: decoupled 2.3e-14, 2.0e-14 and 1.7e-14
     TOL = 1e-12
 
-    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
+    @pytest.mark.parametrize("simulator", ["decoupled", "dense"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     # rows = nsteps + 1, every one stepped in slabs of B = MAX_SLAB rows:
@@ -708,9 +791,7 @@ class TestModalStride:
         res = self.stepped(simulator, boundary, alpha, nsteps, stride, modes)
         one = self.stepped(simulator, boundary, alpha, nsteps, 1, modes)
         states, u_rec, cost = self.stepped(simulator, boundary, alpha, nsteps, 0, modes)
-        kept = list(range(0, nsteps + 1, stride))
-        if kept[-1] != nsteps:
-            kept.append(nsteps)
+        kept = self.kept_steps(nsteps, stride)
         assert res.states.shape == (len(kept), *states.shape[1:])
         assert res.u_record.shape == u_rec.shape == (nsteps + 1,)
         assert np.any(np.signbit(res.states[0]) & (res.states[0] == 0.0))
@@ -722,7 +803,36 @@ class TestModalStride:
             np.testing.assert_array_equal(bits(got), bits(want))
             assert np.abs(got - loop).max() <= self.TOL * np.abs(loop).max()
 
-    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
+    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("modes, nsteps", [
+        (6, MAX_SLAB - 2), (6, MAX_SLAB), (6, 2 * MAX_SLAB),
+        (24, 100), (24, 2 * FD_BLOCK - 2), (24, 2 * FD_BLOCK), (24, 4 * FD_BLOCK + 60),
+    ])
+    @pytest.mark.parametrize("stride", [1, 2, 7, 10, 10**6])
+    def test_eigen_run_strided_rows_match_stride_one(self, boundary, alpha, modes, nsteps, stride):
+        """The run in the closed loop's eigenbasis keeps steps 0, stride,
+        2 stride, ... and the last step, each equal to the bit to that row
+        of the stride-1 run, as are u_record, cost and times.  states[0] is
+        state0.a to the bit, signed zeros included, and the last state
+        equals scipy's expm(k dt A_cl) a0 within the bound of
+        test_slab_rows_match_matrix_exponential."""
+        _, sols, st = self.table(boundary, alpha, modes)
+        assert sim.coupled_modes(sols, st.a) is not None
+        res = self.stepped("coupled", boundary, alpha, nsteps, stride, modes)
+        one = self.stepped("coupled", boundary, alpha, nsteps, 1, modes)
+        kept = self.kept_steps(nsteps, stride)
+        assert res.states.shape == (len(kept), *st.a.shape)
+        np.testing.assert_array_equal(bits(res.states[0]), bits(st.a))
+        assert np.any(np.signbit(res.states[0]) & (res.states[0] == 0.0))
+        for got, want in ((res.states, one.states[kept]), (res.u_record, one.u_record),
+                          (res.cost, one.cost), (res.times, one.times)):
+            np.testing.assert_array_equal(bits(got), bits(want))
+        A, B, Krow = coupled_loop_parts(sols)
+        want = expm(nsteps * self.DT * (A + B @ Krow)) @ st.a.reshape(-1)
+        assert np.abs(res.states[-1].reshape(-1) - want).max() <= 1e-14 * nsteps * np.abs(want).max()
+
+    @pytest.mark.parametrize("simulator", ["decoupled", "dense", "coupled"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_slab_rows_match_matrix_exponential(self, simulator, boundary, alpha):
@@ -731,11 +841,14 @@ class TestModalStride:
         of every mode (decoupled) or the coupled loop, within 1e-14 k of the
         largest state magnitude at step k: the propagators agree with
         scipy's to a few ulps, and that rounding accumulates over the k
-        steps (measured worst case 1.6e-15 k)."""
+        steps (measured worst case 1.6e-15 k).  The coupled run in the
+        eigenbasis has no accumulation: c e^(mu t) is an exact exp at each
+        block start, and its largest error is 5.6e-16 k, at k = 1."""
         nsteps = 2 * FD_BLOCK
         res = self.stepped(simulator, boundary, alpha, nsteps, 1)
-        sols = solve_family(WaveConfig(boundary, alpha=alpha, beta=1.0, R=0.8),
-                            PowerLawWeights(1.0, 5.0), 24)
+        _, sols, st = self.table(boundary, alpha)
+        if simulator == "coupled":
+            assert sim.coupled_modes(sols, st.a) is not None
         if simulator == "decoupled":
             loops = closed_loop_matrices(sols)
         else:
