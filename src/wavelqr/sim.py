@@ -15,10 +15,9 @@ mode truncation and the time quadrature of the cost.  The per-mode 2x2
 propagators of simulate_decoupled are closed-form exponentials
 (expm_2x2).  simulate_coupled_modal steps the coupled loop in its
 eigenbasis: the eigenvalues of blockdiag(F_n) + B Krow are the roots of a
-secular equation, found and verified in O(N^2) by
-spectrum.coupled_modes, and the state is Re((c e^(mu t)) V).  Where the
-roots cannot be verified, it exponentiates the dense loop by scaling and
-squaring with a Pade approximant of degree 3 to 9 (expm_pade).
+secular equation and the open-loop poles that Krow cannot see, found and
+verified in O(N^2) by spectrum.coupled_modes, and the state is
+Re((c e^(mu t)) V) plus the open-loop part along the frozen poles.
 
 All three step their trajectory into blocks of FD_BLOCK rows, evaluate
 each block for the controls and the cost in their own loop, and keep the
@@ -32,16 +31,13 @@ with the weight columns.
 In the eigenbasis, each block's states are one real matrix product of
 E = c e^(mu t), formed from an exact exp at the block start and a slab
 recurrence by e^(mu MAX_SLAB dt), with the real and imaginary parts of
-the eigenvectors (_eigen_stepped).  The per-mode run and the dense
-coupled path step a linear recurrence x_(i+1) = P x_i, so row i also
-follows from row i - B through P^B (_stepped).  Rows 1 to B - 1 are
-stepped one at a time by P; then P gives way to P^B, and every later
-slab of B rows is one product with the B rows before it: a matrix
-product (level-3 BLAS) for the dense coupled loop, whose P^B is formed
-by log2(B) squarings, and four elementwise products over the slab for
-the per-mode 2x2 blocks, whose P^B is their closed-form exponential at
-B dt.  B is a power of two up to MAX_SLAB, derived from the propagator
-size and the row count (_slab_rows); B = 1 is the one-row recurrence.
+the eigenvectors (_eigen_stepped).  The per-mode 2x2 blocks, of
+simulate_decoupled and of the coupled run's open-loop part, step a linear
+recurrence x_(i+1) = P x_i, so row i also follows from row i - B
+through P^B (_stepped), B = MAX_SLAB.  Rows 1 to B - 1 are stepped one
+at a time by P; then P gives way to P^B, their closed-form exponential
+at B dt, and every later slab of B rows is four elementwise products
+with the B rows before it.
 """
 
 from collections import namedtuple
@@ -55,6 +51,7 @@ from .model import (
     Boundary,
     WaveConfig,
     WeightFamily,
+    modal_matrices,
     mode_range,
     projection_weight,
     weight_arrays,
@@ -63,10 +60,10 @@ from .quad import running_quadrature, simpson_weights, trapezoid_weights
 from .riccati import ModalTable
 from .spectrum import (
     CoupledModes,
+    UnverifiedModes,
     closed_loop_matrices,
     closed_loop_spectrum,
     coupled_gains,
-    coupled_loop_parts,
     coupled_modes,
 )
 
@@ -79,20 +76,15 @@ MIN_FD_INTERVALS = 32
 #: 2 FD_BLOCK - 1 rows
 FD_BLOCK = 256
 
-#: the most rows a modal simulator steps by one product with the rows
-#: before them; a block's first slab reads the previous block's last
-#: MAX_SLAB rows, so FD_BLOCK must be at least 2 MAX_SLAB
+#: the rows a modal simulator steps by one product with the rows before
+#: them; a block's first slab reads the previous block's last MAX_SLAB
+#: rows, so FD_BLOCK must be at least 2 MAX_SLAB
 MAX_SLAB = 16
 
 #: expm_2x2 sums the power series of cosh and sinh(q)/q in q^2 for
 #: |q^2| <= this radius; there its first omitted term, 1/20!, is below 1e-18
 _SERIES_RADIUS = 1.0
 _SERIES_TERMS = 10
-
-#: Al-Mohy & Higham (2009), Table 3.1: the largest eta for which the
-#: degree-m Pade approximant has backward error at most 2^-53
-_PADE_THETA = ((3, 1.495585217958292e-2), (5, 2.539398330063230e-1),
-               (7, 9.504178996162932e-1), (9, 2.097847961257068e0))
 
 
 class SimulationError(RuntimeError):
@@ -262,56 +254,29 @@ def _stream(first, nrows: int, stride: int):
     return kept, blocks()
 
 
-def _slab_rows(d: int, nrows: int) -> int:
-    """B, the rows a modal simulator steps by one product with a d x d
-    propagator P: MAX_SLAB when d <= nrows, MAX_SLAB / 2 when
-    d <= 2 nrows, else 1.
+def _stepped(blocks, prop, power):
+    """Fill each block of _stream with x_(i+1) = prop x_i, mode n advanced by
+    the 2x2 block prop[n], then yield it.
 
-    One row at a time, the stepping reads P nrows times.  In slabs, P^B
-    takes log2(B) products of d x d matrices, whose cost grows as d^3, and
-    each of the nrows / B slab products costs about as much as 2.5 one-row
-    products at large d, since BLAS packs P^B for it.  So slabs pay once
-    nrows is about d / 2 or more, and then only with a large B.  On a
-    2-core x86-64 host the coupled stepping took, one row at a time and
-    with B = 2, 4, 8, 16: 8.7, 12.2, 7.6, 5.8 and 5.9 s at d = 4096 and
-    2501 rows; 0.32 s one row at a time and 0.56 to 0.67 s with B = 2 to 8
-    at d = 2048 and 401 rows.  B does not grow with d.
+    Rows 1 to MAX_SLAB - 1 are stepped one at a time by prop; then prop
+    gives way to power, its MAX_SLAB-th power, and every later slab of at
+    most MAX_SLAB rows is one step from the MAX_SLAB rows before it
+    (_step_modes).  A block's first slab reads the previous block's last
+    MAX_SLAB rows, which the buffer of _stream still holds: they lie
+    behind the slab it writes, since a block before the last holds
+    FD_BLOCK >= 2 MAX_SLAB rows.
     """
-    for B in (MAX_SLAB, MAX_SLAB // 2):
-        if B * d <= MAX_SLAB * nrows:
-            return B
-    return 1
-
-
-def _stepped(blocks, prop, slab: int, step, power=None):
-    """Fill each block of _stream with x_(i+1) = prop x_i, then yield it.
-
-    step(P, src, out) writes into the rows out the rows src, each advanced
-    by P.  Rows 1 to slab - 1 are stepped one at a time by prop; then prop
-    gives way to power, its slab-th power, or when power is None to
-    prop^slab formed by log2(slab) squarings (so the caller frees prop by
-    dropping its own reference), and every later slab of at most slab rows
-    is one step from the slab rows before it.  A block's first slab reads
-    the previous block's last slab rows, which the buffer of _stream still
-    holds: they lie behind the slab it writes, since a block before the
-    last holds FD_BLOCK >= 2 slab rows.
-    """
-    tail = None  # the last slab rows of the previous block
+    tail = None  # the last MAX_SLAB rows of the previous block
     for start, rows in blocks:
         first = 0
         if start == 0:
-            first = min(slab, len(rows))
+            first = min(MAX_SLAB, len(rows))
             for i in range(1, first):
-                step(prop, rows[i - 1:i], rows[i:i + 1])
-            if power is None:
-                for _ in range(slab.bit_length() - 1):
-                    prop = prop @ prop
-            else:
-                prop = power
-        for i in range(first, len(rows), slab):
-            out = rows[i:i + slab]
-            step(prop, rows[i - slab:i - slab + len(out)] if i else tail, out)
-        tail = rows[-slab:]
+                _step_modes(prop, rows[i - 1:i], rows[i:i + 1])
+        for i in range(first, len(rows), MAX_SLAB):
+            out = rows[i:i + MAX_SLAB]
+            _step_modes(power, rows[i - MAX_SLAB:i - MAX_SLAB + len(out)] if i else tail, out)
+        tail = rows[-MAX_SLAB:]
         yield start, rows
 
 
@@ -341,9 +306,24 @@ def _eigen_stepped(blocks, nrows: int, modes: CoupledModes, dt: float):
         yield start, rows
 
 
-def _step_coupled(P, src, out):
-    """The (rows, k, 2) states src advanced by the (2k, 2k) propagator P, into out."""
-    np.matmul(src.reshape(len(src), -1), P.T, out=out.reshape(len(out), -1))
+def _open_loop_added(steps, nrows: int, modes: CoupledModes, F, dt: float):
+    """Each block of steps, with the open-loop part e^(F_n t) rest_n of the
+    state added to the modes open_modes of the eigenstructure (see
+    spectrum.CoupledModes), then yield it.  F (len(open_modes), 2, 2)
+    holds their open-loop blocks.  Row 0 of the first block keeps the
+    initial state.
+
+    The open-loop part is stepped in blocks of its own, as _stepped steps
+    a zero-weight table of simulate_decoupled, by expm_2x2(F dt) and
+    expm_2x2(F MAX_SLAB dt); stride nrows keeps none of its rows but the
+    first and the last.
+    """
+    _, rest = _stream(modes.rest, nrows, nrows)
+    rest = _stepped(rest, expm_2x2(F * dt), expm_2x2(F * (MAX_SLAB * dt)))
+    for (start, rows), (_, part) in zip(steps, rest):
+        lo = 1 if start == 0 else 0
+        rows[lo:, modes.open_modes] += part[lo:]
+        yield start, rows
 
 
 def _step_modes(P, src, out):
@@ -351,7 +331,7 @@ def _step_modes(P, src, out):
 
     Adding 0.0 turns a -0.0 sum of two -0.0 products into 0.0 and changes
     no other value, so an entry is what a sum started from 0.0 gives, as
-    in einsum and in the matrix products of the coupled loop.
+    in einsum.
     """
     a1, a2 = src[..., 0], src[..., 1]
     np.add(a1 * P[:, 0, 0], a2 * P[:, 0, 1], out=out[..., 0])
@@ -415,105 +395,6 @@ def expm_2x2(A) -> np.ndarray:
     return out
 
 
-def _pade_coefficients(m: int) -> list[float]:
-    """b_j = (2m - j)! / (j! (m - j)!), Higham's integer scaling of the [m/m] Pade coefficients."""
-    return [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
-
-
-def _norm1(X, scratch) -> float:
-    """||X||_1, summed as np.linalg.norm(X, 1) sums it, with |X| formed in scratch."""
-    return np.abs(X, out=scratch).sum(axis=0).max()
-
-
-def _add_identity(X, c):
-    """X + c I in place, to the bit: c 0.0 adds 0.0 off the diagonal, which
-    turns -0.0 into 0.0 and leaves every other entry as it is."""
-    X += 0.0
-    X.reshape(-1)[::len(X) + 1] += c
-    return X
-
-
-def _extra_squarings(absA, m: int) -> int:
-    """ell(A, m) of Al-Mohy & Higham (2009) from absA = |A|: squarings to
-    add so that the leading backward-error term
-    |c_(2m+1)| ||A^(2m+1)|| / ||A|| stays near unit roundoff, bounded
-    through |A|."""
-    # the 1-norm of the nonnegative |A|^(2m+1) is the largest entry of
-    # 1' |A|^(2m+1), formed exactly by 2m + 1 vector-matrix products
-    v = np.ones(len(absA))
-    for _ in range(2 * m + 1):
-        v = v @ absA
-    if not v.max() > 0:
-        return 0
-    c = factorial(m) ** 2 / (factorial(2 * m) * factorial(2 * m + 1))
-    alpha = c * v.max() / absA.sum(axis=0).max()
-    return max(int(np.ceil(np.log2(alpha / 2.0**-53) / (2 * m))), 0)
-
-
-def expm_pade(A) -> np.ndarray:
-    """e^A of a square matrix by scaling and squaring with a [m/m] Pade approximant.
-
-    The degree m in {3, 5, 7, 9} and the scaling 2^-s follow Al-Mohy &
-    Higham (SIAM J. Matrix Anal. Appl. 31, 2009, Algorithm 5.1), up to
-    degree 9: the first degree that fits A is taken, else degree 9 on
-    A / 2^s.  Both are judged by eta = max(||A^4||^(1/4), ||A^6||^(1/6), ...)
-    from exact 1-norms of the even powers the approximant needs anyway; the
-    ||A||_1 rule would over-scale the weakly damped closed loops, whose norm
-    is far above their spectral radius, and lose accuracy in the squarings.
-    The approximant is evaluated as in Higham (SIAM J. Matrix Anal. Appl.
-    26, 2005).
-
-    Besides A, at most six matrices of its size are alive at once: A^2, A^4,
-    A^6, A^8, one scratch for the |X| of the norms and one accumulator.  The
-    scaling multiplies the powers in place, and U after its product with A,
-    by exact powers of two.  U and V are summed in place in the order of the
-    plain expressions, with the identity added on the diagonal, so the
-    result is the same to the bit as theirs.
-    """
-    A = np.asarray(A, dtype=float)
-    scratch = np.empty_like(A)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A2 @ A4
-    d6 = _norm1(A6, scratch) ** (1 / 6)
-    eta = max(_norm1(A4, scratch) ** 0.25, d6)
-    powers = [None, A2, A4, A6]  # powers[k] = A^(2k)
-    s = 0
-    for m, theta in _PADE_THETA:
-        if m == 7:  # degrees 7 and 9 use A^8, and judge by max(d6, d8)
-            powers.append(A4 @ A4)
-            eta = max(d6, _norm1(powers[4], scratch) ** (1 / 8))
-        if eta <= theta and _extra_squarings(np.abs(A, out=scratch), m) == 0:
-            break
-    else:  # no degree fits A: degree 9 on A / 2^s
-        s = int(np.ceil(np.log2(eta / theta))) if eta > theta else 0
-        s += _extra_squarings(np.multiply(np.abs(A, out=scratch), 0.5**s, out=scratch), m)
-        for k in range(1, 5):
-            powers[k] *= 0.5 ** (2 * k * s)
-    b = _pade_coefficients(m)
-    half = range(m // 2, 0, -1)
-    # U = A (b_m A^(m-1) + ... + b_3 A^2 + b_1 I) / 2^s
-    W = np.multiply(powers[half[0]], b[m])
-    for k in half[1:]:
-        W += np.multiply(powers[k], b[2 * k + 1], out=scratch)
-    U = np.matmul(A, _add_identity(W, b[1]), out=scratch)
-    U *= 0.5**s
-    # V = b_(m-1) A^(m-1) + ... + b_2 A^2 + b_0 I, scaling the powers
-    V = powers[half[0]]
-    V *= b[m - 1]
-    for k in half[1:]:
-        powers[k] *= b[2 * k]
-        V += powers[k]
-    _add_identity(V, b[0])
-    np.subtract(V, U, out=W)
-    V += U
-    del A2, A4, A6, powers, U, scratch
-    X = np.linalg.solve(W, V)
-    for _ in range(s):
-        X = X @ X
-    return X
-
-
 def simulate_decoupled(
     sols: ModalTable,
     state0: ModalState,
@@ -528,14 +409,13 @@ def simulate_decoupled(
     open-loop target trajectory, with zero controls and zero cost.
 
     One step is the exact propagator expm((F + G K) dt) of every mode, in
-    closed form (expm_2x2).  The modes are stepped a slab of B rows at a
-    time (B = _slab_rows(2, rows), MAX_SLAB for every run): a slab is four
-    elementwise products of the stacked 2x2 blocks of expm((F + G K) B dt),
-    also in closed form, with the B rows before it (see _stepped).
-    log2(B) squarings of the one-step propagators round more: on a
-    208-mode table at dt = 0.002 their median error against a 40-digit
-    exponential is 1.1e-15 of the largest entry, the closed form's
-    3.4e-16.  The running cost integrates sum_n (a_n' Q^n a_n + R u_n^2)
+    closed form (expm_2x2).  The modes are stepped a slab of B = MAX_SLAB
+    rows at a time: a slab is four elementwise products of the stacked
+    2x2 blocks of expm((F + G K) B dt), also in closed form, with the B
+    rows before it (see _stepped).  log2(B) squarings of the one-step
+    propagators round more: on a 208-mode table at dt = 0.002 their
+    median error against a 40-digit exponential is 1.1e-15 of the largest
+    entry, the closed form's 3.4e-16.  The running cost integrates sum_n (a_n' Q^n a_n + R u_n^2)
     by composite Simpson over the sample times, its state part through
     _state_cost; this is the per-mode LQR frame in which the
     infinite-horizon cost equals a_0' P^n a_0 exactly.  states keeps the
@@ -548,13 +428,12 @@ def simulate_decoupled(
     nrows = _steps_for(T, dt) + 1
     gains = np.stack([sols.k1, sols.k2], axis=1)  # (k, 2)
     loops = closed_loop_matrices(sols)
-    slab = _slab_rows(2, nrows)
     props = expm_2x2(loops * dt)
-    props_slab = expm_2x2(loops * (slab * dt))
+    props_slab = expm_2x2(loops * (MAX_SLAB * dt))
     u = np.empty(nrows)
     integrand = np.empty(nrows)
     states, blocks = _stream(state0.a, nrows, stride)
-    for start, rows in _stepped(blocks, props, slab, _step_modes, props_slab):
+    for start, rows in _stepped(blocks, props, props_slab):
         # the per-mode controls of the block, their sum and the cost integrand
         end = start + len(rows)
         ub = np.einsum("nj,tnj->tn", gains, rows)
@@ -582,23 +461,20 @@ def simulate_coupled_modal(
     vector.  The accumulated cost is the field-frame criterion: the double
     space quadrature plus R u^2.
 
-    The run steps in the eigenbasis of the closed loop A + B Krow when
-    spectrum.coupled_modes verifies its roots and the expansion of
+    The run steps in the eigenbasis of the closed loop A + B Krow, which
+    spectrum.coupled_modes finds and verifies with the expansion of
     state0 in O(k^2): the states of a block are Re((c e^(mu t)) V), one
     real matrix product (see _eigen_stepped), and the stepping needs no
     matrix function.  Its error does not build up over the steps as a
     stepped propagator's does: over 1084 steps of a 24-mode table it
-    stays within 6e-14 of the largest state of scipy.linalg.expm(t A_cl) a0,
-    the dense path within 2.4e-12.  Where the roots are not
-    verified (Newton from the per-mode loops finds a root twice, a mode
-    has no gain, or the expansion misses a0), the dense path runs: the
-    propagator P = expm_pade((A + B Krow) dt) steps the first B - 1
-    rows one at a time; then P is freed for P^B, and every later slab of
-    B rows is one matrix product with the B rows before it (see
-    _stepped).  B = _slab_rows(2k, rows) is MAX_SLAB while 2k <= rows,
-    MAX_SLAB / 2 while k <= rows, and 1 for a table of more modes than
-    rows, where the 2k x 2k squarings cost more than they save.
-    Row 0 is state0.a to the bit on both paths.
+    stays within 6e-14 of the largest state of scipy.linalg.expm(t A_cl) a0.
+    The part of state0 along the open-loop poles that the control cannot
+    see (the modes without gain, and the Neumann mean mode's -alpha at
+    alpha = 1 with Q11 = Q22) evolves in open loop: e^(F_n t) of it is
+    added to those modes, stepped by expm_2x2 propagators as
+    simulate_decoupled steps a zero-weight table (_open_loop_added).
+    Where coupled_modes cannot verify the eigenstructure, the run raises
+    SimulationError naming the failed check.  Row 0 is state0.a to the bit.
     states keeps the rows that stride selects (see _stream); times,
     u_record and cost keep every step.  The controls of a block are one
     matrix-vector product, and the state cost is _state_cost of the
@@ -612,19 +488,15 @@ def simulate_coupled_modal(
     u = np.empty(nrows)
     integrand = np.empty(nrows)
     states, blocks = _stream(state0.a, nrows, stride)
-    modes = coupled_modes(sols, state0.a)
-    if modes is not None:
-        krow = coupled_gains(sols)
-        steps = _eigen_stepped(blocks, nrows, modes, dt)
-    else:
-        A, B, Krow = coupled_loop_parts(sols)
-        A += B @ Krow  # the closed loop (A + B Krow) dt, in the buffer of A
-        A *= dt
-        prop = expm_pade(A)
-        del A
-        krow = Krow[0]
-        steps = _stepped(blocks, prop, _slab_rows(len(prop), nrows), _step_coupled)
-        del prop  # _stepped frees it for its power once the first rows are stepped
+    try:
+        modes = coupled_modes(sols, state0.a)
+    except UnverifiedModes as exc:
+        raise SimulationError(f"coupled modal run: {exc}") from exc
+    krow = coupled_gains(sols)
+    steps = _eigen_stepped(blocks, nrows, modes, dt)
+    if len(modes.open_modes):
+        F = modal_matrices(sols.cfg, sols.n[modes.open_modes])[0]
+        steps = _open_loop_added(steps, nrows, modes, F, dt)
     for start, rows in steps:
         # the controls and the cost integrand of the block
         end = start + len(rows)

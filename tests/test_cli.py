@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavelqr
-from wavelqr import cli, digits
+from wavelqr import cli, digits, spectrum
 from wavelqr.cli import (
     COMMANDS,
     ConfigError,
@@ -491,6 +491,17 @@ class TestOtherCommands:
         assert code == 0
         field_nbytes = g * g * 4 * 8
         assert peak < field_nbytes + 2 * g * g * 8 + 5.5 * 2**20
+
+    def test_unverified_coupled_roots_are_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # a root iteration that never converges: the coupled run names the
+        # failed check, and no floating-point warning escapes (pyproject
+        # turns them into errors)
+        monkeypatch.setattr(spectrum, "_NEWTON_CAP", 0)
+        path = write_config(tmp_path, base_config())
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("numerical failure: coupled modal run: "
+                       "the secular roots did not converge within 0 steps\n")
 
     def test_simulate_summary_and_series(self, tmp_path):
         path = write_config(tmp_path, base_config(N=6))

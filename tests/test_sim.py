@@ -3,7 +3,6 @@ import json
 import re
 import tracemalloc
 import warnings
-from contextlib import contextmanager
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -25,7 +24,7 @@ from wavelqr.model import (
     weight_arrays,
 )
 from wavelqr.quad import running_quadrature, simpson_weights, trapezoid_weights
-from wavelqr import cli, sim
+from wavelqr import cli, sim, spectrum
 from wavelqr.cli import parse_config
 from wavelqr.riccati import modal_table, solve_family
 from wavelqr.sim import (
@@ -35,7 +34,6 @@ from wavelqr.sim import (
     SimulationError,
     decay_horizon,
     expm_2x2,
-    expm_pade,
     field_energy,
     modal_energy,
     predicted_cost,
@@ -304,13 +302,13 @@ def reference_decoupled(cfg, sols, state0, T, dt):
 
 def reference_coupled(cfg, sols, state0, T, dt):
     """(states, u_record, cost) of simulate_coupled_modal by its
-    whole-trajectory loop: the propagator of the plain expression
+    whole-trajectory loop: scipy's propagator of the plain expression
     (A + B Krow) dt, one matrix-vector step per row, then the controls and
     the cost integrand of all rows at once."""
     nsteps = modal_steps(T, dt)
     modes = sols.n
     A, B, Krow = coupled_loop_parts(sols)
-    prop = expm_pade((A + B @ Krow) * dt)
+    prop = expm((A + B @ Krow) * dt)
     s = np.empty((nsteps + 1, 2 * len(modes)))
     s[0] = state0.a.reshape(-1)
     for k in range(nsteps):
@@ -321,15 +319,6 @@ def reference_coupled(cfg, sols, state0, T, dt):
     qblocks = np.stack([sols.q11, sols.q12, sols.q12, sols.q22], axis=1).reshape(-1, 2, 2)
     integrand = np.einsum("tni,nij,tnj->t", a, qblocks * pw2[:, None, None], a) + cfg.R * u**2
     return a, u, running_quadrature(integrand, dt)
-
-
-@contextmanager
-def dense_coupled():
-    """simulate_coupled_modal on its dense path, as where the closed loop's
-    eigenstructure cannot be verified."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "coupled_modes", lambda sols, a0: None)
-        yield
 
 
 def bits(x):
@@ -421,12 +410,10 @@ class TestTargetSolution:
 
 
 def closed_loops(boundary, params, N):
-    """Per-mode (k, 2, 2) closed loops and the coupled (2N)^2 loop of a sweep config."""
+    """Per-mode (k, 2, 2) closed loops of a sweep config."""
     alpha, beta, R, q, r = params
     cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
-    sols = solve_family(cfg, PowerLawWeights(q, r), N)
-    A, B, Krow = coupled_loop_parts(sols)
-    return closed_loop_matrices(sols), A + B @ Krow
+    return closed_loop_matrices(solve_family(cfg, PowerLawWeights(q, r), N))
 
 
 def deviation(got, ref):
@@ -434,52 +421,22 @@ def deviation(got, ref):
     return (np.abs(got - ref).max(axis=(-2, -1)) / np.abs(ref).max(axis=(-2, -1))).max()
 
 
-def pade_path(A):
-    """(degree, squarings) that expm_pade(A) takes, read off its helpers."""
-    top = np.abs(A).max()
-    pade, extra = sim._pade_coefficients, sim._extra_squarings
-    path = {}
-
-    def coefficients(m):
-        path["degree"] = m
-        return pade(m)
-
-    def extra_squarings(absA, m):
-        # absA is |A| / 2^s exactly; the last call is the one taken
-        ell = extra(absA, m)
-        path["squarings"] = round(np.log2(top / absA.max())) + ell
-        return ell
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_pade_coefficients", coefficients)
-        mp.setattr(sim, "_extra_squarings", extra_squarings)
-        expm_pade(A)
-    return path["degree"], path["squarings"]
-
-
 class TestExponentials:
-    """expm_2x2 (closed form) and expm_pade (scaling and squaring) against
-    scipy.linalg.expm, and against a 40-digit reference where scipy's own
-    squarings lose digits."""
+    """expm_2x2 (closed form) against scipy.linalg.expm, and against a
+    40-digit reference where scipy's own squarings lose digits."""
 
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     def test_match_scipy_over_sweep(self, boundary):
-        dt = 0.002  # the simulation step: Pade degree 3 at N=2 up to 7 at N=64
+        dt = 0.002  # the simulation step
         for params in sweep_configs():
-            blocks, coupled = closed_loops(boundary, params, 64)
+            blocks = closed_loops(boundary, params, 64)
             assert deviation(expm_2x2(blocks * dt), expm(blocks * dt)) <= 1e-15
-            if params[1:3] == (2.0, 0.5):  # the largest input gain beta^2 / R
-                assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
-            for N in (2, 16):
-                _, coupled = closed_loops(boundary, params, N)
-                assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
 
     @pytest.mark.parametrize("boundary, alpha", [(Boundary.DIRICHLET, 0.0), (Boundary.NEUMANN, 0.2)])
     def test_match_scipy_at_fine_grid_size(self, boundary, alpha):
-        blocks, coupled = closed_loops(boundary, (alpha, 1.0, 1.0, 1.0, 5.0), 208)
+        blocks = closed_loops(boundary, (alpha, 1.0, 1.0, 1.0, 5.0), 208)
         dt = 0.002
         assert deviation(expm_2x2(blocks * dt), expm(blocks * dt)) <= 1e-15
-        assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
 
     @pytest.mark.parametrize("q2", [0.0, 1e-10, -1e-10])
     def test_critical_damping(self, q2):
@@ -487,7 +444,6 @@ class TestExponentials:
         A = np.array([[[0.0, 1.0], [-(1.0 - q2), -2.0]]])
         ref = expm(A[0])
         assert deviation(expm_2x2(A), ref) <= 1e-15
-        assert deviation(expm_pade(A[0]), ref) <= 1e-14
         if q2 == 0.0:  # e^A = e^-1 (I + (A + I))
             np.testing.assert_allclose(expm_2x2(A)[0], np.exp(-1.0) * np.array([[2.0, 1.0], [-1.0, 0.0]]),
                                        rtol=1e-15, atol=0)
@@ -501,56 +457,10 @@ class TestExponentials:
             with mpmath.workdps(40):
                 return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
 
-        blocks, coupled = closed_loops(boundary, (0.1, 0.5, 1.0, 10.0, 2.5), 8)
-        for A in (*blocks * dt, coupled * dt):
+        for A in closed_loops(boundary, (0.1, 0.5, 1.0, 10.0, 2.5), 8) * dt:
             # e^A is conditioned like ||A||: bound the deviation by u ||A||_1
             tol = 1e-15 * np.abs(A).sum(axis=0).max()
-            if A.shape == (2, 2):
-                assert deviation(expm_2x2(A[None])[0], reference(A)) <= tol
-            assert deviation(expm_pade(A), reference(A)) <= tol
-
-    @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
-    @pytest.mark.parametrize("N", [330, 400, 512])
-    def test_match_scipy_at_scaled_sizes(self, boundary, N):
-        # about where the unscaled degrees run out at the simulation step
-        _, coupled = closed_loops(boundary, (0.0, 1.0, 1.0, 1.0, 5.0), N)
-        dt = 0.002
-        assert deviation(expm_pade(coupled * dt), expm(coupled * dt)) <= 1e-14
-
-    @pytest.mark.parametrize("dt, scaled", [(0.002, False), (0.05, True)])
-    def test_traced_growth_at_most_eight_matrices(self, dt, scaled):
-        """On the (416, 416) fine-grid loop, expm_pade allocates at most eight
-        matrices of its size, at degree 9 on A and on A / 2^s with squarings."""
-        _, coupled = closed_loops(Boundary.DIRICHLET, (0.0, 1.0, 1.0, 1.0, 5.0), 208)
-        A = coupled * dt
-        tracemalloc.start()
-        try:
-            degree, squarings = pade_path(A)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert degree == 9
-        assert (squarings > 0) is scaled
-        assert peak <= 8 * A.nbytes
-
-    def test_simulation_loops_take_unscaled_degree(self):
-        """The coupled loops that simulate builds for the benchmark workloads,
-        and for the example config at N <= 256, fit a degree unscaled: their
-        propagators come from the degree loop of expm_pade, never from its
-        scaled degree 9."""
-        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
-        docs = [workloads.command_config(w, "simulate", seed=0, tiny=tiny)
-                for w in workloads.WORKLOADS.values() for tiny in (False, True)]
-        example = json.loads((ROOT / "demos" / "config_example.json").read_text())
-        docs += [dict(example, boundary=b, N=N)
-                 for b in ("dirichlet", "neumann") for N in (8, 64, 128, 256)]
-        for doc in docs:
-            rc = parse_config(doc)
-            A, B, Krow = coupled_loop_parts(solve_family(rc.wave, rc.family, rc.N))
-            _, squarings = pade_path((A + B @ Krow) * rc.sim.dt)
-            assert squarings == 0, (doc["boundary"], doc["N"])
+            assert deviation(expm_2x2(A[None])[0], reference(A)) <= tol
 
     def test_no_overflow_where_exp_s_underflows(self):
         # s = -800, q = 790: cosh(q) overflows, e^(s+q) = e^-10 does not
@@ -657,18 +567,37 @@ class TestSimulateCoupled:
         np.testing.assert_allclose(ratio, 0.08132684984988023, rtol=1e-6)
 
     @pytest.mark.parametrize("boundary, alpha, beta, R, q, r, N", [
-        # Newton from the per-mode loops finds some roots twice
+        # Newton from the per-mode loops finds some roots twice, and the
+        # Aberth retry finds them
         (Boundary.DIRICHLET, 0.0, 1.0, 1.0, 1.0, 2.5, 208),
         # the same, on a coupled loop that is unstable
         (Boundary.DIRICHLET, 0.0, 2.0, 0.5, 10.0, 2.5, 64),
-        # zero-weight rows have no gain
+        # zero-weight rows have no gain: their poles are frozen
         (Boundary.DIRICHLET, 0.0, 1.0, 1.0, None, None, 4),
         (Boundary.NEUMANN, 0.3, 1.0, 1.0, None, None, 4),
         (Boundary.NEUMANN, 0.3, 1.0, 1.0, 2, None, 4),
+        # undamped and without gain, the mean mode is a Jordan block
+        (Boundary.NEUMANN, 0.0, 1.0, 1.0, None, None, 4),
+        # k1 = alpha k2 hides the mean mode's pole -alpha from Krow
+        (Boundary.NEUMANN, 1.0, 1.0, 1.0, 1.0, 4.5, 8),
+        (Boundary.NEUMANN, 1.0, 1.0, 1.0, 1.0, 4.5, 64),
+        # and nearly so: the root lies within rounding of that pole
+        (Boundary.NEUMANN, 1.0 - 1e-12, 1.0, 1.0, 1.0, 4.5, 8),
+        (Boundary.NEUMANN, 1.0 + 1e-12, 1.0, 1.0, 1.0, 4.5, 8),
+        (Boundary.NEUMANN, 1.0 - 1e-9, 1.0, 1.0, 1.0, 4.5, 8),
+        (Boundary.NEUMANN, 1.0 + 1e-9, 1.0, 1.0, 1.0, 4.5, 8),
     ])
-    def test_unverified_roots_take_the_dense_path(self, boundary, alpha, beta, R, q, r, N):
-        """Where the closed loop's eigenstructure is not verified, the run is
-        the dense path's to the bit, and no floating-point warning escapes."""
+    def test_hard_sets_match_matrix_exponential(self, boundary, alpha, beta, R, q, r, N):
+        """On the sets that Newton from the per-mode loops cannot verify, the
+        states at steps 1, B - 1, B, B + 1, 2 B + 3 and the last one of a
+        two-block run equal scipy's expm(dt A_cl) applied k times to a0
+        within the bound of test_slab_rows_match_matrix_exponential,
+        1e-14 k of the largest state at step k (measured worst case
+        4.1e-15 k, at k = 1 on 64 modes).  On 208 modes scipy's
+        expm(k dt A_cl) itself misses by up to 4.1e-14 k, at k = 8 to 16.  Row 0 is
+        state0.a to the bit, the rows that stride 3 keeps are the stride-1
+        run's to the bit, as are u_record and cost, and no floating-point
+        warning escapes."""
         cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
         if r is not None:
             sols = solve_family(cfg, PowerLawWeights(q, r), N)
@@ -676,37 +605,61 @@ class TestSimulateCoupled:
             sols = solve_family(cfg, ExplicitWeights({} if q is None else {q: ModalWeight(q, 1.0, 0.0, 1.0)}), N)
         inv_sq = 1.0 / np.arange(1, len(sols) + 1) ** 2
         st = ModalState(boundary, tuple(sols.n.tolist()), np.stack([inv_sq, -0.5 * inv_sq], axis=1))
+        dt, nsteps = 0.002, 2 * FD_BLOCK
+        T = (nsteps - 0.5) * dt
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sim.coupled_modes(sols, st.a) is None
-            res = simulate_coupled_modal(sols, st, 0.5, 0.002, stride=3)
-        with dense_coupled():
-            ref = simulate_coupled_modal(sols, st, 0.5, 0.002, stride=3)
-        for got, want in ((res.states, ref.states), (res.u_record, ref.u_record), (res.cost, ref.cost)):
+            res = simulate_coupled_modal(sols, st, T, dt)
+            strided = simulate_coupled_modal(sols, st, T, dt, stride=3)
+        np.testing.assert_array_equal(bits(res.states[0]), bits(st.a))
+        kept = TestModalStride.kept_steps(nsteps, 3)
+        for got, want in ((strided.states, res.states[kept]), (strided.u_record, res.u_record),
+                          (strided.cost, res.cost)):
             np.testing.assert_array_equal(bits(got), bits(want))
+        states, _, _ = reference_coupled(cfg, sols, st, T, dt)
+        for k in (1, MAX_SLAB - 1, MAX_SLAB, MAX_SLAB + 1, 2 * MAX_SLAB + 3, nsteps):
+            assert np.abs(res.states[k] - states[k]).max() <= 1e-14 * k * np.abs(states[k]).max(), k
         if (beta, q) == (2.0, 10.0):
             np.testing.assert_allclose(coupled_spectrum(sols)[1], 0.0089, atol=5e-5)
 
-    def test_workload_configs_take_the_eigenbasis(self):
+    def test_unverified_roots_raise(self, dirichlet_cfg, monkeypatch):
+        """Where the roots cannot be verified, the run raises
+        SimulationError naming the failed check."""
+        monkeypatch.setattr(spectrum, "_NEWTON_CAP", 0)
+        sols = solve_family(dirichlet_cfg, PowerLawWeights(1.0, 5.0), 4)
+        st = ModalState(Boundary.DIRICHLET, (1, 2, 3, 4), np.ones((4, 2)))
+        with pytest.raises(SimulationError, match="secular roots did not converge"):
+            simulate_coupled_modal(sols, st, 1.0, 0.01)
+
+    def test_workload_configs_take_the_eigenbasis(self, monkeypatch):
         """The simulate configs of the benchmark workloads and the example
-        config verify their eigenstructure; their states stay within 1e-11
-        of the dense path's, relative to the largest state, and their cost
-        within 1e-12 (measured worst cases 4.9e-12 and 1.2e-13, fine-grid)."""
+        config verify their eigenstructure at Newton's first attempt, with
+        no frozen pole.  Their kept states stay within 1e-14 k of the
+        whole-trajectory loop on scipy's expm(dt A_cl), relative to the
+        largest state at step k, and their cost within 1e-12 of the
+        loop's."""
         spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
         docs = [workloads.command_config(w, "simulate", seed=0) for w in workloads.WORKLOADS.values()]
         docs.append(json.loads((ROOT / "demos" / "config_example.json").read_text()))
+        attempts = []
+        iteration = spectrum._secular_iteration
+        monkeypatch.setattr(spectrum, "_secular_iteration",
+                            lambda *args: attempts.append(len(args)) or iteration(*args))
         for doc in docs:
             rc = parse_config(doc)
             sols = solve_family(rc.wave, rc.family, rc.N)
             st = cli._initial_state(rc, sols)
-            assert sim.coupled_modes(sols, st.a) is not None, doc["N"]
+            attempts.clear()
+            assert len(sim.coupled_modes(sols, st.a).frozen) == 0, doc["N"]
+            assert attempts == [6], doc["N"]  # Newton alone, without frozen poles
             res = simulate_coupled_modal(sols, st, rc.sim.T, rc.sim.dt, stride=rc.sim.csv_stride)
-            with dense_coupled():
-                ref = simulate_coupled_modal(sols, st, rc.sim.T, rc.sim.dt, stride=rc.sim.csv_stride)
-            assert np.abs(res.states - ref.states).max() <= 1e-11 * np.abs(ref.states).max()
-            assert abs(res.total_cost - ref.total_cost) <= 1e-12 * ref.total_cost
+            states, _, cost = reference_coupled(rc.wave, sols, st, rc.sim.T, rc.sim.dt)
+            kept = TestModalStride.kept_steps(len(states) - 1, rc.sim.csv_stride)
+            for row, k in zip(res.states[1:], kept[1:]):
+                assert np.abs(row - states[k]).max() <= 1e-14 * k * np.abs(states[k]).max(), (doc["N"], k)
+            assert abs(res.total_cost - cost[-1]) <= 1e-12 * cost[-1]
 
     def test_mode_mismatch_rejected(self, dirichlet_cfg):
         st = ModalState(Boundary.DIRICHLET, (1, 2), np.zeros((2, 2)))
@@ -738,17 +691,13 @@ class TestModalStride:
         """A run of exactly nsteps steps (an even count) on the table of the
         given mode count, with the given stride, or (states, u_record, cost)
         of its reference loop for stride 0.  simulator "coupled" is
-        simulate_coupled_modal as it runs, which steps these tables in the
-        eigenbasis of the closed loop; "dense" is simulate_coupled_modal on
-        its dense fallback, the path that reference_coupled mirrors."""
+        simulate_coupled_modal, which steps these tables in the eigenbasis
+        of the closed loop."""
         cfg, sols, st = TestModalStride.table(boundary, alpha, modes)
         T = (nsteps - 0.5) * TestModalStride.DT
         if stride == 0:
             ref = reference_decoupled if simulator == "decoupled" else reference_coupled
             return ref(cfg, sols, st, T, TestModalStride.DT)
-        if simulator == "dense":
-            with dense_coupled():
-                return simulate_coupled_modal(sols, st, T, TestModalStride.DT, stride=stride)
         run = simulate_decoupled if simulator == "decoupled" else simulate_coupled_modal
         return run(sols, st, T, TestModalStride.DT, stride=stride)
 
@@ -763,7 +712,7 @@ class TestModalStride:
     #: decoupled 2.3e-14, 2.0e-14 and 1.7e-14
     TOL = 1e-12
 
-    @pytest.mark.parametrize("simulator", ["decoupled", "dense"])
+    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     # rows = nsteps + 1, every one stepped in slabs of B = MAX_SLAB rows:
@@ -781,13 +730,11 @@ class TestModalStride:
                                                         modes, nsteps, stride):
         """The kept rows are steps 0, stride, 2 stride, ... and the last step.
         They, u_record and cost equal the stride-1 run's to the bit, and the
-        whole-trajectory loop's within TOL: the slabs step rows from rows B
-        steps back through the B-th power of the propagator, which rounds
-        otherwise than B one-row steps.  Where the loop holds a zero, the
-        run holds the same zero, sign included.  times equals the loop's to
-        the bit."""
-        d = 2 if simulator == "decoupled" else 2 * modes
-        assert sim._slab_rows(d, nsteps + 1) == MAX_SLAB
+        whole-trajectory loop's within TOL: the per-mode slabs step rows
+        from rows B steps back through the B-th power of the propagator,
+        which rounds otherwise than B one-row steps, and the coupled run
+        does not step at all.  Where the loop holds a zero, the run holds
+        the same zero, sign included.  times equals the loop's to the bit."""
         res = self.stepped(simulator, boundary, alpha, nsteps, stride, modes)
         one = self.stepped(simulator, boundary, alpha, nsteps, 1, modes)
         states, u_rec, cost = self.stepped(simulator, boundary, alpha, nsteps, 0, modes)
@@ -818,7 +765,7 @@ class TestModalStride:
         equals scipy's expm(k dt A_cl) a0 within the bound of
         test_slab_rows_match_matrix_exponential."""
         _, sols, st = self.table(boundary, alpha, modes)
-        assert sim.coupled_modes(sols, st.a) is not None
+        assert len(sim.coupled_modes(sols, st.a).frozen) == 0
         res = self.stepped("coupled", boundary, alpha, nsteps, stride, modes)
         one = self.stepped("coupled", boundary, alpha, nsteps, 1, modes)
         kept = self.kept_steps(nsteps, stride)
@@ -832,23 +779,22 @@ class TestModalStride:
         want = expm(nsteps * self.DT * (A + B @ Krow)) @ st.a.reshape(-1)
         assert np.abs(res.states[-1].reshape(-1) - want).max() <= 1e-14 * nsteps * np.abs(want).max()
 
-    @pytest.mark.parametrize("simulator", ["decoupled", "dense", "coupled"])
+    @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
     @pytest.mark.parametrize("alpha", [0.0, 0.3])
     def test_slab_rows_match_matrix_exponential(self, simulator, boundary, alpha):
         """The states at steps 1, B - 1, B, B + 1, 2 B + 3 and the last one of a
         two-block run equal scipy's expm(k dt A_cl) a0, A_cl the closed loop
         of every mode (decoupled) or the coupled loop, within 1e-14 k of the
-        largest state magnitude at step k: the propagators agree with
-        scipy's to a few ulps, and that rounding accumulates over the k
-        steps (measured worst case 1.6e-15 k).  The coupled run in the
+        largest state magnitude at step k: the per-mode propagators agree
+        with scipy's to a few ulps, and that rounding accumulates over the
+        k steps (measured worst case 1.6e-15 k).  The coupled run in the
         eigenbasis has no accumulation: c e^(mu t) is an exact exp at each
         block start, and its largest error is 5.6e-16 k, at k = 1."""
+        assert 2 * MAX_SLAB <= FD_BLOCK  # a block's first slab reads the block before
         nsteps = 2 * FD_BLOCK
         res = self.stepped(simulator, boundary, alpha, nsteps, 1)
         _, sols, st = self.table(boundary, alpha)
-        if simulator == "coupled":
-            assert sim.coupled_modes(sols, st.a) is not None
         if simulator == "decoupled":
             loops = closed_loop_matrices(sols)
         else:
@@ -859,23 +805,6 @@ class TestModalStride:
             want = np.concatenate([expm(k * self.DT * L) @ a for L, a in zip(loops, a0)])
             got = res.states[k].reshape(-1)
             assert np.abs(got - want).max() <= 1e-14 * k * np.abs(want).max(), k
-
-    def test_slab_rule(self):
-        """B is a power of two in [1, MAX_SLAB] that does not grow with the
-        propagator size d.  The fine-grid coupled loop (d = 416, 2501 rows)
-        and every per-mode run (d = 2) take MAX_SLAB, the example config at
-        N = 2048 (d = 4096) takes MAX_SLAB / 2, and a short run at N = 1024
-        (d = 2048, 401 rows), where slabs were measured slower, steps one
-        row at a time."""
-        for nrows in (3, 15, 17, 401, 2501, 10001):
-            slabs = [sim._slab_rows(d, nrows) for d in (2, 4, 48, 416, 1024, 2048, 4096, 10**6)]
-            assert all(1 <= B <= MAX_SLAB and B & (B - 1) == 0 for B in slabs)
-            assert slabs == sorted(slabs, reverse=True)
-            assert slabs[0] == MAX_SLAB and slabs[-1] == 1
-        assert sim._slab_rows(416, 2501) == MAX_SLAB
-        assert sim._slab_rows(4096, 2501) == MAX_SLAB // 2
-        assert sim._slab_rows(2048, 401) == 1
-        assert 2 * MAX_SLAB <= FD_BLOCK
 
     @pytest.mark.parametrize("simulator", ["decoupled", "coupled"])
     def test_strided_traced_peak_is_kept_rows_and_one_block(self, dirichlet_cfg, simulator):

@@ -11,9 +11,11 @@ from wavelqr.model import (
     modal_matrices,
     mode_range,
 )
+from wavelqr import spectrum
 from wavelqr.riccati import input_gain_sq, modal_table, solve_family
 from wavelqr.spectrum import (
     Stability,
+    UnverifiedModes,
     classify,
     closed_loop_spectrum,
     closed_loop_trace_det,
@@ -249,35 +251,80 @@ class TestCoupledModes:
         assert abs(absc - ref.real.max()) <= tol
         assert np.all(np.diff(ev.real) >= 0)
 
+    @staticmethod
+    def assert_eigenstructure(sols, modes, a0):
+        """modes matches dense eigvals, its vectors are eigenvectors, the
+        frozen poles' directions are what Krow cannot see, and the
+        expansion with the open-loop remainder gives back a0."""
+        A, B, Krow = coupled_loop_parts(sols)
+        A_cl = A + B @ Krow
+        ref = np.linalg.eigvals(A_cl)
+        assert_spectra_match(modes.spectrum, ref, 1e-12 * np.abs(ref).max())
+        V = modes.vectors[0::2] - 1j * modes.vectors[1::2]
+        scale = np.abs(V).max(axis=1, keepdims=True) * np.abs(ref).max()
+        assert np.all(np.abs(V @ A_cl.T - modes.roots[:, None] * V) <= 1e-13 * scale)
+        full = (modes.coef.view(float) @ modes.vectors).reshape(-1, 2)
+        full[modes.open_modes] += modes.rest
+        assert np.abs(full - a0).max() <= 1e-12 * np.abs(a0).max()
+        rest = np.zeros_like(a0)
+        rest[modes.open_modes] = modes.rest
+        seen = Krow @ np.stack([rest.reshape(-1), A @ rest.reshape(-1)], axis=1)
+        assert np.abs(seen).max() <= 1e-12 * np.abs(Krow).max() * np.abs(A).max() * np.abs(a0).max()
+
     @pytest.mark.parametrize("boundary", [Boundary.DIRICHLET, Boundary.NEUMANN])
-    def test_sweep_roots_verified_or_rejected_quietly(self, boundary):
-        """Over the acceptance sweep at N=8, a verified eigenstructure
-        matches dense eigvals, its vectors are eigenvectors and its
-        expansion gives back the state; the others are rejected without a
-        floating-point warning (pyproject turns them into errors)."""
-        verified = 0
+    def test_sweep_roots_all_verify(self, boundary):
+        """Every set of the acceptance sweep verifies at N=8, Newton's or
+        the Aberth retry's roots, without a floating-point warning
+        (pyproject turns them into errors); the Neumann mean mode freezes
+        its pole -alpha on the sets with alpha = 1."""
         for alpha, beta, R, q, r in sweep_configs():
             cfg = WaveConfig(boundary, alpha=alpha, beta=beta, R=R)
             sols = solve_family(cfg, PowerLawWeights(q, r), 8)
             a0 = np.linspace(1.0, -0.5, 2 * len(sols)).reshape(-1, 2)
             modes = coupled_modes(sols, a0)
-            if modes is None:
-                continue
-            verified += 1
-            A_cl = dense_closed_loop(sols)
-            ref = np.linalg.eigvals(A_cl)
-            assert_spectra_match(modes.spectrum, ref, 1e-12 * np.abs(ref).max())
-            V = modes.vectors[0::2] - 1j * modes.vectors[1::2]
-            scale = np.abs(V).max(axis=1, keepdims=True) * np.abs(ref).max()
-            assert np.all(np.abs(V @ A_cl.T - modes.roots[:, None] * V) <= 1e-13 * scale)
-            assert np.abs(modes.coef.view(float) @ modes.vectors - a0.reshape(-1)).max() <= 1e-12
-        assert verified > len(sweep_configs()) // 3
+            self.assert_eigenstructure(sols, modes, a0)
+            mean_frozen = boundary == Boundary.NEUMANN and alpha == 1.0
+            assert modes.frozen.tolist() == ([-1.0] if mean_frozen else [])
+            assert modes.open_modes.tolist() == ([0] if mean_frozen else [])
 
-    def test_gainless_mode_is_rejected(self):
-        """A mode without gain puts an open-loop pole in the spectrum, which
-        the secular equation cannot see: the table falls back to eigvals."""
+    def test_gainless_poles_come_back_frozen(self):
+        """A mode without gain puts both its open-loop poles in the
+        spectrum, which the secular equation cannot see: they come back
+        frozen, the remainder on that mode is a0's part along them, and
+        the spectrum matches eigvals."""
         cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.0, beta=1.0, R=1.0)
         sols = solve_family(cfg, ExplicitWeights({n: ModalWeight(n, 1.0, 0.0, 1.0) for n in (1, 2, 4)}), 4)
-        assert coupled_modes(sols, np.ones((4, 2))) is None
+        a0 = np.ones((4, 2))
+        modes = coupled_modes(sols, a0)
+        np.testing.assert_array_equal(modes.frozen, open_loop_spectrum(cfg, [3])[0])
+        assert modes.open_modes.tolist() == [2]
+        self.assert_eigenstructure(sols, modes, a0)
         ev, absc = coupled_spectrum(sols)
-        assert_spectra_match(ev, np.linalg.eigvals(dense_closed_loop(sols)), 1e-12)
+        ref = np.linalg.eigvals(dense_closed_loop(sols))
+        assert_spectra_match(ev, ref, 1e-12 * np.abs(ref).max())
+        assert abs(absc - ref.real.max()) <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("alpha", [1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-9])
+    def test_neumann_mean_mode_near_alpha_one(self, alpha, N):
+        """At alpha = 1 with Q11 = Q22 the mean mode's k1 = alpha k2 hides
+        its pole -alpha from Krow: the pole comes back frozen.  Near it the
+        pole is a root again, within rounding of the cancelled one."""
+        cfg = WaveConfig(Boundary.NEUMANN, alpha=alpha, beta=1.0, R=1.0)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 4.5), N)
+        a0 = np.linspace(1.0, -0.5, 2 * len(sols)).reshape(-1, 2)
+        modes = coupled_modes(sols, a0)
+        self.assert_eigenstructure(sols, modes, a0)
+        assert len(modes.frozen) == (alpha == 1.0)
+
+    def test_unverified_roots_raise(self, monkeypatch):
+        """Where the roots cannot be verified, coupled_modes and
+        coupled_spectrum raise UnverifiedModes naming the failed check, and
+        no floating-point warning escapes."""
+        monkeypatch.setattr(spectrum, "_NEWTON_CAP", 0)
+        cfg = WaveConfig(Boundary.DIRICHLET, alpha=0.1, beta=1.0, R=1.0)
+        sols = solve_family(cfg, PowerLawWeights(1.0, 5.0), 8)
+        with pytest.raises(UnverifiedModes, match="did not converge within 0 steps"):
+            coupled_modes(sols, np.ones((8, 2)))
+        with pytest.raises(UnverifiedModes, match="did not converge"):
+            coupled_spectrum(sols)
