@@ -17,18 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .digits import NUMBER_SLOT, Workspace, formatted
-from .kernels import (
-    assemble_K,
-    assemble_P,
-    assemble_Q,
-    convergence_report,
-    decay_fit,
-    pde_residual,
-    pde_residual_diagonal,
-    series_thresholds,
-    summability_warnings,
-)
+# read at call time: each of these executes on a command's first use of it
+from . import digits, kernels, sim, spectrum
 from .model import (
     Boundary,
     PowerLawWeights,
@@ -47,20 +37,6 @@ from .riccati import (
     oracle_solve_modes,
     solve_family,
 )
-from .sim import (
-    MIN_FD_INTERVALS,
-    ModalState,
-    SimResult,
-    SimulationError,
-    field_energy,
-    modal_energy,
-    predicted_cost,
-    reconstruct_field,
-    simulate_coupled_modal,
-    simulate_decoupled,
-    simulate_fd,
-)
-from .spectrum import classify, closed_loop_spectrum, closed_loop_trace_det, open_loop_spectrum
 
 
 class ConfigError(ValueError):
@@ -171,8 +147,8 @@ def _run_config(doc: dict) -> RunConfig:
     if grid_points < 3 or grid_points % 2 == 0:
         raise ConfigError(f"grid_points must be odd and >= 3, got {grid_points}")
 
-    sim = _params(SimParams, doc.get("sim", {}), "sim", initial_modes=_initial_modes)
-    if sim.T <= 0 or sim.dt <= 0 or sim.csv_stride < 1:
+    sim_params = _params(SimParams, doc.get("sim", {}), "sim", initial_modes=_initial_modes)
+    if sim_params.T <= 0 or sim_params.dt <= 0 or sim_params.csv_stride < 1:
         raise ConfigError("sim.T, sim.dt must be positive and sim.csv_stride >= 1")
 
     conv = _params(
@@ -191,7 +167,7 @@ def _run_config(doc: dict) -> RunConfig:
         grid_points=grid_points,
         seed=seed,
         out_dir=str(doc.get("out_dir", "out")),
-        sim=sim,
+        sim=sim_params,
         converge=conv,
     )
 
@@ -285,7 +261,7 @@ def _number_plan(columns, numeric):
     cell = np.full(len(columns), -1, np.intp)
     cell[varied] = (np.cumsum(is_head) - 1)[owner]
     cell[numeric[one]] = len(full) + np.arange(np.count_nonzero(one))
-    constants = formatted(sample[one, 0].view(float))
+    constants = digits.formatted(sample[one, 0].view(float))
     # runs from the mask of numeric columns: its edges bound each run
     edges = np.flatnonzero(np.diff(cell >= 0, prepend=False, append=False))
     runs, at = [], 0
@@ -311,7 +287,7 @@ def _csv_block(fh, ws, numbers, bands, start, stop):
     - "text": data = the slots of a text column's values.
     """
     n, rows = numbers.shape
-    slots = np.moveaxis(formatted(numbers, ws), 0, 1)  # (n, NUMBER_SLOT, rows), contiguous
+    slots = np.moveaxis(digits.formatted(numbers, ws), 0, 1)  # (n, NUMBER_SLOT, rows), contiguous
     block = ws.block((bands[-1][1], rows))
     begin = 0
     for kind, end, data in bands:
@@ -319,7 +295,7 @@ def _csv_block(fh, ws, numbers, bands, start, stop):
         begin = end
         if kind == "numbers":
             cells, at, constants = data
-            band = band.reshape(len(cells), NUMBER_SLOT, rows)
+            band = band.reshape(len(cells), digits.NUMBER_SLOT, rows)
             if n:  # a constant's cell takes other slots here and its own below
                 np.take(slots, cells, axis=0, out=band, mode="clip")
             band[at] = constants
@@ -357,7 +333,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
     for c in columns:
         if isinstance(c, tuple):
             values, c = c
-            tables[len(text)] = formatted(np.asarray(values, float))
+            tables[len(text)] = digits.formatted(np.asarray(values, float))
             c = np.asarray(c, np.intp)
             count = tables[len(text)].shape[1]
             if c.size and not -count <= c.min() <= c.max() < count:
@@ -382,10 +358,10 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             if isinstance(r, np.ndarray):
                 at = np.flatnonzero(r >= len(full))
                 band = ("numbers", (r, at, constants.T[r[at] - len(full), :, None]))
-                width += len(r) * NUMBER_SLOT
+                width += len(r) * digits.NUMBER_SLOT
             elif r in tables:
                 band = ("table", (tables[r], flat[r]))
-                width += NUMBER_SLOT
+                width += digits.NUMBER_SLOT
             else:
                 band = ("text", _text_slots(flat[r].tolist()))
                 width += len(band[1]) + 1
@@ -402,7 +378,7 @@ def write_csv(path: Path, header: list[str], columns) -> None:
             else:
                 copies.append((k, slice(r, r + 1), slice(j, j + 1)))
         block_rows = min(step, rows)
-        ws = Workspace(len(full) * block_rows, width, block_rows)
+        ws = digits.Workspace(len(full) * block_rows, width, block_rows)
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             numbers = ws.numbers((len(full), stop - start))
@@ -434,7 +410,7 @@ def write_json(path: Path, obj) -> None:
 def cmd_synth(rc: RunConfig, out: Path) -> int:
     """Per-mode table: Riccati entries, gains, leading closed-loop eigenvalue."""
     t = solve_family(rc.wave, rc.family, rc.N)
-    mu = closed_loop_spectrum(t)
+    mu = spectrum.closed_loop_spectrum(t)
     write_csv(
         out / "modes.csv",
         ["n", "P11", "P12", "P22", "K1", "K2", "ReMu", "ImMu", "residual_max"],
@@ -477,9 +453,9 @@ def _verify_checks(rc: RunConfig) -> dict:
         add("oracle_match", (np.abs(P - oracle) / scale).max(), 1e-8)
 
     # closed-loop trace/determinant identities and conjugacy
-    mu = closed_loop_spectrum(t)
+    mu = spectrum.closed_loop_spectrum(t)
     mu_plus, mu_minus = mu[:, 0], mu[:, 1]
-    tr, det = closed_loop_trace_det(t)
+    tr, det = spectrum.closed_loop_trace_det(t)
     # the real part of mu+ mu- written out: numpy's complex product can
     # round differently from the scalar one
     prod = mu_plus.real * mu_minus.real - mu_plus.imag * mu_minus.imag
@@ -495,7 +471,7 @@ def _verify_checks(rc: RunConfig) -> dict:
     # kernel Riccati PDE: diagonal basis coefficients of the residual fields
     if modes:
         npts = max(401, 20 * max(modes) + 1)  # odd, for Simpson weights
-        diag = pde_residual_diagonal(t, npts)
+        diag = kernels.pde_residual_diagonal(t, npts)
         add("pde_residual_diagonal", np.abs(diag).max(), 1e-8)
 
     # assembled kernel symmetry at 100 pairs in [0, 1)^2, and boundary
@@ -504,15 +480,16 @@ def _verify_checks(rc: RunConfig) -> dict:
     # seed: a formula of this module, so numpy.random is never loaded.
     k = np.arange(1, 101) + rc.seed
     pairs = np.outer(k, [0.75487766624669, 0.56984029099805]) % 1.0
-    kf_a = assemble_P(t, pairs[:, 0], grid_x2=pairs[:, 1])
-    kf_b = assemble_P(t, pairs[:, 1], grid_x2=pairs[:, 0])
+    kf_a = kernels.assemble_P(t, pairs[:, 0], grid_x2=pairs[:, 1])
+    kf_b = kernels.assemble_P(t, pairs[:, 1], grid_x2=pairs[:, 0])
     scale = 1.0 + np.abs(P).max(initial=0.0)
     i = np.arange(len(pairs))
     sym_dev = np.abs(kf_a.values[i, i] - kf_b.values[i, i].swapaxes(1, 2)).max() / scale
     add("kernel_symmetry", sym_dev, 1e-12)
 
     if cfg.boundary == Boundary.DIRICHLET:
-        edge = assemble_P(t, np.array([0.0, 1.0]), grid_x2=np.linspace(0.0, 1.0, rc.grid_points))
+        edge = kernels.assemble_P(
+            t, np.array([0.0, 1.0]), grid_x2=np.linspace(0.0, 1.0, rc.grid_points))
         add("kernel_boundary_values", float(np.max(np.abs(edge.values))) / scale, 1e-12)
 
     # the other quadratic branch must not be nonnegative definite
@@ -526,7 +503,7 @@ def _verify_checks(rc: RunConfig) -> dict:
         "boundary": cfg.boundary.value,
         "N": rc.N,
         "checks": checks,
-        "warnings": list(summability_warnings(rc.family)),
+        "warnings": list(kernels.summability_warnings(rc.family)),
         "passed": all(c["passed"] for c in checks),
     }
 
@@ -539,15 +516,15 @@ def cmd_verify(rc: RunConfig, out: Path) -> int:
 
 def cmd_spectrum(rc: RunConfig, out: Path) -> int:
     t = solve_family(rc.wave, rc.family, rc.N)
-    lam = open_loop_spectrum(rc.wave, t.n)
-    mu = closed_loop_spectrum(t)
+    lam = spectrum.open_loop_spectrum(rc.wave, t.n)
+    mu = spectrum.closed_loop_spectrum(t)
     write_csv(
         out / "spectrum.csv",
         ["n", "re_lambda_plus", "im_lambda_plus", "re_lambda_minus", "im_lambda_minus",
          "re_mu_plus", "im_mu_plus", "re_mu_minus", "im_mu_minus", "class"],
         [t.n, lam[:, 0].real, lam[:, 0].imag, lam[:, 1].real, lam[:, 1].imag,
          mu[:, 0].real, mu[:, 0].imag, mu[:, 1].real, mu[:, 1].imag,
-         [classify(m).value for m in mu.real.max(axis=1)]],
+         [spectrum.classify(m).value for m in mu.real.max(axis=1)]],
     )
     return 0
 
@@ -586,11 +563,12 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
     grid = np.linspace(0.0, 1.0, rc.grid_points)
     sols = solve_family(cfg, rc.family, rc.N)
     # one field at a time: each is written and freed before the next is assembled
-    p_max = _write_kernel(out / "kernel_P.csv", "P", assemble_P(sols, grid))
-    _write_kernel(out / "kernel_Q.csv", "Q", assemble_Q(rc.family, grid, cfg.boundary, rc.N))
-    kg = assemble_K(sols, grid)
+    p_max = _write_kernel(out / "kernel_P.csv", "P", kernels.assemble_P(sols, grid))
+    _write_kernel(out / "kernel_Q.csv", "Q",
+                  kernels.assemble_Q(rc.family, grid, cfg.boundary, rc.N))
+    kg = kernels.assemble_K(sols, grid)
     write_csv(out / "gain.csv", ["x", "K1", "K2"], [grid, kg.values[:, 0], kg.values[:, 1]])
-    r_max = _write_kernel(out / "pde_residual.csv", "r", pde_residual(sols, grid))
+    r_max = _write_kernel(out / "pde_residual.csv", "r", kernels.pde_residual(sols, grid))
     write_json(
         out / "kernels_summary.json",
         {
@@ -598,14 +576,14 @@ def cmd_kernels(rc: RunConfig, out: Path) -> int:
             "grid_points": rc.grid_points,
             "P_max_abs": p_max,
             "K_max_abs": float(np.max(np.abs(kg.values))),
-            "Q_warnings": list(summability_warnings(rc.family)),
+            "Q_warnings": list(kernels.summability_warnings(rc.family)),
             "pde_residual_max_abs": r_max,
         },
     )
     return 0
 
 
-def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
+def _initial_state(rc: RunConfig, sols: ModalTable) -> "sim.ModalState":
     modes = tuple(sols.n.tolist())
     if rc.sim.initial_modes is not None:
         given = np.reshape(rc.sim.initial_modes[: len(modes)], (-1, 2))
@@ -615,10 +593,10 @@ def _initial_state(rc: RunConfig, sols: ModalTable) -> ModalState:
         # deterministic default: amplitude falling off quadratically in n
         inv_sq = 1.0 / np.arange(1, len(modes) + 1) ** 2
         a = np.stack([inv_sq, 0.5 * inv_sq], axis=1)
-    return ModalState(rc.wave.boundary, modes, a)
+    return sim.ModalState(rc.wave.boundary, modes, a)
 
 
-def _modal_rows(res: SimResult, stride: int) -> list:
+def _modal_rows(res: "sim.SimResult", stride: int) -> list:
     """The CSV columns of a modal run made with this stride: every stride-th
     row, the states read from the kept rows without a copy, as one 2-D
     array of a column per row."""
@@ -632,8 +610,8 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     sols = solve_family(cfg, rc.family, rc.N)
     if not len(sols):
         raise ConfigError("simulate needs at least one mode; increase N")
-    if rc.sim.M < MIN_FD_INTERVALS:
-        raise ConfigError(f"sim.M must be >= {MIN_FD_INTERVALS}, got {rc.sim.M}")
+    if rc.sim.M < sim.MIN_FD_INTERVALS:
+        raise ConfigError(f"sim.M must be >= {sim.MIN_FD_INTERVALS}, got {rc.sim.M}")
     if not 0 < rc.sim.cfl <= 1:
         raise ConfigError(f"sim.cfl must lie in (0, 1], got {rc.sim.cfl}")
     state0 = _initial_state(rc, sols)
@@ -643,9 +621,9 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
     # freed before the next one starts, so that no two runs' records are
     # alive at once.  The finite-difference run, the largest, goes first.
     x = np.linspace(0.0, 1.0, rc.sim.M + 1)
-    prof = assemble_K(sols, x)
-    z1, z2 = reconstruct_field(state0, x)
-    fd = simulate_fd(
+    prof = kernels.assemble_K(sols, x)
+    z1, z2 = sim.reconstruct_field(state0, x)
+    fd = sim.simulate_fd(
         cfg, prof, lambda _: z1, lambda _: z2,
         rc.sim.M, rc.sim.T, cfl=rc.sim.cfl, family=rc.family, N=rc.N, stride=stride,
     )
@@ -658,21 +636,22 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
         [fd.times[::stride], fd.u_record[::stride], fd_rows.T, fd.cost[::stride]],
     )
     fd_cost = fd.total_cost
-    terminal_energy_fd = field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1])
+    terminal_energy_fd = sim.field_energy(x, fd.states[-1][:, 0], fd.states[-1][:, 1])
     del fd, fd_rows
 
     header = ["t", "u"] + [f"a{n}_{i}" for n in state0.modes for i in (1, 2)] + ["cost"]
-    dec = simulate_decoupled(sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
+    dec = sim.simulate_decoupled(sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
     write_csv(out / "sim_decoupled.csv", header, _modal_rows(dec, stride))
     dec_cost = dec.total_cost
     del dec
-    cou = simulate_coupled_modal(sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
+    cou = sim.simulate_coupled_modal(sols, state0, rc.sim.T, rc.sim.dt, stride=stride)
     write_csv(out / "sim_coupled.csv", header, _modal_rows(cou, stride))
     cou_cost = cou.total_cost
-    terminal_energy_coupled = modal_energy(ModalState(cfg.boundary, state0.modes, cou.states[-1]))
+    terminal_energy_coupled = sim.modal_energy(
+        sim.ModalState(cfg.boundary, state0.modes, cou.states[-1]))
     del cou
 
-    pred = predicted_cost(state0, sols)
+    pred = sim.predicted_cost(state0, sols)
     summary = {
         "predicted_cost_per_mode": pred.per_mode,
         "predicted_cost_field": pred.field,
@@ -681,7 +660,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
         "fd_cost": fd_cost,
         "coupled_over_field_prediction": cou_cost / pred.field if pred.field else None,
         "fd_over_field_prediction": fd_cost / pred.field if pred.field else None,
-        "initial_energy": modal_energy(state0),
+        "initial_energy": sim.modal_energy(state0),
         "terminal_energy_coupled": terminal_energy_coupled,
         "terminal_energy_fd": terminal_energy_fd,
     }
@@ -692,7 +671,7 @@ def cmd_simulate(rc: RunConfig, out: Path) -> int:
 def cmd_converge(rc: RunConfig, out: Path) -> int:
     if not isinstance(rc.family, PowerLawWeights):
         raise ConfigError("converge requires a power-law weight family")
-    rep = convergence_report(
+    rep = kernels.convergence_report(
         rc.wave, rc.family, rc.converge.N_list,
         fit_window=(rc.converge.fit_lo, rc.converge.fit_hi),
     )
@@ -708,21 +687,21 @@ def cmd_compare_boundary(rc: RunConfig, out: Path) -> int:
     names, modes, abs_re_mu = [], [], []
     for boundary in (Boundary.DIRICHLET, Boundary.NEUMANN):
         cfg = WaveConfig(boundary, alpha=rc.wave.alpha, beta=rc.wave.beta, R=rc.wave.R)
-        rep = convergence_report(
+        rep = kernels.convergence_report(
             cfg, rc.family, rc.converge.N_list,
             fit_window=(rc.converge.fit_lo, rc.converge.fit_hi),
         )
         result[boundary.value] = {
             "fitted_exponents": {
                 "P11": rep["P11"].fitted_exponent,
-                "P12": decay_fit(rep.fit.n, rep.fit.p12),
-                "P22": decay_fit(rep.fit.n, rep.fit.p22),
+                "P12": kernels.decay_fit(rep.fit.n, rep.fit.p12),
+                "P22": kernels.decay_fit(rep.fit.n, rep.fit.p22),
             },
-            "thresholds": series_thresholds(boundary),
+            "thresholds": kernels.series_thresholds(boundary),
             "series": rep.as_dict()["series"],
         }
         t = solve_family(cfg, rc.family, rc.N)
-        mu = closed_loop_spectrum(t)
+        mu = spectrum.closed_loop_spectrum(t)
         names += [boundary.value] * len(t)
         modes.append(t.n)
         abs_re_mu.append(np.abs(mu.real.max(axis=1)))
@@ -770,7 +749,7 @@ def main(argv=None) -> int:
         print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return 2
     except (
-        OracleError, SimulationError, ArithmeticError, ValueError, np.linalg.LinAlgError,
+        OracleError, sim.SimulationError, ArithmeticError, ValueError, np.linalg.LinAlgError,
         MemoryError,
     ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -780,7 +759,13 @@ def main(argv=None) -> int:
 if __name__ == "__main__":
     # Move every object the imports made into the permanent generation, so
     # no collection during the command, and not the interpreter's last one
-    # at exit, walks them again.  Only a script run gets here: callers that
-    # import the library keep their collector as it is.
+    # at exit, walks them again.  The imports are this module's eager ones:
+    # numpy, model and riccati.  The modules the command loads on first
+    # use (digits, quad, spectrum, kernels, sim) execute inside main, so
+    # the second freeze takes their objects, and whatever the command left
+    # alive, out of the collection at exit.  Only a script run gets here:
+    # callers that import the library keep their collector as it is.
     gc.freeze()
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavelqr
-from wavelqr import cli, digits, spectrum
+from wavelqr import cli, digits, sim, spectrum
 from wavelqr.cli import (
     COMMANDS,
     ConfigError,
@@ -527,13 +527,13 @@ class TestOtherCommands:
                                      "csv_stride": 10})
         path = write_config(tmp_path, doc)
         at_start = []
-        simulate_fd = cli.simulate_fd
+        simulate_fd = sim.simulate_fd
 
         def traced_fd(*args, **kwargs):
             at_start.append(tracemalloc.get_traced_memory()[0])
             return simulate_fd(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "simulate_fd", traced_fd)
+        monkeypatch.setattr(sim, "simulate_fd", traced_fd)
         tracemalloc.start()
         try:
             code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -550,7 +550,7 @@ class TestOtherCommands:
                                "csv_stride": 10})
         path = write_config(tmp_path, doc)
         growth = []
-        simulate_fd = cli.simulate_fd
+        simulate_fd = sim.simulate_fd
 
         def traced_fd(*args, **kwargs):
             at_start = tracemalloc.get_traced_memory()[0]
@@ -559,7 +559,7 @@ class TestOtherCommands:
             growth.append(tracemalloc.get_traced_memory()[1] - at_start)
             return res
 
-        monkeypatch.setattr(cli, "simulate_fd", traced_fd)
+        monkeypatch.setattr(sim, "simulate_fd", traced_fd)
         tracemalloc.start()
         try:
             code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
@@ -582,7 +582,7 @@ class TestOtherCommands:
         growth, at_start = {}, {}
 
         def traced(name):
-            run = getattr(cli, name)
+            run = getattr(sim, name)
 
             def wrapper(*args, **kwargs):
                 at_start[name] = tracemalloc.get_traced_memory()[0]
@@ -591,7 +591,7 @@ class TestOtherCommands:
                 growth[name] = tracemalloc.get_traced_memory()[1] - at_start[name]
                 return res
 
-            monkeypatch.setattr(cli, name, wrapper)
+            monkeypatch.setattr(sim, name, wrapper)
 
         traced("simulate_decoupled")
         traced("simulate_coupled_modal")

@@ -1,11 +1,15 @@
 """Every name a library module imports is used in that module, and every
-private name it defines is read somewhere in the library.
+private name it defines is read somewhere in the library.  A CLI command
+executes only the library modules it calls.
 
 __init__.py is exempt from the first: it imports names to re-export them.
 """
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,8 @@ from wavelqr import kernels, sim, spectrum
 from wavelqr.model import Boundary, WaveConfig
 from wavelqr.riccati import ModalTable
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "wavelqr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "wavelqr"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -93,3 +98,56 @@ def test_table_consumers_take_no_problem_data():
                           if p.annotation in (WaveConfig, Boundary)
                           or p.name in ("cfg", "boundary")]
     assert found == []
+
+
+#: the wavelqr modules a fresh process executes: the package registers them
+#: unexecuted (importlib.util.LazyLoader), and a module executes on first use
+REPORT_EXECUTED = """
+import sys, types
+print(" ".join(sorted(name.removeprefix("wavelqr.") for name, m in sys.modules.items()
+                      if name.startswith("wavelqr.") and type(m) is types.ModuleType)))
+"""
+RUN_CLI_AS_MAIN = """
+import runpy, sys
+sys.argv = ["wavelqr", *sys.argv[1:]]
+try:
+    runpy.run_module("wavelqr.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert not exc.code, exc.code
+"""
+
+ALL_MODULES = {"model", "quad", "riccati", "spectrum", "kernels", "sim", "digits"}
+EXECUTED_BY_COMMAND = {
+    "synth": {"model", "riccati", "spectrum", "digits"},
+    "spectrum": {"model", "riccati", "spectrum", "digits"},
+    "verify": {"model", "quad", "riccati", "spectrum", "kernels"},
+    "kernels": {"model", "quad", "riccati", "kernels", "digits"},
+    "converge": {"model", "quad", "riccati", "kernels"},
+    "compare-boundary": ALL_MODULES - {"sim"},
+    "simulate": ALL_MODULES,
+}
+
+
+def executed_modules(script, *args):
+    """The wavelqr modules executed by a fresh interpreter that runs script."""
+    proc = subprocess.run(
+        [sys.executable, "-c", script + REPORT_EXECUTED, *args],
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_executes_no_module():
+    assert executed_modules("import wavelqr") == set()
+
+
+@pytest.mark.parametrize("command", sorted(EXECUTED_BY_COMMAND))
+def test_command_executes_only_the_modules_it_calls(command, tmp_path):
+    """`python -m wavelqr.cli COMMAND` on the example config executes the
+    modules its command calls and no other."""
+    config = ROOT / "demos" / "config_example.json"
+    executed = executed_modules(
+        RUN_CLI_AS_MAIN, command, "--config", str(config), "--out", str(tmp_path))
+    assert executed == EXECUTED_BY_COMMAND[command]
