@@ -11,9 +11,10 @@ points of a low-discrepancy sequence offset by the config's seed.
 import argparse
 import gc
 import json
+import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,7 @@ class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-@dataclass(frozen=True)
-class SimParams:
+class SimParams(NamedTuple):
     T: float = 5.0
     dt: float = 0.002
     M: int = 400
@@ -53,15 +53,13 @@ class SimParams:
     initial_modes: tuple | None = None
 
 
-@dataclass(frozen=True)
-class ConvergeParams:
+class ConvergeParams(NamedTuple):
     N_list: tuple[int, ...] = (16, 32, 64, 128)
     fit_lo: int = 50
     fit_hi: int = 500
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     wave: WaveConfig
     family: object
     N: int
@@ -79,20 +77,21 @@ def _check_keys(doc: dict, allowed: set, where: str):
 
 
 def _params(cls, doc: dict, where: str, **convert):
-    """cls from the keys of doc that are present; the dataclass supplies the rest.
+    """cls from the keys of doc that are present; the defaults of the named
+    tuple cls supply the rest.
 
     The keys allowed are the fields of cls.  The fields named in convert
     are converted first, each by its own function; every other field is a
-    float or an int, converted by finite_value or integer_value.
+    float or an int, as annotated, converted by finite_value or integer_value.
     """
     if not isinstance(doc, dict):
         raise ConfigError(f"{where} must be an object")
-    _check_keys(doc, {f.name for f in fields(cls)}, where)
+    _check_keys(doc, set(cls._fields), where)
     values = {name: fn(doc[name]) for name, fn in convert.items() if name in doc}
-    for f in fields(cls):
-        if f.name in doc and f.name not in convert:
-            scalar = finite_value if f.type is float else integer_value
-            values[f.name] = scalar(doc[f.name], f"{where}.{f.name}")
+    for name, kind in cls.__annotations__.items():
+        if name in doc and name not in convert:
+            scalar = finite_value if kind is float else integer_value
+            values[name] = scalar(doc[name], f"{where}.{name}")
     return cls(**values)
 
 
@@ -758,14 +757,15 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     # Move every object the imports made into the permanent generation, so
-    # no collection during the command, and not the interpreter's last one
-    # at exit, walks them again.  The imports are this module's eager ones:
-    # numpy, model and riccati.  The modules the command loads on first
-    # use (digits, quad, spectrum, kernels, sim) execute inside main, so
-    # the second freeze takes their objects, and whatever the command left
-    # alive, out of the collection at exit.  Only a script run gets here:
-    # callers that import the library keep their collector as it is.
+    # no collection during the command walks them again.  The imports are
+    # this module's eager ones: numpy, model and riccati.  Only a script run
+    # gets here: callers that import the library keep their collector and
+    # their interpreter's exit as they are.
     gc.freeze()
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    # Every artifact is written and closed inside main, so the interpreter's
+    # teardown (module clean-up and the last collection) has nothing left to
+    # do for the command: flush the standard streams and end the process.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)

@@ -7,7 +7,7 @@ truncated series are evaluated analytically, term by term, never by
 numerical differentiation of sampled kernels.
 """
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,7 @@ GRAM_ROWS = 256
 CAUCHY_GRID_POINTS = 101
 
 
-@dataclass(frozen=True)
-class KernelField:
+class KernelField(NamedTuple):
     """2x2 matrix-valued two-point kernel sampled on a grid pair."""
 
     grid_x1: np.ndarray
@@ -43,8 +42,7 @@ class KernelField:
     values: np.ndarray  # (len(grid_x1), len(grid_x2), 2, 2)
 
 
-@dataclass(frozen=True)
-class GainProfile:
+class GainProfile(NamedTuple):
     """Row-vector gain kernel K(x) sampled on a grid."""
 
     grid_x: np.ndarray
@@ -243,8 +241,7 @@ def decay_fit(ns, values) -> float:
     return float(slope)
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     name: str
     threshold: float
     fitted_exponent: float
@@ -253,8 +250,7 @@ class SeriesReport:
     cauchy_decreasing: bool
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Series verdicts, and the fit-window solutions the fitted exponents come
     from, whose cfg holds the boundary."""
 
@@ -272,7 +268,7 @@ class ConvergenceReport:
         return {
             "boundary": self.fit.cfg.boundary.value,
             "r": self.r,
-            "series": [asdict(s) for s in self.series],
+            "series": [s._asdict() for s in self.series],
         }
 
 

@@ -8,7 +8,7 @@ plain basis drops (the 1/2 pairing weights and the cos(n pi) = (-1)^n
 boundary trace signs) is carried explicitly by the functions below.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Mapping, Union
 
@@ -24,27 +24,24 @@ class InvalidModeError(ValueError):
     """Mode index not admissible for the configured boundary type."""
 
 
-@dataclass(frozen=True)
-class WaveConfig:
+class WaveConfig(namedtuple("WaveConfig", ["boundary", "alpha", "beta", "R"])):
     """Physical and cost constants for one control problem.
 
     alpha >= 0 is the damping rate, beta != 0 the actuation gain, R > 0 the
     scalar control weight.  gamma_sq = beta**2 / R is derived, never stored.
     """
 
-    boundary: Boundary
-    alpha: float = 0.0
-    beta: float = 1.0
-    R: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "boundary", Boundary(self.boundary))
-        if not self.R > 0:
-            raise ValueError(f"control weight R must be positive, got {self.R}")
-        if self.alpha < 0:
-            raise ValueError(f"damping alpha must be nonnegative, got {self.alpha}")
-        if self.beta == 0:
+    def __new__(cls, boundary: Boundary, alpha: float = 0.0, beta: float = 1.0, R: float = 1.0):
+        boundary = Boundary(boundary)
+        if not R > 0:
+            raise ValueError(f"control weight R must be positive, got {R}")
+        if alpha < 0:
+            raise ValueError(f"damping alpha must be nonnegative, got {alpha}")
+        if beta == 0:
             raise ValueError("actuation gain beta must be nonzero (beta = 0 makes every mode uncontrollable)")
+        return super().__new__(cls, boundary, alpha, beta, R)
 
     @property
     def gamma_sq(self) -> float:
@@ -68,45 +65,41 @@ def mode_range(boundary: Boundary, N: int) -> range:
     return range(1, N + 1) if Boundary(boundary) == Boundary.DIRICHLET else range(0, N + 1)
 
 
-@dataclass(frozen=True)
-class ModalWeight:
+class ModalWeight(namedtuple("ModalWeight", ["n", "q11", "q12", "q22"])):
     """Symmetric PSD 2x2 state-cost block attached to one spatial mode."""
 
-    n: int
-    q11: float
-    q12: float
-    q22: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q11 < 0 or self.q22 < 0 or self.q11 * self.q22 - self.q12**2 < 0:
+    def __new__(cls, n: int, q11: float, q12: float, q22: float):
+        if q11 < 0 or q22 < 0 or q11 * q22 - q12**2 < 0:
             raise ValueError(
-                f"modal weight for n={self.n} is not positive semidefinite: "
-                f"Q11={self.q11}, Q12={self.q12}, Q22={self.q22}"
+                f"modal weight for n={n} is not positive semidefinite: "
+                f"Q11={q11}, Q12={q12}, Q22={q22}"
             )
+        return super().__new__(cls, n, q11, q12, q22)
 
 
-@dataclass(frozen=True)
-class PowerLawWeights:
+class PowerLawWeights(namedtuple("PowerLawWeights", ["q", "r"])):
     """Q11 = Q22 = q / n**r per mode, Q12 = 0; the Neumann mean mode gets q."""
 
-    q: float
-    r: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.q > 0:
-            raise ValueError(f"power-law amplitude q must be positive, got {self.q}")
+    def __new__(cls, q: float, r: float):
+        if not q > 0:
+            raise ValueError(f"power-law amplitude q must be positive, got {q}")
+        return super().__new__(cls, q, r)
 
 
-@dataclass(frozen=True)
-class ExplicitWeights:
+class ExplicitWeights(namedtuple("ExplicitWeights", ["entries"])):
     """Explicit per-mode weights; modes absent from the map get zero weight."""
 
-    entries: Mapping[int, ModalWeight]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for n, w in self.entries.items():
+    def __new__(cls, entries: Mapping[int, ModalWeight]):
+        for n, w in entries.items():
             if w.n != n:
                 raise ValueError(f"weight keyed by {n} carries mode index {w.n}")
+        return super().__new__(cls, entries)
 
 
 WeightFamily = Union[PowerLawWeights, ExplicitWeights]

@@ -35,8 +35,6 @@ algorithm each, and never evaluate the closed forms:
   solution off its stable invariant subspace.
 """
 
-from dataclasses import dataclass, fields
-
 import numpy as np
 
 from .model import (
@@ -87,28 +85,39 @@ def symmetric_blocks(c11, c12, c22) -> np.ndarray:
     return np.stack([c11, c12, c12, c22], axis=1).reshape(-1, 2, 2)
 
 
-@dataclass(frozen=True, eq=False)
 class ModalTable:
     """Closed-form solutions of many modes as columns; ``residuals`` is (k, 4).
 
     cfg is the problem solved, which every consumer of the table reads.  A
     slice, a mask or an index array selects a sub-table of the same cfg; a
-    single row is read from the columns.
+    single row is read from the columns.  len() is the mode count, which a
+    named tuple's _replace would check against its field count, so the
+    table is a read-only class with a named tuple's _fields and _replace.
     """
 
-    cfg: WaveConfig
-    n: np.ndarray
-    q11: np.ndarray
-    q12: np.ndarray
-    q22: np.ndarray
-    p11: np.ndarray
-    p12: np.ndarray
-    p22: np.ndarray
-    k1: np.ndarray
-    k2: np.ndarray
-    residuals: np.ndarray
-    rel_residual: np.ndarray
-    min_eigenvalue: np.ndarray
+    _fields = ("cfg", "n", "q11", "q12", "q22", "p11", "p12", "p22", "k1", "k2",
+               "residuals", "rel_residual", "min_eigenvalue")
+    __slots__ = _fields
+
+    def __init__(self, cfg: WaveConfig, n: np.ndarray, q11: np.ndarray, q12: np.ndarray,
+                 q22: np.ndarray, p11: np.ndarray, p12: np.ndarray, p22: np.ndarray,
+                 k1: np.ndarray, k2: np.ndarray, residuals: np.ndarray,
+                 rel_residual: np.ndarray, min_eigenvalue: np.ndarray):
+        columns = locals()
+        for name in self._fields:
+            object.__setattr__(self, name, columns[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ModalTable is read-only: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ModalTable is read-only: cannot delete {name!r}")
+
+    def _replace(self, **changes) -> "ModalTable":
+        """A copy of the table with the named fields replaced."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return ModalTable(**values)
 
     def __len__(self) -> int:
         return len(self.n)
@@ -116,7 +125,7 @@ class ModalTable:
     def __getitem__(self, rows):
         if isinstance(rows, (int, np.integer)):
             raise TypeError("a ModalTable selects sub-tables; read a single row from its columns")
-        return ModalTable(self.cfg, *(getattr(self, f.name)[rows] for f in fields(self)[1:]))
+        return ModalTable(self.cfg, *(getattr(self, name)[rows] for name in self._fields[1:]))
 
     @property
     def matrices(self) -> np.ndarray:

@@ -41,8 +41,8 @@ with the B rows before it.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import factorial, isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,25 +91,22 @@ class SimulationError(RuntimeError):
     """A simulation produced non-finite values."""
 
 
-@dataclass(frozen=True)
-class ModalState:
-    """Coefficients of z in the plain sin/cos basis at one instant."""
+class ModalState(namedtuple("ModalState", ["boundary", "modes", "a"])):
+    """Coefficients of z in the plain sin/cos basis at one instant: a is
+    (len(modes), 2)."""
 
-    boundary: Boundary
-    modes: tuple[int, ...]
-    a: np.ndarray  # (len(modes), 2)
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        if a.shape != (len(self.modes), 2):
-            raise ValueError(f"coefficient array must be ({len(self.modes)}, 2), got {a.shape}")
+    def __new__(cls, boundary: Boundary, modes: tuple[int, ...], a: np.ndarray):
+        a = np.asarray(a, dtype=float)
+        if a.shape != (len(modes), 2):
+            raise ValueError(f"coefficient array must be ({len(modes)}, 2), got {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("modal coefficients must be finite")
-        object.__setattr__(self, "a", a)
+        return super().__new__(cls, boundary, modes, a)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Trajectory record: states, control samples and accumulated cost.
 
     times, u_record and cost hold one entry per step, u_record the scalar

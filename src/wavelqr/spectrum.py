@@ -2,8 +2,8 @@
 truncation, and the exact ARE of that truncation."""
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -443,8 +443,7 @@ def coupled_spectrum(sols: ModalTable):
     return ev, float(ev.real.max())
 
 
-@dataclass(frozen=True)
-class CoupledAre:
+class CoupledAre(NamedTuple):
     """Exact ARE of the truncated coupled plant vs. the per-mode solution.
 
     State coordinates are the pairing-weighted modal coefficients, so the

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -88,7 +87,7 @@ class TestConfigParsing:
         assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == f"config error: {section} must be an object\n"
 
-    def test_defaults_come_from_the_dataclasses(self):
+    def test_defaults_come_from_the_records(self):
         doc = base_config()
         del doc["sim"], doc["converge"]
         rc = parse_config(doc)
@@ -320,7 +319,7 @@ class TestVerify:
             table = solve(*args)
             p11 = table.p11.copy()
             p11[0] += 0.5
-            return dataclasses.replace(table, p11=p11)
+            return table._replace(p11=p11)
 
         monkeypatch.setattr(cli, "solve_family", corrupted)
         code = cmd_verify(rc, tmp_path / "o")
@@ -699,13 +698,15 @@ for name in BLOCKED:
         blocked[name] = True
 import wavelqr.cli
 config, out = sys.argv[1:]
-codes, fft, random = {}, {}, {}
+codes, fft, random, dataclasses = {}, {}, {}, {}
 # verify last: numpy.fft, once loaded, stays in sys.modules
 for cmd in sorted(wavelqr.cli.COMMANDS, key=lambda cmd: cmd == "verify"):
     codes[cmd] = wavelqr.cli.main([cmd, "--config", config, "--out", out])
     fft[cmd] = "numpy.fft" in sys.modules
     random[cmd] = "numpy.random" in sys.modules
-print(json.dumps({"blocked": blocked, "codes": codes, "fft": fft, "random": random}))
+    dataclasses[cmd] = "dataclasses" in sys.modules
+print(json.dumps({"blocked": blocked, "codes": codes, "fft": fft, "random": random,
+                  "dataclasses": dataclasses}))
 """
 
 
@@ -739,10 +740,27 @@ class TestColdStart:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result["random"] == {cmd: False for cmd in COMMANDS}
 
+    def test_no_command_loads_dataclasses(self, tmp_path):
+        # the records are named tuples: a frozen dataclass writes and
+        # compiles its methods when its module executes, 5-9 ms a command
+        path = write_config(tmp_path, base_config())
+        proc = run_python("-c", _COLD_START_SCRIPT, str(path), str(tmp_path / "o"))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["dataclasses"] == {cmd: False for cmd in COMMANDS}
 
+
+# The entry point ends its process with os._exit, which would end this
+# script before it reports: it makes os._exit raise SystemExit instead.
 _RUN_AS_SCRIPT = """
-import gc, json, runpy, sys
+import gc, json, os, runpy, sys
 
+
+def exit_run(code):
+    raise SystemExit(code)
+
+
+os._exit = exit_run
 before = gc.get_freeze_count()
 sys.argv = ["wavelqr", *sys.argv[1:]]
 try:
@@ -752,9 +770,21 @@ except SystemExit as exc:
 print(json.dumps([before, gc.get_freeze_count(), code]))
 """
 
+# python -m wavelqr.cli with a root iteration that never converges
+_NUMERICAL_FAILURE_SCRIPT = """
+import runpy, sys
+
+from wavelqr import spectrum
+
+spectrum._NEWTON_CAP = 0
+sys.argv = ["wavelqr", *sys.argv[1:]]
+runpy.run_module("wavelqr.cli", run_name="__main__", alter_sys=True)
+"""
+
 
 class TestScriptPath:
-    """python -m wavelqr.cli, the entry point that freezes the collector."""
+    """python -m wavelqr.cli, the entry point that freezes the collector and
+    ends its process without the interpreter's teardown."""
 
     def test_artifacts_match_main(self, tmp_path):
         for label, doc in small_configs().items():
@@ -776,6 +806,15 @@ class TestScriptPath:
         assert proc.returncode == 2
         assert proc.stderr == capsys.readouterr().err
         assert proc.stderr == "config error: N must be nonnegative, got -3\n"
+
+    def test_numerical_failure_exit_code(self, tmp_path):
+        # the message reaches the piped stderr before os._exit ends the process
+        path = write_config(tmp_path, base_config())
+        proc = run_python("-c", _NUMERICAL_FAILURE_SCRIPT, "simulate", "--config", str(path),
+                          "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        assert proc.stderr == ("numerical failure: coupled modal run: "
+                               "the secular roots did not converge within 0 steps\n")
 
     def test_entry_point_freezes_import_time_objects(self, tmp_path):
         path = write_config(tmp_path, base_config())

@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ def family_table(cfg, family, n):
 class TestAssembleP:
     def test_single_mode_midpoint_identity(self, dirichlet_cfg):
         ones = np.ones(1)
-        unit = replace(zero_table(dirichlet_cfg, [1]), p11=ones, p12=ones, p22=ones)
+        unit = zero_table(dirichlet_cfg, [1])._replace(p11=ones, p12=ones, p22=ones)
         kf = assemble_P(unit, np.array([0.5]))
         np.testing.assert_allclose(kf.values[0, 0], np.ones((2, 2)), rtol=1e-15)
 

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 import scipy.linalg as scipy_linalg
@@ -180,14 +178,28 @@ class TestModalTable:
         # a sub-table row holds what a one-row solve of the same weight gives
         row = t[2:3]
         one = modal_table(neumann_cfg, [2], row.q11, row.q12, row.q22)
-        for f in fields(ModalTable):
-            assert np.array_equal(getattr(row, f.name), getattr(one, f.name)), f.name
+        for name in ModalTable._fields:
+            assert np.array_equal(getattr(row, name), getattr(one, name)), name
         np.testing.assert_array_equal(t.matrices[2], one.matrices[0])
         k1, k2 = gain_arrays(neumann_cfg, t.n, t.p12, t.p22)
         assert np.array_equal(t.k1, k1) and np.array_equal(t.k2, k2)
         # a single row is read from the columns, not indexed out as an object
         with pytest.raises(TypeError):
             t[2]
+
+    def test_replace_keeps_the_problem(self, neumann_cfg):
+        """len() is the mode count, not the field count, and _replace changes
+        the named columns of a copy and keeps every other one, cfg included."""
+        t = solve_family(neumann_cfg, PowerLawWeights(1.0, 4.0), 5)
+        p11 = t.p11 + 1.0
+        changed = t._replace(p11=p11)
+        assert len(t) == len(changed) == 6 != len(ModalTable._fields)
+        assert changed.cfg is t.cfg and changed.p11 is p11
+        for name in ModalTable._fields:
+            if name != "p11":
+                assert getattr(changed, name) is getattr(t, name), name
+        with pytest.raises(TypeError):
+            t._replace(p33=p11)
 
     def test_sub_tables_keep_the_problem(self):
         cfg = WaveConfig(Boundary.NEUMANN, alpha=0.3, beta=1.2, R=0.8)

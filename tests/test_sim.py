@@ -3,7 +3,6 @@ import json
 import re
 import tracemalloc
 import warnings
-from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -1250,7 +1249,7 @@ class TestTableInputs:
         st = project_initial(*band_limited(Boundary.NEUMANN), 6, Boundary.NEUMANN)
         x = np.linspace(0.0, 1.0, 41)
         keep = table.n != 3
-        zeroed = replace(table, **{c: np.where(keep, getattr(table, c), 0.0)
+        zeroed = table._replace(**{c: np.where(keep, getattr(table, c), 0.0)
                                    for c in ("p11", "p12", "p22", "k1", "k2")})
         sols = table[keep]
         assert np.array_equal(assemble_K(sols, x).values, assemble_K(zeroed, x).values)
